@@ -258,7 +258,7 @@ def chaos_scenario(
     def mgr_body():
         yield Delay(migrate_at_us)
         lh = server_kernel.logical_hosts.get(server_lh.lhid)
-        if lh is None or not lh.live_processes():
+        if lh is None or not lh.has_live_process():
             mig_stats.append(None)
             return
         stats = yield from run_migration(

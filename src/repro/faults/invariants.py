@@ -16,7 +16,9 @@ properties the paper's correctness argument rests on:
     two physical hosts at once.  During a migration's commit window the
     same lhid legitimately exists on both machines -- but the source
     copy is frozen; two runnable copies would mean the program executes
-    twice.  Checked structurally after every simulated event.
+    twice.  Checked by a structural scan of every machine, triggered by
+    the transitions that can make a logical host runnable (see
+    :meth:`InvariantChecker.note_runnable`).
 
 ``page-version-monotonicity``
     Page versions observed by successive pre-copy rounds never
@@ -34,7 +36,18 @@ properties the paper's correctness argument rests on:
 Cost discipline: a simulator with no checker installed pays one
 attribute load + branch per event (like ``Tracer.active``); the
 ``invariant_overhead`` case in ``benchmarks/bench_simcore.py`` holds
-the disabled path to <=1.05x on the migration storm.
+the disabled path to <=1.05x on the migration storm.  An installed
+checker still sees every event (``events_checked``), but rescans the
+machines only when a logical host may have become runnable since the
+last clean scan.  Three kernel transitions can do that, and each calls
+:meth:`~InvariantChecker.note_runnable`: a process joining a logical
+host (``LogicalHost.add_process``), an unfreeze, and an lhid change.
+Every other transition -- freeze, process exit or destroy, logical-host
+destroy, crash -- can only end runnability, so it cannot create a
+second runnable copy.  A scan that finds a violation leaves the scan
+armed, so a violation that persists is reported on every event.  The
+enabled checker costs O(1) per event between transitions (the same
+bench case holds it to <=3x on the storm).
 
 ``strict=True`` (the default, for tests) raises
 :class:`~repro.errors.InvariantViolation` at the first breach;
@@ -45,6 +58,7 @@ report them all.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InvariantViolation
@@ -66,7 +80,6 @@ class InvariantChecker:
         cluster=None,
         strict: bool = True,
         grace_us: Optional[int] = None,
-        check_interval_events: int = 1,
     ):
         #: The cluster under observation (read each check, so machines
         #: replaced by ``reboot_workstation`` are picked up); tests that
@@ -82,9 +95,10 @@ class InvariantChecker:
                 * model.retransmit_interval_us
             )
         self.grace_us = grace_us if grace_us is not None else 2_400_000
-        #: Run the structural scan every N events (1 = every event).
-        self.check_interval_events = max(1, check_interval_events)
-        self._countdown = self.check_interval_events
+        #: Whether a logical host may have become runnable since the
+        #: last clean single-execution scan (armed at install, so the
+        #: first event scans whatever already exists).
+        self._scan_armed = True
         self.violations: List[InvariantViolation] = []
         #: Optional :class:`~repro.obs.flight_recorder.FlightRecorder`;
         #: when set, the first violation dumps a postmortem bundle
@@ -98,8 +112,10 @@ class InvariantChecker:
         self._delivered: Dict[Tuple, int] = {}
         # -- no-residual-dependency: lhid -> (commit time, old host)
         self._commits: Dict[int, Tuple[int, str]] = {}
-        # -- page-version-monotonicity: (space id, page) -> version
-        self._page_versions: Dict[Tuple[int, int], int] = {}
+        # -- page-version-monotonicity: space -> {page index: version}.
+        # Weakly keyed so a freed space's records go with it (an id()
+        # key would be reused by the next space allocated).
+        self._page_versions = weakref.WeakKeyDictionary()
 
     # -------------------------------------------------------------- install
 
@@ -179,10 +195,11 @@ class InvariantChecker:
         """A pre-copy (or residual) round is about to copy ``pages``
         out of ``space``; versions must never move backwards between
         observations."""
-        space_id = id(space)
-        seen = self._page_versions
+        seen = self._page_versions.get(space)
+        if seen is None:
+            seen = self._page_versions[space] = {}
         for page in pages:
-            key = (space_id, page.index)
+            key = page.index
             version = page.version
             last = seen.get(key)
             if last is not None and version < last:
@@ -195,28 +212,37 @@ class InvariantChecker:
                 )
             seen[key] = version
 
+    # ---------------------------------------------------- kernel transitions
+
+    def note_runnable(self) -> None:
+        """Some logical host may have become runnable (a process joined
+        it, it was unfrozen, or it changed lhid): re-arm the scan."""
+        self._scan_armed = True
+
     # ------------------------------------------------------ per-event scan
 
     def after_event(self, sim) -> None:
-        """Structural check, run by the simulator after every event."""
-        self._countdown -= 1
-        if self._countdown:
-            return
-        self._countdown = self.check_interval_events
+        """Run by the simulator after every event.  When a transition
+        has armed it, scans every machine for two runnable copies of one
+        lhid; a clean scan disarms it, a violation keeps it armed."""
         self.events_checked += 1
+        if not self._scan_armed:
+            return
         cluster = self.cluster
         if cluster is None:
             return
+        clean = True
         runnable_at: Dict[int, str] = {}
         for station in cluster.workstations + cluster.server_machines:
             kernel = station.kernel
             if not kernel.alive:
                 continue
             for lhid, lh in kernel.logical_hosts.items():
-                if lh.frozen or not lh.live_processes():
+                if lh.frozen or not lh.has_live_process():
                     continue
                 other = runnable_at.get(lhid)
                 if other is not None:
+                    clean = False
                     self._violate(
                         "single-execution",
                         f"lhid {lhid} runnable on both {other} and "
@@ -226,3 +252,4 @@ class InvariantChecker:
                     )
                 else:
                     runnable_at[lhid] = kernel.name
+        self._scan_armed = not clean

@@ -147,6 +147,8 @@ class Kernel:
         self.binding_cache.note_topology_change()
         for pcb in lh.processes.values():
             pcb.pid = Pid(new_lhid, pcb.pid.local_index)
+        if self.sim.invariants is not None:
+            self.sim.invariants.note_runnable()
         if self.sim.trace.active:
             self.sim.trace.record("kernel", "change-lhid", old=old, new=new_lhid)
 
@@ -349,6 +351,8 @@ class Kernel:
         if not lh.frozen:
             raise KernelError(f"{lh!r} is not frozen")
         lh.frozen = False
+        if self.sim.invariants is not None:
+            self.sim.invariants.note_runnable()
         self.scheduler.on_unfreeze(lh)
         for pcb in lh.live_processes():
             self.ipc.deliver_queued(pcb)

@@ -78,6 +78,8 @@ class LogicalHost:
             )
         self.processes[index] = pcb
         pcb.logical_host = self
+        if self.kernel is not None and self.kernel.sim.invariants is not None:
+            self.kernel.sim.invariants.note_runnable()
 
     def remove_process(self, pcb: Pcb) -> None:
         """Unregister a PCB."""
@@ -92,6 +94,11 @@ class LogicalHost:
     def live_processes(self) -> List[Pcb]:
         """All PCBs that have not exited, in index order."""
         return [self.processes[i] for i in sorted(self.processes) if self.processes[i].alive]
+
+    def has_live_process(self) -> bool:
+        """Whether any PCB has not exited (``live_processes()`` without
+        the sort, for callers that only need yes/no)."""
+        return any(p.alive for p in self.processes.values())
 
     def pids(self) -> List[Pid]:
         """Pids of all live processes."""

@@ -124,7 +124,7 @@ def _record_metrics(kernel, stats: MigrationStats) -> None:
 def _lh_alive(kernel, lh) -> bool:
     """Whether the migration victim still exists with live processes (it
     may exit -- and be reaped -- while we are copying it)."""
-    return kernel.logical_hosts.get(lh.lhid) is lh and bool(lh.live_processes())
+    return kernel.logical_hosts.get(lh.lhid) is lh and lh.has_live_process()
 
 
 def _cleanup_shell(temp_lhid):

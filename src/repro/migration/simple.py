@@ -70,7 +70,7 @@ def run_freeze_and_copy(
         return stats
     temp_lhid = shell_reply["temp_lhid"]
 
-    if kernel.logical_hosts.get(lh.lhid) is not lh or not lh.live_processes():
+    if kernel.logical_hosts.get(lh.lhid) is not lh or not lh.has_live_process():
         stats.error = "program exited during migration"
         return stats
     # Freeze *before* any copying: the whole transfer is freeze time.

@@ -98,7 +98,7 @@ def run_vm_flush_migration(
     temp_lhid = shell_reply["temp_lhid"]
 
     def lh_alive():
-        return kernel.logical_hosts.get(lh.lhid) is lh and bool(lh.live_processes())
+        return kernel.logical_hosts.get(lh.lhid) is lh and lh.has_live_process()
 
     # -- step 3: repeated flushes while the program runs ----------------------
     for ordinal, pager in pagers.items():

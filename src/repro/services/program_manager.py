@@ -416,7 +416,7 @@ class ProgramManager:
 
     def _maybe_reap(self, lhid: int) -> None:
         lh = self.kernel.logical_hosts.get(lhid)
-        if lh is None or lh.frozen or lh.live_processes():
+        if lh is None or lh.frozen or lh.has_live_process():
             return
         self.kernel.destroy_logical_host(lh)
 

@@ -1,6 +1,8 @@
 """Unit tests for the invariant harness: each hook, both strictness
 modes, and the structured context carried by violations."""
 
+import gc
+
 import pytest
 
 from repro.errors import InvariantViolation
@@ -13,8 +15,8 @@ class _Lh:
         self.frozen = frozen
         self._procs = procs
 
-    def live_processes(self):
-        return [object()] * self._procs
+    def has_live_process(self):
+        return self._procs > 0
 
 
 class _Kernel:
@@ -142,6 +144,23 @@ class TestPageVersionMonotonicity:
         checker.note_page_versions(b, [self._Page(0, 1)])  # other space
         assert checker.ok
 
+    def test_freed_spaces_leave_no_records(self):
+        # A freed space's records must go with it: CPython reuses the
+        # id() of a collected object, so id-keyed records would compare
+        # a fresh space's versions against a dead one's.
+        from repro.kernel.address_space import AddressSpace
+
+        checker = _checker(strict=False)
+        for _ in range(50):
+            space = AddressSpace(16 * 4096)
+            for _ in range(3):
+                space.touch(0, space.size_bytes)
+            checker.note_page_versions(space, space.pages)
+            del space
+            gc.collect()
+        assert checker.ok
+        assert len(checker._page_versions) == 0
+
 
 class TestSingleExecution:
     def _sim(self):
@@ -188,14 +207,32 @@ class TestSingleExecution:
         checker.after_event(self._sim())
         assert checker.ok
 
-    def test_check_interval_thins_the_scan(self):
-        cluster = _Cluster(_Kernel("ws0"))
-        checker = InvariantChecker(cluster, grace_us=0,
-                                   check_interval_events=4)
+    def test_clean_scan_disarms_until_a_transition(self):
+        # Every event is counted, but after a clean scan the machines
+        # are rescanned only once a transition re-arms the check.
+        ws0, ws1 = _Kernel("ws0", hosts={5: _Lh()}), _Kernel("ws1")
+        checker = InvariantChecker(_Cluster(ws0, ws1), strict=False,
+                                   grace_us=0)
         sim = self._sim()
-        for _ in range(8):
+        checker.after_event(sim)
+        ws1.logical_hosts[5] = _Lh()  # unannounced: not a kernel transition
+        checker.after_event(sim)
+        assert checker.ok
+        checker.note_runnable()
+        checker.after_event(sim)
+        assert checker.summary()["single-execution"] == 1
+        assert checker.events_checked == 3
+
+    def test_persistent_violation_is_reported_every_event(self):
+        cluster = _Cluster(
+            _Kernel("ws0", hosts={5: _Lh()}),
+            _Kernel("ws1", hosts={5: _Lh()}),
+        )
+        checker = InvariantChecker(cluster, strict=False, grace_us=0)
+        sim = self._sim()
+        for _ in range(4):
             checker.after_event(sim)
-        assert checker.events_checked == 2
+        assert checker.summary()["single-execution"] == 4
 
 
 class TestReporting:

@@ -8,6 +8,12 @@ at build time).  Toggles set here are NOT restored by the factory -- the
 autouse hygiene fixture in ``tests/conftest.py`` snapshots and restores
 both switch blocks around every test, so factories and tests can flip
 knobs freely without try/finally boilerplate.
+
+Every cluster the factory builds carries a strict
+:class:`~repro.faults.invariants.InvariantChecker` unless the caller
+passes ``invariants=False``: a test that breaks single execution,
+at-most-once delivery, page-version monotonicity or residual
+dependencies fails at the first breach, whatever it asserts itself.
 """
 
 from __future__ import annotations
@@ -37,6 +43,9 @@ class BareCluster:
         self.stations: List[Workstation] = [
             Workstation(self.sim, i, self.net, model) for i in range(n)
         ]
+        #: The names the invariant checker walks on a full cluster.
+        self.workstations = self.stations
+        self.server_machines: List[Workstation] = []
 
     def spawn_program(
         self,
@@ -87,6 +96,7 @@ def make_cluster(
     faults=None,
     registry=None,
     model: HardwareModel = DEFAULT_MODEL,
+    invariants: bool = True,
 ):
     """The parameterized cluster factory.
 
@@ -95,15 +105,23 @@ def make_cluster(
     :func:`repro.cluster.build_cluster` with ``n`` workstations (plus
     its file server).  ``toggles`` (knob name -> bool) is applied before
     construction so components see the requested switch positions.
+    ``invariants`` (default True) installs a strict invariant checker
+    on the cluster's simulator.
     """
     apply_toggles(toggles)
     if full:
         from repro.cluster import build_cluster
 
-        return build_cluster(
+        cluster = build_cluster(
             n_workstations=n, seed=seed, model=model,
             registry=registry, loss=loss, faults=faults,
         )
-    if faults is not None or registry is not None:
+    elif faults is not None or registry is not None:
         raise ValueError("faults/registry need a full cluster (full=True)")
-    return BareCluster(n=n, seed=seed, model=model, loss=loss)
+    else:
+        cluster = BareCluster(n=n, seed=seed, model=model, loss=loss)
+    if invariants:
+        from repro.faults import InvariantChecker
+
+        InvariantChecker(cluster, strict=True).install(cluster.sim)
+    return cluster
