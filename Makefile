@@ -1,6 +1,6 @@
 # Convenience targets for the V-System reproduction.
 
-.PHONY: install test bench bench-smoke bench-sweep bench-placement chaos-smoke report-smoke verify-smoke examples demo trace-demo all
+.PHONY: install test bench bench-smoke bench-test bench-sweep bench-placement chaos-smoke report-smoke verify-smoke examples demo trace-demo all
 
 install:
 	pip install -e . || python setup.py develop
@@ -15,6 +15,11 @@ bench:
 # fails on a >2x slowdown against the recorded BENCH_simcore.json.
 bench-smoke:
 	python -m pytest benchmarks/bench_simcore.py -m smoke -p no:cacheprovider
+
+# The outside-in benchmark's own tests (bench/test_bench.py, ~20 s):
+# runner, child and compare.py on short workloads, outside tier-1.
+bench-test:
+	python -m pytest bench -q -p no:cacheprovider
 
 # Placement-plane policy comparison on the open-loop job storm: the
 # paper's first-responder multicast vs cached RandomK probing vs

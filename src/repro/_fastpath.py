@@ -1,13 +1,14 @@
 """Global switches for the single-simulation fast paths.
 
 The IPC/network fast paths (packet free-list, message free-list, the
-binding-cache route memo, coalesced same-tick receive processing, the
-per-transport handler table, and memoized wire-cost functions) never
-change a simulation's trajectory -- same seeds give the same simulated
+binding-cache route memo and memoized wire-cost functions) never change
+a simulation's trajectory -- same seeds give the same simulated
 times, event order and outcomes with every switch on or off.  The
 switches exist so ``benchmarks/bench_simcore.py`` can A/B the wall-clock
-cost of the PR 2-era code paths against the fast ones and *prove* the
-trajectory identity, not so users can mix and match.
+cost of the plain code paths against the fast ones and *prove* the
+trajectory identity, not so users can mix and match.  Coalesced receive
+processing and the one-pass broadcast delivery are not switches: they
+are the only receive path (see :mod:`repro.net.ethernet`).
 
 Components read the switches once, at construction time (a per-packet
 global load would itself be hot-path overhead), so toggling only affects
@@ -63,8 +64,6 @@ class FastPathFlags:
         "packet_pool",
         "message_pool",
         "route_cache",
-        "batched_rx",
-        "handler_cache",
         "cost_memo",
         "copy_runs",
         "event_wheel",

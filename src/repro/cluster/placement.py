@@ -31,6 +31,7 @@ client retries elsewhere under a bounded backoff budget.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -201,8 +202,9 @@ class HostStateCache:
             d = self.entries.get(name)
             return (0 if d is None else 1, d.ts_us if d else 0, name)
 
-        ranked = sorted(roster.items(), key=age_key)
-        return ranked[: self.refresh_fanout]
+        # The key is a total order (names are unique), so this equals
+        # sorted(...)[:refresh_fanout] without sorting the whole roster.
+        return heapq.nsmallest(self.refresh_fanout, roster.items(), key=age_key)
 
     def body(self):
         """Anti-entropy loop: periodically probe the stalest hosts."""

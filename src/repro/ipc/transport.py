@@ -168,13 +168,11 @@ class Transport:
         #: cache nor re-resolve -- the intentionally-broken configuration
         #: that must trip the no-residual-dependency invariant.
         self.rebind_enabled = True
-        nic.install_handler(self.on_packet)
+        #: Per-packet protocol-processing time (the NIC receiver
+        #: contract, see repro.net.nic).
+        self.rx_delay_us = model.packet_process_us
+        nic.install_handler(self)
         # ---- fast paths (see repro._fastpath; None = disabled)
-        #: packet kind -> bound handler, built lazily; replaces a
-        #: per-packet f-string + getattr on the hottest receive path.
-        self._handlers: Optional[Dict[str, Any]] = (
-            {} if FASTPATH.handler_cache else None
-        )
         #: dst pid -> (epoch, counts_group_lookup, address|None, delay),
         #: valid while the binding cache's epoch is unchanged.  Bounded:
         #: flushed wholesale past _ROUTE_MEMO_MAX (routes rebuild in one
@@ -496,24 +494,26 @@ class Transport:
 
     # --------------------------------------------------------------- packets
 
-    def on_packet(self, packet: Packet) -> None:
-        """NIC entry point: dispatch one arriving frame after the
-        kernel's per-packet protocol-processing time."""
-        handlers = self._handlers
-        if handlers is not None:
-            handler = handlers.get(packet.kind)
-            if handler is None:
-                handler = getattr(
-                    self, f"_on_{packet.kind.replace('-', '_')}", None
-                )
-                if handler is None:
-                    raise IpcError(f"unknown packet kind {packet.kind!r}")
-                handlers[packet.kind] = handler
-        else:
-            handler = getattr(self, f"_on_{packet.kind.replace('-', '_')}", None)
-            if handler is None:
-                raise IpcError(f"unknown packet kind {packet.kind!r}")
-        self.nic.schedule_rx(self.model.packet_process_us, handler, packet)
+    @staticmethod
+    def rx_frame(packet: Packet, transports) -> None:
+        """Protocol processing of one frame on every transport that
+        received it (the NIC receiver contract), after the kernels'
+        per-packet processing time.  The kind is looked up once per
+        frame.  A host query is answered only by the kernel hosting the
+        logical host; the test runs here, at processing time, because a
+        logical host can arrive or leave within the processing delay."""
+        kind = packet.kind
+        handler = _HANDLERS.get(kind)
+        if handler is None:
+            raise IpcError(f"unknown packet kind {kind!r}")
+        if kind == "ghq":
+            lhid = packet.payload["lhid"]
+            for transport in transports:
+                if lhid in transport.kernel.logical_hosts:
+                    handler(transport, packet)
+            return
+        for transport in transports:
+            handler(transport, packet)
 
     # ---- requests
 
@@ -941,13 +941,13 @@ class Transport:
         self.nic.emit(BROADCAST, "ghq", {"lhid": lhid})
 
     def _on_ghq(self, packet: Packet) -> None:
-        lhid = packet.payload["lhid"]
-        if self.kernel.hosts_lhid(lhid):
-            self.nic.emit(
-                packet.src,
-                "ghq-reply",
-                {"lhid": lhid, "address": self.nic.address},
-            )
+        """Answer a host query for a logical host hosted here
+        (:meth:`rx_frame` filters out every other kernel)."""
+        self.nic.emit(
+            packet.src,
+            "ghq-reply",
+            {"lhid": packet.payload["lhid"], "address": self.nic.address},
+        )
 
     def _on_ghq_reply(self, packet: Packet) -> None:
         lhid = packet.payload["lhid"]
@@ -1114,3 +1114,27 @@ class Transport:
                 continue
             del self._servers[key]
             self._pending_discard(record)
+
+
+#: packet kind -> Transport handler: the one receive dispatch table, for
+#: unicast and broadcast frames alike (see Transport.rx_frame).
+_HANDLERS = {
+    "request": Transport._on_request,
+    "reply": Transport._on_reply,
+    "reply-pending": Transport._on_reply_pending,
+    "nak-moved": Transport._on_nak_moved,
+    "nak-dead": Transport._on_nak_dead,
+    "forward": Transport._on_forward,
+    "ghq": Transport._on_ghq,
+    "ghq-reply": Transport._on_ghq_reply,
+    "binding": Transport._on_binding,
+    "copy-data": Transport._on_copy_data,
+    "copy-burst": Transport._on_copy_burst,
+    "copy-nak": Transport._on_copy_nak,
+    "copy-end": Transport._on_copy_end,
+    "copy-ack": Transport._on_copy_ack,
+    "copyfrom-data": Transport._on_copyfrom_data,
+    "copyfrom-burst": Transport._on_copyfrom_burst,
+    "copyfrom-nak": Transport._on_copyfrom_nak,
+    "copyfrom-end": Transport._on_copyfrom_end,
+}

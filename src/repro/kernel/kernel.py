@@ -229,7 +229,8 @@ class Kernel:
             # it (a compiler phase exiting inside cc68's logical host
             # must not leave its space allocated, §3 footnote 6).
             if pcb.space in lh.spaces and not any(
-                p.space is pcb.space for p in lh.live_processes()
+                p.alive and p.space is pcb.space
+                for p in lh.processes.values()
             ):
                 self.free_space(lh, pcb.space)
         if pcb.done_event is not None and not pcb.done_event.triggered:
@@ -368,8 +369,8 @@ class Kernel:
         program_processes = 0
         remote_processes = 0
         for lh in self.logical_hosts.values():
-            for pcb in lh.live_processes():
-                if pcb.priority >= Priority.LOCAL:
+            for pcb in lh.processes.values():
+                if pcb.alive and pcb.priority >= Priority.LOCAL:
                     program_processes += 1
                     if pcb.priority == Priority.REMOTE:
                         remote_processes += 1

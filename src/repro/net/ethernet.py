@@ -5,24 +5,34 @@ the in-flight frame (this is what makes bulk CopyTo traffic contend with
 IPC traffic, as on the paper's real 10 Mbit segment).  Broadcast frames
 are delivered to every attached NIC except the sender's.
 
-Fast paths (all trajectory-preserving, see ``repro._fastpath``):
+A delivered frame is not processed on arrival: every receiver charges a
+protocol-processing delay first (``rx_delay_us``, see
+:mod:`repro.net.nic`), and the segment schedules the processing.
 
+* **Coalesced receive processing.**  Every kernel charges the same
+  delay, so one frame delivered to many NICs (a broadcast) -- or
+  back-to-back frames arriving in one event -- produces a run of
+  processing steps at the *same* simulated time with *consecutive*
+  sequence numbers.  :meth:`Ethernet.schedule_rx` batches such a run
+  into one scheduled event.  Coalescing only happens while ``sim._seq``
+  has not moved since the batch was opened, which proves no foreign
+  event can sort between the batched steps; running them back-to-back
+  inside one event is therefore order-identical to running them as
+  separate events.  Each receiving handler still counts as one
+  processed event, so budgets and event counts equal those of one event
+  per receiver.
+* **One pass per broadcast.**  Each source's receiver list
+  (address-sorted, sender excluded) is cached until the next
+  attach/detach.  A broadcast walks it once, does the per-receiver
+  accounting and loss draws in that order, and hands the frame to the
+  rx batch as one item per run of receivers sharing a ``rx_frame`` and
+  delay -- one item for a whole cluster of kernels.  Segments with a
+  fault plane deliver per NIC instead, so duplicate and delay timers
+  keep their place in the schedule.
 * the segment owns the :class:`~repro.net.packet.PacketPool` that
-  recycles fully-delivered frames;
+  recycles fully-processed frames;
 * wire times are memoized per payload size (the cost model is a pure
-  function and a simulation uses only a handful of distinct sizes);
-* **coalesced receive processing**: every kernel charges the same
-  per-packet protocol-processing delay, so one frame delivered to many
-  NICs (a broadcast) -- or back-to-back frames processed in one event --
-  produces a run of handler timers at the *same* simulated time with
-  *consecutive* sequence numbers.  :meth:`Ethernet.schedule_rx` batches
-  such a run into one scheduled event.  Coalescing only happens while
-  ``sim._seq`` has not moved since the batch was opened, which proves no
-  foreign event can sort between the batched handlers; running them
-  back-to-back inside one event is therefore order-identical to running
-  them as separate events.  Each batched handler still counts as one
-  processed event so budgets and event-count comparisons are stable
-  across the toggle.
+  function and a simulation uses only a handful of distinct sizes).
 """
 
 from __future__ import annotations
@@ -58,10 +68,10 @@ class Ethernet:
         if faults is not None:
             faults.bind_metrics(sim.metrics)
         self._nics: Dict[HostAddress, "Nic"] = {}
-        #: NICs in deterministic (address-sorted) delivery order, rebuilt
-        #: lazily after attach/detach so broadcast delivery does not
-        #: re-sort on every frame.
-        self._sorted_nics: Optional[List["Nic"]] = None
+        #: source address -> the NICs its broadcasts reach, in
+        #: deterministic (address-sorted) delivery order; built lazily
+        #: and dropped wholesale on attach/detach.
+        self._receivers: Dict[HostAddress, List["Nic"]] = {}
         #: Earliest time the bus is free for the next transmission.
         self._busy_until = 0
         #: Counters for experiment reports.
@@ -73,8 +83,8 @@ class Ethernet:
         self.pool.bind_metrics(sim.metrics)
         #: Same-tick receive-processing events coalesced into one.
         self.rx_coalesced = 0
-        self._batch_enabled = FASTPATH.batched_rx
-        self._rx_batch: Optional[list] = None  # [time, guard_seq, items]
+        #: The open batch: [time, guard_seq, items, handler_count].
+        self._rx_batch: Optional[list] = None
         self._cost_memo = FASTPATH.cost_memo
         self._wire_us: Dict[int, int] = {}
         # Per-source instruments, labelled by str(address) -- the net
@@ -93,27 +103,27 @@ class Ethernet:
         if nic.address.is_broadcast:
             raise SimulationError("cannot attach a NIC at the broadcast address")
         self._nics[nic.address] = nic
-        self._sorted_nics = None
+        self._receivers.clear()
         nic.ethernet = self
 
     def detach(self, nic: "Nic") -> None:
         """Disconnect a NIC (host crash/power-off); in-flight frames to it
         are lost."""
         self._nics.pop(nic.address, None)
-        self._sorted_nics = None
+        self._receivers.clear()
         nic.ethernet = None
 
-    def _delivery_order(self) -> List["Nic"]:
-        """Attached NICs, address-sorted; cached until the next
-        attach/detach."""
-        order = self._sorted_nics
-        if order is None:
-            order = [
-                nic for _, nic in
+    def _receivers_of(self, src: HostAddress) -> List["Nic"]:
+        """The NICs a broadcast from ``src`` reaches, address-sorted;
+        cached until the next attach/detach."""
+        receivers = self._receivers.get(src)
+        if receivers is None:
+            receivers = self._receivers[src] = [
+                nic for address, nic in
                 sorted(self._nics.items(), key=lambda kv: kv[0].value)
+                if address != src
             ]
-            self._sorted_nics = order
-        return order
+        return receivers
 
     def nic_at(self, address: HostAddress) -> Optional["Nic"]:
         """The NIC currently attached at ``address``, if any."""
@@ -122,7 +132,7 @@ class Ethernet:
     @property
     def addresses(self) -> List[HostAddress]:
         """Addresses of all attached NICs (sorted for determinism)."""
-        return [nic.address for nic in self._delivery_order()]
+        return sorted(self._nics, key=lambda address: address.value)
 
     # ----------------------------------------------------------- transmission
 
@@ -170,25 +180,80 @@ class Ethernet:
 
     def _deliver(self, packet: Packet) -> None:
         if packet.is_broadcast:
-            src = packet.src
-            targets = [n for n in self._delivery_order() if n.address != src]
+            receivers = self._receivers_of(packet.src)
+            if self.faults is None:
+                self._deliver_broadcast(packet, receivers)
+            else:
+                for nic in receivers:
+                    self._deliver_one(nic, packet)
         else:
             nic = self._nics.get(packet.dst)
-            targets = [nic] if nic is not None else []
-        trace = self.sim.trace
-        faults = self.faults
-        for nic in targets:
-            if faults is not None:
-                if self._deliver_with_faults(faults, packet, nic, trace):
-                    continue
-            elif self.loss.drops(self.sim, packet):
-                self._count_drop(packet, nic, trace)
-                continue
-            nic.receive(packet)
-        # Recycle unless a receiver kept the frame (a scheduled handler,
-        # a test's capture list, ...); held=1 accounts for the fired
-        # timer's args tuple the run loop still references.
+            if nic is not None:
+                self._deliver_one(nic, packet)
+        # Recycle unless a receiver kept the frame (a scheduled
+        # processing step, a test's capture list, ...); held=1 accounts
+        # for the fired timer's args tuple the run loop still references.
         self.pool.release(packet, held=1)
+
+    def _deliver_broadcast(self, packet: Packet, receivers: List["Nic"]) -> None:
+        """One pass over a broadcast's receivers: loss draws and
+        per-NIC accounting in delivery order, then one rx item per run
+        of receivers sharing ``rx_frame`` and delay.  Deferring the
+        scheduling to the end of a run is order-identical: loss draws
+        and counters never touch ``sim._seq``."""
+        sim = self.sim
+        loss = self.loss
+        drops = None if type(loss) is NoLoss else loss.drops
+        counting = self.metrics.active
+        frame = delay = None
+        group: list = []
+        for nic in receivers:
+            if drops is not None and drops(sim, packet):
+                self._count_drop(packet, nic, sim.trace)
+                continue
+            rx = nic.rx
+            if rx is None:
+                nic.dropped_no_handler += 1
+                if counting:
+                    nic._m_rx_dropped.inc()
+                continue
+            nic.received += 1
+            if counting:
+                nic._m_rx.inc()
+            if rx[0] is not frame or rx[1] != delay:
+                if group:
+                    self.schedule_rx(delay, frame, packet, group)
+                    group = []
+                frame, delay = rx[0], rx[1]
+            group.append(rx[2])
+        if group:
+            self.schedule_rx(delay, frame, packet, group)
+
+    def _deliver_one(self, nic, packet: Packet) -> None:
+        """Deliver a frame to one NIC through the loss model or the
+        fault plane."""
+        faults = self.faults
+        if faults is not None:
+            if self._deliver_with_faults(faults, packet, nic, self.sim.trace):
+                return
+        elif self.loss.drops(self.sim, packet):
+            self._count_drop(packet, nic, self.sim.trace)
+            return
+        self._arrive(nic, packet)
+
+    def _arrive(self, nic, packet: Packet) -> None:
+        """A frame reaches one NIC: count it and schedule its
+        processing, or drop it when no receiver is installed."""
+        rx = nic.rx
+        if rx is None:
+            nic.dropped_no_handler += 1
+            if self.metrics.active:
+                nic._m_rx_dropped.inc()
+            return
+        nic.received += 1
+        if self.metrics.active:
+            nic._m_rx.inc()
+        self.schedule_rx(rx[1], rx[0], packet, (rx[2],))
 
     def _count_drop(self, packet: Packet, nic, trace) -> None:
         self.packets_dropped += 1
@@ -222,7 +287,7 @@ class Ethernet:
         for copy in range(plan.duplicates):
             self._sched(
                 plan.delay_us + (copy + 1) * max(1, plan.dup_delay_us),
-                nic.receive, packet,
+                self._arrive, nic, packet,
             )
             if trace.active:
                 trace.record(
@@ -235,50 +300,45 @@ class Ethernet:
                     "net", "reorder", packet_id=packet.packet_id,
                     dst=str(nic.address), delay_us=plan.delay_us,
                 )
-            self._sched(plan.delay_us, nic.receive, packet)
+            self._sched(plan.delay_us, self._arrive, nic, packet)
             return True
         return False
 
     # ------------------------------------------- receive-processing batching
 
-    def schedule_rx(self, delay_us: int, fn, packet: Packet) -> None:
-        """Schedule one receive-processing callback, coalescing it into
-        the open same-time batch when provably order-identical (see the
-        module docstring).  The batch runner releases each packet back to
-        the pool once its handler has run."""
+    def schedule_rx(self, delay_us: int, frame, packet: Packet, receivers) -> None:
+        """Schedule ``frame(packet, receivers)`` after ``delay_us``,
+        coalescing it into the open same-time batch when provably
+        order-identical (see the module docstring).  The batch runner
+        releases the packet back to the pool once it has been
+        processed."""
         sim = self.sim
         time = sim._now + delay_us
         batch = self._rx_batch
-        if (
-            batch is not None
-            and batch[0] == time
-            and batch[1] == sim._seq
-            and self._batch_enabled
-        ):
-            batch[2].append((fn, packet))
-            self.rx_coalesced += 1
+        handlers = len(receivers)
+        if batch is not None and batch[0] == time and batch[1] == sim._seq:
+            batch[2].append((frame, packet, receivers))
+            batch[3] += handlers
+            self.rx_coalesced += handlers
             return
-        items = [(fn, packet)]
-        batch = [time, 0, items]
+        batch = [time, 0, [(frame, packet, receivers)], handlers]
         self._rx_batch = batch
-        sim.schedule(delay_us, self._run_rx_batch, items)
+        sim.schedule(delay_us, self._run_rx_batch, batch)
         batch[1] = sim._seq
+        self.rx_coalesced += handlers - 1
 
-    def _run_rx_batch(self, items: list) -> None:
-        batch = self._rx_batch
-        if batch is not None and batch[2] is items:
+    def _run_rx_batch(self, batch: list) -> None:
+        if self._rx_batch is batch:
             # This batch is firing; a later same-time schedule_rx must
             # open a fresh one rather than append to a fired batch.
             self._rx_batch = None
-        sim = self.sim
-        # Each coalesced handler still counts as one processed event, so
-        # event counts and budgets match the unbatched execution.
-        extra = len(items) - 1
-        if extra:
-            sim._event_count += extra
+        # Each receiving handler counts as one processed event, so event
+        # counts and budgets match one event per receiver.
+        self.sim._event_count += batch[3] - 1
+        items = batch[2]
         pool = self.pool
         for i in range(len(items)):
-            fn, packet = items[i]
+            frame, packet, receivers = items[i]
             items[i] = None  # drop the tuple so release sees only us
-            fn(packet)
+            frame(packet, receivers)
             pool.release(packet)

@@ -1,13 +1,24 @@
 """Per-host network interface.
 
-A NIC dispatches received packets to a handler installed by the host's
-kernel.  Packets arriving while no handler is installed (host booting or
+A NIC hands received frames to a *receiver* installed by the host's
+kernel.  Frames arriving while no receiver is installed (host booting or
 crashed) are counted and dropped, like a real interface with no driver.
+
+The receiver contract (duck-typed; :class:`repro.ipc.transport.Transport`
+is the production receiver, ``tests/net`` has small doubles):
+
+* ``rx_delay_us`` -- the protocol-processing time charged between a
+  frame's arrival and its processing;
+* ``rx_frame(packet, receivers)`` -- a *static* function that processes
+  one frame on every receiver in ``receivers`` (a sequence, in delivery
+  order).  The segment calls it once per frame per run of receivers that
+  share ``rx_frame`` and ``rx_delay_us``, so a broadcast reaching a
+  hundred kernels costs one call, not a hundred.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.net.addresses import HostAddress
 from repro.net.packet import Packet
@@ -20,7 +31,9 @@ class Nic:
         self.sim = sim
         self.address = address
         self.ethernet = None  # set by Ethernet.attach
-        self._handler: Optional[Callable[[Packet], None]] = None
+        #: ``(rx_frame, rx_delay_us, receiver)`` of the installed
+        #: receiver, read once per frame by the segment; None = no driver.
+        self.rx: Optional[tuple] = None
         self.received = 0
         self.dropped_no_handler = 0
         m = sim.metrics
@@ -28,13 +41,14 @@ class Nic:
         self._m_rx = m.counter("net.rx_packets", str(address))
         self._m_rx_dropped = m.counter("net.rx_dropped", str(address))
 
-    def install_handler(self, handler: Callable[[Packet], None]) -> None:
-        """Install the packet-arrival callback (the kernel's entry point)."""
-        self._handler = handler
+    def install_handler(self, receiver) -> None:
+        """Install the frame receiver (the kernel's entry point; see the
+        module docstring for the contract)."""
+        self.rx = (receiver.rx_frame, receiver.rx_delay_us, receiver)
 
     def remove_handler(self) -> None:
-        """Remove the handler; subsequent arrivals are dropped."""
-        self._handler = None
+        """Remove the receiver; subsequent arrivals are dropped."""
+        self.rx = None
 
     def send(self, packet: Packet) -> None:
         """Put a packet on the wire (must be attached to a segment)."""
@@ -59,25 +73,3 @@ class Nic:
         ethernet.transmit(
             ethernet.pool.alloc(self.address, dst, kind, payload, size_bytes)
         )
-
-    def schedule_rx(self, delay_us: int, fn, packet: Packet) -> None:
-        """Schedule protocol processing of a received frame, letting the
-        segment coalesce same-tick processing events (and recycle the
-        frame afterwards)."""
-        ethernet = self.ethernet
-        if ethernet is None:
-            self.sim.schedule(delay_us, fn, packet)
-            return
-        ethernet.schedule_rx(delay_us, fn, packet)
-
-    def receive(self, packet: Packet) -> None:
-        """Called by the segment when a frame arrives for this NIC."""
-        if self._handler is None:
-            self.dropped_no_handler += 1
-            if self.metrics.active:
-                self._m_rx_dropped.inc()
-            return
-        self.received += 1
-        if self.metrics.active:
-            self._m_rx.inc()
-        self._handler(packet)

@@ -141,7 +141,8 @@ class ProgramManager:
         processes (includes migrated-in programs we did not create)."""
         out = []
         for lhid, lh in sorted(self.kernel.logical_hosts.items()):
-            if any(p.priority >= Priority.LOCAL for p in lh.live_processes()):
+            if any(p.alive and p.priority >= Priority.LOCAL
+                   for p in lh.processes.values()):
                 out.append(lhid)
         return out
 
@@ -150,7 +151,8 @@ class ProgramManager:
         ``migrateprog`` with no argument removes, §3)."""
         out = []
         for lhid, lh in sorted(self.kernel.logical_hosts.items()):
-            if any(p.priority == Priority.REMOTE for p in lh.live_processes()):
+            if any(p.alive and p.priority == Priority.REMOTE
+                   for p in lh.processes.values()):
                 out.append(lhid)
         return out
 
@@ -442,7 +444,8 @@ class ProgramManager:
             return True
         if self.pcb is not None and lh is self.pcb.logical_host:
             return True
-        return any(p.priority < Priority.LOCAL for p in lh.live_processes())
+        return any(p.alive and p.priority < Priority.LOCAL
+                   for p in lh.processes.values())
 
     def _kill_program(self, sender, msg):
         lh = self.kernel.logical_hosts.get(msg["pid"].logical_host_id)

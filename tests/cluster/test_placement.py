@@ -91,6 +91,25 @@ def test_drop_forgets_a_host():
     assert cache.stats.drops == 1
 
 
+def test_stalest_orders_unknown_then_oldest_then_name():
+    cache, _sim = bare_cache(refresh_fanout=4)
+    cache.observe(digest("ws1", ts=300))
+    cache.observe(digest("ws2", ts=100))
+    cache.observe(digest("ws3", ts=100))
+    cache.observe(digest("ws4", ts=50))
+    roster = {name: f"pm-{name}"
+              for name in ("ws4", "ws3", "ws6", "ws2", "ws1", "ws5")}
+    # Unknown hosts (ws5, ws6) first by name, then oldest ts_us with the
+    # name breaking the ws2/ws3 tie; the fan-out cuts the freshest off.
+    assert cache._stalest(roster) == [
+        ("ws5", "pm-ws5"), ("ws6", "pm-ws6"),
+        ("ws4", "pm-ws4"), ("ws2", "pm-ws2"),
+    ]
+    cache.refresh_fanout = 10
+    assert [name for name, _ in cache._stalest(roster)] == [
+        "ws5", "ws6", "ws4", "ws2", "ws3", "ws1"]
+
+
 def test_make_policy_coercions():
     assert isinstance(make_policy("random_k"), RandomK)
     assert isinstance(make_policy(CachedBestFit), CachedBestFit)

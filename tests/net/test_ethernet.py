@@ -17,6 +17,8 @@ from repro.net import (
 from repro.net.addresses import workstation_address
 from repro.sim import Simulator
 
+from tests.net.receivers import install
+
 
 def make_net(n_hosts=2, loss=None, seed=0):
     sim = Simulator(seed=seed)
@@ -74,7 +76,7 @@ class TestDelivery:
         sim, net, nics = make_net(3)
         got = {i: [] for i in range(3)}
         for i, nic in enumerate(nics):
-            nic.install_handler(lambda p, i=i: got[i].append(p.kind))
+            install(nic, lambda p, i=i: got[i].append(p.kind))
         nics[0].send(Packet(nics[0].address, nics[1].address, "hello", None))
         sim.run()
         assert got[1] == ["hello"]
@@ -84,7 +86,7 @@ class TestDelivery:
         sim, net, nics = make_net(4)
         got = {i: [] for i in range(4)}
         for i, nic in enumerate(nics):
-            nic.install_handler(lambda p, i=i: got[i].append(p.kind))
+            install(nic, lambda p, i=i: got[i].append(p.kind))
         nics[2].send(Packet(nics[2].address, BROADCAST, "query", None))
         sim.run()
         assert got[2] == []
@@ -93,7 +95,7 @@ class TestDelivery:
     def test_delivery_takes_wire_time(self):
         sim, net, nics = make_net(2)
         arrival = []
-        nics[1].install_handler(lambda p: arrival.append(sim.now))
+        install(nics[1], lambda p: arrival.append(sim.now))
         pkt = Packet(nics[0].address, nics[1].address, "d", None, size_bytes=1024)
         nics[0].send(pkt)
         sim.run()
@@ -102,7 +104,7 @@ class TestDelivery:
     def test_bus_serializes_back_to_back_sends(self):
         sim, net, nics = make_net(2)
         arrivals = []
-        nics[1].install_handler(lambda p: arrivals.append(sim.now))
+        install(nics[1], lambda p: arrivals.append(sim.now))
         wire = DEFAULT_MODEL.packet_wire_us(1024)
         for _ in range(3):
             nics[0].send(Packet(nics[0].address, nics[1].address, "d", None, size_bytes=1024))
@@ -124,7 +126,7 @@ class TestDelivery:
     def test_packet_to_detached_nic_vanishes(self):
         sim, net, nics = make_net(2)
         got = []
-        nics[1].install_handler(lambda p: got.append(p))
+        install(nics[1], lambda p: got.append(p))
         net.detach(nics[1])
         nics[0].send(Packet(nics[0].address, nics[1].address, "x", None))
         sim.run()
@@ -136,6 +138,19 @@ class TestDelivery:
         sim.run()
         assert nics[1].dropped_no_handler == 1
 
+    def test_crashed_nic_counts_broadcast_drop(self):
+        sim, net, nics = make_net(4)
+        got = []
+        for nic in nics:
+            install(nic, lambda p, nic=nic: got.append(nic.address))
+        nics[2].remove_handler()  # crashed: attached, but no driver
+        nics[0].send(Packet(nics[0].address, BROADCAST, "query", None))
+        sim.run()
+        assert got == [nics[1].address, nics[3].address]
+        assert [n.received for n in nics] == [0, 1, 0, 1]
+        assert nics[2].dropped_no_handler == 1
+        assert sum(n.dropped_no_handler for n in nics) == 1
+
     def test_duplicate_address_rejected(self):
         sim, net, nics = make_net(1)
         dup = Nic(sim, nics[0].address)
@@ -144,7 +159,7 @@ class TestDelivery:
 
     def test_counters(self):
         sim, net, nics = make_net(2)
-        nics[1].install_handler(lambda p: None)
+        install(nics[1], lambda p: None)
         nics[0].send(Packet(nics[0].address, nics[1].address, "x", None, size_bytes=200))
         sim.run()
         assert net.packets_sent == 1
@@ -155,7 +170,7 @@ class TestLossModels:
     def test_no_loss_never_drops(self):
         sim, net, nics = make_net(2, loss=NoLoss())
         got = []
-        nics[1].install_handler(lambda p: got.append(p))
+        install(nics[1], lambda p: got.append(p))
         for _ in range(50):
             nics[0].send(Packet(nics[0].address, nics[1].address, "x", None))
         sim.run()
@@ -164,7 +179,7 @@ class TestLossModels:
     def test_bernoulli_full_loss_drops_everything(self):
         sim, net, nics = make_net(2, loss=BernoulliLoss(1.0))
         got = []
-        nics[1].install_handler(lambda p: got.append(p))
+        install(nics[1], lambda p: got.append(p))
         for _ in range(20):
             nics[0].send(Packet(nics[0].address, nics[1].address, "x", None))
         sim.run()
@@ -175,7 +190,7 @@ class TestLossModels:
         def run(seed):
             sim, net, nics = make_net(2, loss=BernoulliLoss(0.3), seed=seed)
             got = []
-            nics[1].install_handler(lambda p: got.append(p.packet_id))
+            install(nics[1], lambda p: got.append(p.packet_id))
             for _ in range(100):
                 nics[0].send(Packet(nics[0].address, nics[1].address, "x", None))
             sim.run()
@@ -191,7 +206,7 @@ class TestLossModels:
     def test_burst_loss_produces_runs(self):
         sim, net, nics = make_net(2, loss=BurstLoss(p_good_to_bad=0.2, p_bad_to_good=0.3))
         outcomes = []
-        nics[1].install_handler(lambda p: outcomes.append(p.packet_id))
+        install(nics[1], lambda p: outcomes.append(p.packet_id))
         n = 200
         for _ in range(n):
             nics[0].send(Packet(nics[0].address, nics[1].address, "x", None))

@@ -9,6 +9,8 @@ from repro.net.packet import PacketPool
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import Simulator
 
+from tests.net.receivers import install
+
 
 def make_net(n_hosts=2, seed=0):
     sim = Simulator(seed=seed)
@@ -99,14 +101,16 @@ class TestPooledDelivery:
     def test_emit_delivers_like_send(self):
         sim, net, nics = make_net(2)
         got = []
-        nics[1].install_handler(lambda p: got.append((p.kind, p.payload)))
+        install(nics[1], lambda p: got.append((p.kind, p.payload)))
         nics[0].emit(nics[1].address, "hello", {"n": 1})
         sim.run()
         assert got == [("hello", {"n": 1})]
 
     def test_packets_recycle_through_the_wire(self):
         sim, net, nics = make_net(2)
-        nics[1].install_handler(lambda p: None)
+        # A transport-like processing delay: on the hybrid event core a
+        # same-instant step could still see the delivery timer's args.
+        install(nics[1], lambda p: None, rx_delay_us=25)
         for _ in range(20):
             nics[0].emit(nics[1].address, "x", None)
             sim.run()
@@ -118,7 +122,7 @@ class TestPooledDelivery:
     def test_handler_keeping_packet_blocks_recycling(self):
         sim, net, nics = make_net(2)
         kept = []
-        nics[1].install_handler(kept.append)
+        install(nics[1], kept.append)
         nics[0].emit(nics[1].address, "keep", {"v": 7})
         sim.run()
         assert kept[0].payload == {"v": 7}  # not clobbered
@@ -128,17 +132,14 @@ class TestPooledDelivery:
 
 
 class TestBatchedRx:
-    """Coalescing happens on the receive-*processing* hop: handlers that
-    charge a per-packet protocol delay via ``nic.schedule_rx`` (as the
-    IPC transport does), not raw same-event delivery callbacks."""
+    """Coalescing happens on the receive-*processing* hop: receivers
+    that charge a per-packet protocol delay (as the IPC transport
+    does)."""
 
     @staticmethod
     def _processing_handlers(sim, nics, got, delay_us=25):
         for i, nic in enumerate(nics[1:], start=1):
-            def handler(p, nic=nic, i=i):
-                nic.schedule_rx(delay_us, lambda pp, i=i: got.append(
-                    (i, sim.now)), p)
-            nic.install_handler(handler)
+            install(nic, lambda p, i=i: got.append((i, sim.now)), delay_us)
 
     def test_broadcast_processing_coalesces_and_preserves_order(self):
         from repro.net import BROADCAST
@@ -154,25 +155,38 @@ class TestBatchedRx:
         assert len({t for _, t in got}) == 1
         assert net.rx_coalesced == 2  # 3 handler timers in 1 event
 
-    def test_event_count_matches_unbatched_world(self):
+    def test_event_count_is_transmits_plus_receiving_handlers(self):
         from repro.net import BROADCAST
-        from repro._fastpath import FASTPATH
 
-        def run(batched):
-            old = FASTPATH.batched_rx
-            FASTPATH.batched_rx = batched
-            try:
-                sim, net, nics = make_net(4, seed=3)
-                got = []
-                self._processing_handlers(sim, nics, got)
-                for _ in range(5):
-                    nics[0].emit(BROADCAST, "q", None)
-                sim.run()
-                return sim.now, sim.event_count, got
-            finally:
-                FASTPATH.batched_rx = old
+        sim, net, nics = make_net(5, seed=3)
+        got = []
+        self._processing_handlers(sim, nics, got)
+        nics[4].remove_handler()  # drops: no processing event
+        for _ in range(5):
+            nics[0].emit(BROADCAST, "q", None)
+        nics[0].emit(nics[1].address, "u", None)
+        sim.run()
+        receiving = 5 * 3 + 1
+        assert len(got) == receiving
+        assert sim.event_count == net.packets_sent + receiving
+        assert nics[4].dropped_no_handler == 5
 
-        assert run(True) == run(False)
+    def test_mixed_delays_split_into_ordered_runs(self):
+        from repro.net import BROADCAST
+
+        sim, net, nics = make_net(5)
+        got = []
+        for i, delay in ((1, 25), (2, 25), (3, 40), (4, 25)):
+            install(nics[i], lambda p, i=i: got.append((i, sim.now)), delay)
+        nics[0].emit(BROADCAST, "q", None)
+        sim.run()
+        wire = got[0][1] - 25
+        assert got == [(1, wire + 25), (2, wire + 25), (4, wire + 25),
+                       (3, wire + 40)]
+        # Runs 1-2 and 4 open separate batches: the delay-40 run's timer
+        # moved the sequence counter between them.
+        assert net.rx_coalesced == 1
+        assert sim.event_count == 1 + 4
 
     def test_batched_packets_recycle_after_processing(self):
         from repro.net import BROADCAST
