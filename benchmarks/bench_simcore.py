@@ -2,31 +2,21 @@
 
 Every other benchmark in this directory measures *simulated* time; this
 one measures the simulator's own overhead -- the thing the bitmap page
-tables, pooled timers and zero-cost tracer exist to reduce.  Three
+tables, pooled timers and zero-cost tracer exist to reduce.  The core
 scenarios:
 
-1. The kernel-side page-table work of complete pre-copy migrations of a
-   2 MB address space at a 5% dirty rate -- round-0 collect and
-   whole-space install, converging dirty rounds, final completeness
-   check (the access pattern of §3.1.2) -- comparing the flat (bitmap)
-   :class:`AddressSpace` against the seed implementation (preserved
-   verbatim as :class:`LegacyAddressSpace`).  The migrating program's
-   own writes run between rounds, untimed, as they overlap the copies
-   in reality.
-2. A 16-workstation migration storm: six demand-paged 1.5 MB programs
+1. A 16-workstation migration storm: six demand-paged 1.5 MB programs
    thrashing against a residency cap while two waves of concurrent
-   pre-copy and VM-flush migrations bounce them between hosts; the same
-   scenario executed with the legacy page tables monkey-patched in.
-   Both runs must take the exact same simulated trajectory (equal
-   ``sim.now``, event counts and migration outcomes), so the wall-clock
-   ratio isolates the page-table representation.
-3. A timer churn loop exercising the pooled/compacting event heap,
+   pre-copy and VM-flush migrations bounce them between hosts.  Every
+   repeat must take the exact same simulated trajectory (equal
+   ``sim.now``, event counts and migration outcomes); the metrics,
+   invariant, copy-plane and event-core cases run on it.
+2. A timer churn loop exercising the pooled/compacting event heap,
    reported as events per wall-clock second.
 
 Results land in ``BENCH_simcore.json`` at the repository root; the
 ``smoke``-marked tests re-measure quickly and fail on a >2x regression
-against that recorded baseline (and on loss of the flat-vs-legacy
-speedup itself).
+against that recorded baseline.
 
 Run standalone with ``python benchmarks/bench_simcore.py`` or under
 pytest (the full test is also a pytest-benchmark case).
@@ -36,7 +26,6 @@ from __future__ import annotations
 
 import json
 import pathlib
-import random
 import sys
 import time
 
@@ -48,8 +37,6 @@ for _p in (str(_ROOT / "src"), str(_ROOT), str(_ROOT / "benchmarks")):
 import pytest
 
 from repro.config import PAGE_SIZE
-from repro.kernel._legacy_address_space import LegacyAddressSpace
-from repro.kernel.address_space import AddressSpace
 from repro.kernel.process import Priority
 from repro.migration.manager import run_migration
 from repro.migration.vm_flush import run_vm_flush_migration
@@ -70,12 +57,6 @@ INVARIANT_ENABLED_BUDGET = 3.0
 
 # -- scenario sizing ---------------------------------------------------------
 
-#: 2 MB space (the paper's whole-machine memory) at 2 KB pages.
-MICRO_PAGES = (2 * 1024 * 1024) // PAGE_SIZE
-MICRO_DIRTY_FRACTION = 0.05
-MICRO_ROUNDS = 400
-SMOKE_MICRO_ROUNDS = 60
-
 STORM_WORKSTATIONS = 16
 #: Six instances of a long-running 1.5 MB program (most of a paper-era
 #: workstation's 2 MB memory), so nothing exits mid-migration and every
@@ -87,7 +68,7 @@ STORM_SEED = 23
 #: set every tick, so each pre-copy round scans a full-size page table
 #: and a capped pager keeps evicting.  The dirty pattern is sampled with
 #: ``Random.sample`` (O(pages written), not O(working set)) to keep the
-#: workload's own wall-clock cost out of the page-table comparison.
+#: workload's own wall-clock cost out of the measurement.
 HOG_PAGES = (1536 * 1024) // PAGE_SIZE
 HOG_IMAGE_BYTES = 64 * 1024
 HOG_HOT_PAGES = 24
@@ -122,207 +103,130 @@ ENGINE_EVENTS = 120_000
 SMOKE_ENGINE_EVENTS = 20_000
 
 
-# -- scenario 1: pre-copy dirty-scan loop ------------------------------------
+# -- scenario 1: 16-host migration storm -------------------------------------
 
-def _round_sizes():
-    """Dirty-set sizes per recopy round: the first round sees the 5%
-    dirty rate, later rounds shrink as pre-copy converges (§3.1.2), and
-    the last scan finds nothing."""
-    first = int(MICRO_PAGES * MICRO_DIRTY_FRACTION)
-    sizes = [first]
-    while sizes[-1] > 1:
-        sizes.append(max(sizes[-1] // 8, 1))
-    sizes.append(0)
-    return sizes  # e.g. [51, 6, 1, 0] for 1024 pages at 5%
-
-
-def _precopy_cycles(space_cls, cycles, seed=7):
-    """Kernel-side page-table work of complete pre-copy migrations of
-    one 2 MB space: the round-0 dirty-bit reset and whole-space install,
-    each converging round's collect-and-install, and the final
-    completeness check.  The migrating program's own writes happen
-    *between* rounds (it keeps running, concurrently with the copies)
-    and are not part of the measured manager-side cost.
-
-    Returns ``(timed_seconds, pages_installed)``.
-    """
-    rng = random.Random(seed)
-    size = MICRO_PAGES * PAGE_SIZE
-    sizes = _round_sizes()
-    schedule = [
-        [rng.sample(range(MICRO_PAGES), n) for n in sizes]
-        for _ in range(cycles)
-    ]
-    src = space_cls(size)
-    src.load_image()
-    timed = 0.0
-    moved = 0
-    for batches in schedule:
-        dst = space_cls(size)
-        started = time.perf_counter()
-        src.collect_dirty()        # round 0: reset the dirty bits...
-        dst.apply_copy(src.pages)  # ...and install the whole space
-        timed += time.perf_counter() - started
-        moved += MICRO_PAGES
-        for batch in batches:
-            src.touch_pages(batch, write=True)  # program writes: untimed
-            started = time.perf_counter()
-            dirty = src.collect_dirty()
-            dst.apply_copy(dirty)
-            timed += time.perf_counter() - started
-            moved += len(dirty)
-        started = time.perf_counter()
-        complete = dst.identical_to(src)
-        timed += time.perf_counter() - started
-        assert complete
-    return timed, moved
-
-
-def _measure_precopy(space_cls, cycles):
-    """Best-of-three to shake scheduler noise out of the ratio."""
-    best, moved = None, 0
-    for _ in range(3):
-        elapsed, moved = _precopy_cycles(space_cls, cycles)
-        best = elapsed if best is None else min(best, elapsed)
-    return best, moved
-
-
-# -- scenario 2: 16-host migration storm -------------------------------------
-
-def _run_storm(space_cls, seed=STORM_SEED, instrument=None):
+def _run_storm(seed=STORM_SEED, instrument=None):
     """Build a 16-workstation cluster, thrash six demand-paged programs
     against a residency cap, then migrate all six concurrently (pre-copy
-    and VM-flush alternating).  ``space_cls`` is patched in as *the*
-    AddressSpace for the whole scenario, so the legacy run exercises the
-    seed's object-walk scans end to end.
+    and VM-flush alternating).
 
     ``instrument(cluster)`` runs right after the cluster is built and
     before the timed region's activity -- used to switch observability
     on for the metrics-overhead comparison."""
-    import repro.execution.program as program_mod
-    import repro.kernel.kernel as kernel_mod
+    started = time.perf_counter()
+    cluster = build_cluster(
+        n_workstations=STORM_WORKSTATIONS, seed=seed,
+        registry=_storm_registry(),
+    )
+    sim = cluster.sim
+    if instrument is not None:
+        instrument(cluster)
 
-    saved = (kernel_mod.AddressSpace, program_mod.AddressSpace)
-    kernel_mod.AddressSpace = space_cls
-    program_mod.AddressSpace = space_cls
-    try:
-        started = time.perf_counter()
-        cluster = build_cluster(
-            n_workstations=STORM_WORKSTATIONS, seed=seed,
-            registry=_storm_registry(),
-        )
-        sim = cluster.sim
-        if instrument is not None:
-            instrument(cluster)
+    holders = []
+    for i, prog in enumerate(STORM_PROGRAMS, start=1):
+        holder = launch_program(cluster, prog, where=f"ws{i}")
+        run_until(cluster, lambda h=holder: "pid" in h)
+        holders.append(holder)
+    cluster.run(until_us=sim.now + 200_000)
 
-        holders = []
-        for i, prog in enumerate(STORM_PROGRAMS, start=1):
-            holder = launch_program(cluster, prog, where=f"ws{i}")
-            run_until(cluster, lambda h=holder: "pid" in h)
-            holders.append(holder)
-        cluster.run(until_us=sim.now + 200_000)
+    n = len(holders)
+    results = []
 
-        n = len(holders)
-        results = []
+    def locate(station_names):
+        """(kernel, logical host) pairs for the hogs, wherever the
+        last wave left them."""
+        pairs = []
+        for holder, ws in zip(holders, station_names):
+            kernel = cluster.station(ws).kernel
+            lh = kernel.logical_hosts[holder["pid"].logical_host_id]
+            pairs.append((kernel, lh))
+        return pairs
 
-        def locate(station_names):
-            """(kernel, logical host) pairs for the hogs, wherever the
-            last wave left them."""
-            pairs = []
-            for holder, ws in zip(holders, station_names):
-                kernel = cluster.station(ws).kernel
-                lh = kernel.logical_hosts[holder["pid"].logical_host_id]
-                pairs.append((kernel, lh))
-            return pairs
+    def thrash(victims):
+        """Demand-page every program space as if freshly migrated:
+        warm file-server copy, nothing resident, and a residency cap
+        well below the working set so the programs fault and evict
+        continuously."""
+        for kernel, lh in victims:
+            for space in lh.spaces:
+                pager = Pager(kernel.model, f"pager:{space.name}",
+                              max_resident=max(8, space.n_pages // 6))
+                pager.attach(space)
+                for page in space.pages:
+                    pager.store[page.index] = page.version
+                space.collect_dirty()  # the store now holds every page
+                pager.attach(space, resident=False)
+        cluster.run(until_us=sim.now + 600_000)
 
-        def thrash(victims):
-            """Demand-page every program space as if freshly migrated:
-            warm file-server copy, nothing resident, and a residency cap
-            well below the working set so the programs fault and evict
-            continuously (CLOCK sweeps are the legacy hot spot)."""
-            for kernel, lh in victims:
-                for space in lh.spaces:
-                    pager = Pager(kernel.model, f"pager:{space.name}",
-                                  max_resident=max(8, space.n_pages // 6))
-                    pager.attach(space)
-                    for page in space.pages:
-                        pager.store[page.index] = page.version
-                    space.collect_dirty()  # the store now holds every page
-                    pager.attach(space, resident=False)
-            cluster.run(until_us=sim.now + 600_000)
+    def migrate_wave(wave, victims, src_names, dest_names):
+        """Migrate every hog concurrently, pre-copy and VM-flush
+        alternating.  Destinations are pinned, one idle host each:
+        concurrent migrations racing for the same first responder
+        would otherwise overcommit a host's memory."""
+        expected = len(results) + len(victims)
+        for ordinal, (kernel, lh) in enumerate(victims):
+            dest = cluster.pm(dest_names[ordinal]).pcb.pid
 
-        def migrate_wave(wave, victims, src_names, dest_names):
-            """Migrate every hog concurrently, pre-copy and VM-flush
-            alternating.  Destinations are pinned, one idle host each:
-            concurrent migrations racing for the same first responder
-            would otherwise overcommit a host's memory."""
-            expected = len(results) + len(victims)
-            for ordinal, (kernel, lh) in enumerate(victims):
-                dest = cluster.pm(dest_names[ordinal]).pcb.pid
+            def mgr_body(kernel=kernel, lh=lh, ordinal=ordinal,
+                         dest=dest):
+                if ordinal % 2:
+                    stats = yield from run_vm_flush_migration(
+                        kernel, lh, dest_pm=dest)
+                else:
+                    stats = yield from run_migration(
+                        kernel, lh, dest_pm=dest)
+                results.append((wave, ordinal, stats))
 
-                def mgr_body(kernel=kernel, lh=lh, ordinal=ordinal,
-                             dest=dest):
-                    if ordinal % 2:
-                        stats = yield from run_vm_flush_migration(
-                            kernel, lh, dest_pm=dest)
-                    else:
-                        stats = yield from run_migration(
-                            kernel, lh, dest_pm=dest)
-                    results.append((wave, ordinal, stats))
+            kernel.create_process(
+                cluster.pm(src_names[ordinal]).pcb.logical_host,
+                mgr_body(), priority=Priority.MIGRATION,
+                name=f"storm-mgr-{wave}-{ordinal}",
+            )
+        run_until(cluster, lambda: len(results) == expected)
 
-                kernel.create_process(
-                    cluster.pm(src_names[ordinal]).pcb.logical_host,
-                    mgr_body(), priority=Priority.MIGRATION,
-                    name=f"storm-mgr-{wave}-{ordinal}",
-                )
-            run_until(cluster, lambda: len(results) == expected)
+    # Wave 1: ws1..ws6 -> ws7..ws12.  Wave 2: back to the (now
+    # freed) origin hosts, re-thrashed first so the second wave's
+    # pre-copy rounds see fresh dirty sets.
+    homes = [f"ws{i + 1}" for i in range(n)]
+    away = [f"ws{i + 7}" for i in range(n)]
+    victims = locate(homes)
+    thrash(victims)
+    migrate_wave(1, victims, homes, away)
+    victims = locate(away)
+    thrash(victims)
+    migrate_wave(2, victims, away, homes)
+    cluster.run(until_us=sim.now + 200_000)
+    elapsed = time.perf_counter() - started
 
-        # Wave 1: ws1..ws6 -> ws7..ws12.  Wave 2: back to the (now
-        # freed) origin hosts, re-thrashed first so the second wave's
-        # pre-copy rounds see fresh dirty sets.
-        homes = [f"ws{i + 1}" for i in range(n)]
-        away = [f"ws{i + 7}" for i in range(n)]
-        victims = locate(homes)
-        thrash(victims)
-        migrate_wave(1, victims, homes, away)
-        victims = locate(away)
-        thrash(victims)
-        migrate_wave(2, victims, away, homes)
-        cluster.run(until_us=sim.now + 200_000)
-        elapsed = time.perf_counter() - started
-
-        outcomes = [
-            (wave, ordinal, stats.success, stats.error, len(stats.rounds),
-             stats.residual_pages)
-            for wave, ordinal, stats in sorted(results, key=lambda r: r[:2])
-        ]
-        copies = [ws.kernel.ipc.copies for ws in cluster.workstations]
-        return {
-            "seconds": elapsed,
-            "events": sim.event_count,
-            "events_per_sec": round(sim.event_count / elapsed),
-            "sim_time_us": sim.now,
-            "migrations_ok": sum(1 for o in outcomes if o[2]),
-            "outcomes": outcomes,
-            # Copy data-plane counters (summed over every workstation).
-            "copy_pacing_events": sum(c.pacing_events for c in copies),
-            "copy_bursts": sum(c.bursts for c in copies),
-            "copy_runs": sum(c.runs_streamed for c in copies),
-            "total_pages_copied": sum(
-                sum(r.pages for r in stats.rounds) + stats.residual_pages
-                for _, _, stats in results
-            ),
-        }
-    finally:
-        kernel_mod.AddressSpace, program_mod.AddressSpace = saved
+    outcomes = [
+        (wave, ordinal, stats.success, stats.error, len(stats.rounds),
+         stats.residual_pages)
+        for wave, ordinal, stats in sorted(results, key=lambda r: r[:2])
+    ]
+    copies = [ws.kernel.ipc.copies for ws in cluster.workstations]
+    return {
+        "seconds": elapsed,
+        "events": sim.event_count,
+        "events_per_sec": round(sim.event_count / elapsed),
+        "sim_time_us": sim.now,
+        "migrations_ok": sum(1 for o in outcomes if o[2]),
+        "outcomes": outcomes,
+        # Copy data-plane counters (summed over every workstation).
+        "copy_pacing_events": sum(c.pacing_events for c in copies),
+        "copy_bursts": sum(c.bursts for c in copies),
+        "total_pages_copied": sum(
+            sum(r.pages for r in stats.rounds) + stats.residual_pages
+            for _, _, stats in results
+        ),
+    }
 
 
-def _measure_storm(space_cls, repeats=3, instrument=None):
+def _measure_storm(repeats=3, instrument=None):
     """Best-of-``repeats`` wall clock for the storm; the simulated
     trajectory is deterministic, so every repeat must agree on it."""
     best = None
     for _ in range(repeats):
-        run = _run_storm(space_cls, instrument=instrument)
+        run = _run_storm(instrument=instrument)
         if best is None:
             best = run
         else:
@@ -340,13 +244,13 @@ def _enable_metrics(cluster):
 def _measure_metrics_overhead(disabled=None, repeats=3):
     """Wall-clock cost of the unified metrics registry on the storm.
 
-    Runs the flat-page-table storm with ``sim.metrics`` enabled and
+    Runs the storm with ``sim.metrics`` enabled and
     compares against the instrumented-but-disabled run (``disabled``,
     measured by the caller or remeasured here).  Both runs must take the
     identical simulated trajectory -- instrumentation only observes."""
     if disabled is None:
-        disabled = _measure_storm(AddressSpace, repeats=repeats)
-    enabled = _measure_storm(AddressSpace, repeats=repeats,
+        disabled = _measure_storm(repeats=repeats)
+    enabled = _measure_storm(repeats=repeats,
                              instrument=_enable_metrics)
     identical = (
         enabled["sim_time_us"] == disabled["sim_time_us"]
@@ -354,7 +258,7 @@ def _measure_metrics_overhead(disabled=None, repeats=3):
         and enabled["outcomes"] == disabled["outcomes"]
     )
     return {
-        "scenario": "migration_storm (flat page tables)",
+        "scenario": "migration_storm",
         "disabled_seconds": round(disabled["seconds"], 3),
         "enabled_seconds": round(enabled["seconds"], 3),
         "overhead_ratio": round(enabled["seconds"] / disabled["seconds"], 3),
@@ -382,9 +286,9 @@ def _measure_invariant_overhead(disabled=None, repeats=3):
     take the identical simulated trajectory -- the checker only
     observes."""
     if disabled is None:
-        disabled = _measure_storm(AddressSpace, repeats=repeats)
-    dormant = _measure_storm(AddressSpace, repeats=repeats)
-    enabled = _measure_storm(AddressSpace, repeats=repeats,
+        disabled = _measure_storm(repeats=repeats)
+    dormant = _measure_storm(repeats=repeats)
+    enabled = _measure_storm(repeats=repeats,
                              instrument=_install_invariants)
     identical = (
         enabled["sim_time_us"] == disabled["sim_time_us"]
@@ -393,54 +297,12 @@ def _measure_invariant_overhead(disabled=None, repeats=3):
         and dormant["sim_time_us"] == disabled["sim_time_us"]
     )
     return {
-        "scenario": "migration_storm (flat page tables)",
+        "scenario": "migration_storm",
         "disabled_seconds": round(disabled["seconds"], 3),
         "dormant_seconds": round(dormant["seconds"], 3),
         "enabled_seconds": round(enabled["seconds"], 3),
         "dormant_ratio": round(dormant["seconds"] / disabled["seconds"], 3),
         "enabled_ratio": round(enabled["seconds"] / disabled["seconds"], 3),
-        "identical_trajectory": identical,
-    }
-
-
-# -- scenario 2b: IPC/network fast-path A/B -----------------------------------
-
-def _measure_fastpath(repeats=3):
-    """Wall-clock win of the IPC/network fast paths (packet/message
-    pools, memoized routes, batched rx, cost memos) on the storm: the
-    same scenario with every ``repro._fastpath`` toggle forced off,
-    versus the default-on run.  Both must take the identical simulated
-    trajectory -- the toggles are pure wall-clock optimizations.
-
-    The off/on runs alternate in pairs (best-of-``repeats`` each) so
-    slow machine-load drift cancels out of the ratio instead of landing
-    entirely on one side."""
-    from repro._fastpath import FASTPATH
-
-    on = off = None
-    for _ in range(repeats):
-        run_on = _run_storm(AddressSpace)
-        FASTPATH.set_all(False)
-        try:
-            run_off = _run_storm(AddressSpace)
-        finally:
-            FASTPATH.set_all(True)
-        if on is None or run_on["seconds"] < on["seconds"]:
-            on = run_on
-        if off is None or run_off["seconds"] < off["seconds"]:
-            off = run_off
-    identical = (
-        on["sim_time_us"] == off["sim_time_us"]
-        and on["events"] == off["events"]
-        and on["outcomes"] == off["outcomes"]
-    )
-    return {
-        "scenario": "migration_storm (flat page tables)",
-        "off_seconds": round(off["seconds"], 3),
-        "on_seconds": round(on["seconds"], 3),
-        "speedup": round(off["seconds"] / on["seconds"], 3),
-        "off_events_per_sec": off["events_per_sec"],
-        "on_events_per_sec": on["events_per_sec"],
         "identical_trajectory": identical,
     }
 
@@ -452,7 +314,7 @@ def _run_storm_copy_plane(enabled):
 
     COPY_PLANE.set_all(enabled)
     try:
-        return _run_storm(AddressSpace)
+        return _run_storm()
     finally:
         COPY_PLANE.set_all(False)
 
@@ -461,7 +323,7 @@ def _measure_copy_plane(baseline=None, repeats=3):
     """A/B of the bulk-transfer data plane (``COPY_PLANE``: burst pacing
     + adaptive pre-copy) on the storm.
 
-    Unlike the ``repro._fastpath`` toggles, COPY_PLANE *changes the
+    Unlike ``FASTPATH.event_wheel``, COPY_PLANE *changes the
     modelled trajectory* (fewer, larger pacing events; adaptive round
     counts), so raw events/sec is not comparable across the two runs --
     burst pacing removes exactly the cheapest events (pacing timers), so
@@ -505,7 +367,6 @@ def _measure_copy_plane(baseline=None, repeats=3):
             off["copy_pacing_events"] / max(on["copy_pacing_events"], 1), 2
         ),
         "on_bursts": on["copy_bursts"],
-        "runs_streamed": on["copy_runs"],
         "migrations_ok": (off["migrations_ok"], on["migrations_ok"]),
         "identical_trajectory": identical,
     }
@@ -804,7 +665,7 @@ def _measure_engine_wheel(repeats=3, n_hosts=WHEEL_SWEEP_HOSTS,
                           n_events=WHEEL_SWEEP_EVENTS, with_storm=True):
     """A/B of the hybrid event core (``FASTPATH.event_wheel`` off vs
     on) on the sweep-scale churn, alternating off/on pairs like
-    :func:`_measure_fastpath` so machine-load drift cancels out.
+    :func:`_measure_copy_plane` so machine-load drift cancels out.
 
     Also re-runs the migration storm with the wheel forced on and
     checks trajectory identity against the heap run: the storm's
@@ -849,9 +710,9 @@ def _measure_engine_wheel(repeats=3, n_hosts=WHEEL_SWEEP_HOSTS,
     if with_storm:
         try:
             FASTPATH.event_wheel = False
-            storm_off = _run_storm(AddressSpace)
+            storm_off = _run_storm()
             FASTPATH.event_wheel = True
-            storm_on = _run_storm(AddressSpace)
+            storm_on = _run_storm()
         finally:
             FASTPATH.event_wheel = saved
         result["migration_storm"] = {
@@ -872,25 +733,14 @@ def _measure_engine_wheel(repeats=3, n_hosts=WHEEL_SWEEP_HOSTS,
 
 # -- collection ----------------------------------------------------------------
 
-def collect(micro_rounds=MICRO_ROUNDS, engine_events=ENGINE_EVENTS):
-    """Run all three scenarios; returns the BENCH_simcore.json payload."""
-    flat_s, flat_moved = _measure_precopy(AddressSpace, micro_rounds)
-    legacy_s, legacy_moved = _measure_precopy(LegacyAddressSpace, micro_rounds)
-    assert flat_moved == legacy_moved  # identical modelled work
-
-    storm_flat = _measure_storm(AddressSpace)
-    storm_legacy = _measure_storm(LegacyAddressSpace)
-    identical = (
-        storm_flat["sim_time_us"] == storm_legacy["sim_time_us"]
-        and storm_flat["events"] == storm_legacy["events"]
-        and storm_flat["outcomes"] == storm_legacy["outcomes"]
-    )
+def collect(engine_events=ENGINE_EVENTS):
+    """Run every scenario; returns the BENCH_simcore.json payload."""
+    storm = _measure_storm()
     engine = _engine_churn(engine_events)
     engine_wheel = _measure_engine_wheel()
-    metrics_overhead = _measure_metrics_overhead(disabled=storm_flat)
-    invariant_overhead = _measure_invariant_overhead(disabled=storm_flat)
-    fastpath = _measure_fastpath()
-    copy_plane = _measure_copy_plane(baseline=storm_flat)
+    metrics_overhead = _measure_metrics_overhead(disabled=storm)
+    invariant_overhead = _measure_invariant_overhead(disabled=storm)
+    copy_plane = _measure_copy_plane(baseline=storm)
     adaptive_precopy = _measure_adaptive_precopy()
     parallel_sweep = _measure_parallel_sweep()
     placement = _measure_placement()
@@ -898,33 +748,16 @@ def collect(micro_rounds=MICRO_ROUNDS, engine_events=ENGINE_EVENTS):
     return {
         "generated_by": "benchmarks/bench_simcore.py",
         "page_size": PAGE_SIZE,
-        "precopy_microbench": {
-            "n_pages": MICRO_PAGES,
-            "space_bytes": MICRO_PAGES * PAGE_SIZE,
-            "dirty_fraction": MICRO_DIRTY_FRACTION,
-            "rounds": micro_rounds,
-            "pages_recopied": flat_moved,
-            "flat_seconds": round(flat_s, 4),
-            "legacy_seconds": round(legacy_s, 4),
-            "speedup": round(legacy_s / flat_s, 2),
-            "flat_pages_per_sec": round(flat_moved / flat_s),
-            "legacy_pages_per_sec": round(legacy_moved / legacy_s),
-        },
         "migration_storm": {
             "n_workstations": STORM_WORKSTATIONS,
             "programs": list(STORM_PROGRAMS),
-            "migrations_ok": storm_flat["migrations_ok"],
-            "flat_seconds": round(storm_flat["seconds"], 3),
-            "legacy_seconds": round(storm_legacy["seconds"], 3),
-            "speedup": round(storm_legacy["seconds"] / storm_flat["seconds"], 2),
-            "flat_events_per_sec": storm_flat["events_per_sec"],
-            "legacy_events_per_sec": storm_legacy["events_per_sec"],
-            "sim_time_us": storm_flat["sim_time_us"],
-            "identical_trajectory": identical,
+            "migrations_ok": storm["migrations_ok"],
+            "seconds": round(storm["seconds"], 3),
+            "events_per_sec": storm["events_per_sec"],
+            "sim_time_us": storm["sim_time_us"],
         },
         "metrics_overhead": metrics_overhead,
         "invariant_overhead": invariant_overhead,
-        "fastpath": fastpath,
         "copy_plane": copy_plane,
         "adaptive_precopy": adaptive_precopy,
         "parallel_sweep": parallel_sweep,
@@ -943,19 +776,13 @@ def _load_baseline():
 # -- pytest entry points -------------------------------------------------------
 
 def test_simcore_fastpaths(benchmark):
-    """Full acceptance run: >=5x on the dirty-scan pre-copy loop, >=2x
-    on the migration storm, identical simulated trajectories."""
+    """Full acceptance run: every case's budget, identical simulated
+    trajectories wherever a case only observes."""
     payload = run_once(benchmark, collect)
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
 
-    micro = payload["precopy_microbench"]
     storm = payload["migration_storm"]
-    assert storm["identical_trajectory"], (
-        "flat and legacy runs diverged; the wall-clock comparison is void"
-    )
     assert storm["migrations_ok"] == 2 * len(STORM_PROGRAMS)  # two waves
-    assert micro["speedup"] >= 5.0, micro
-    assert storm["speedup"] >= 2.0, storm
     assert payload["engine"]["timers_reused"] > 0
     assert payload["engine"]["compactions"] >= 1
 
@@ -994,17 +821,6 @@ def test_simcore_fastpaths(benchmark):
         f"(budget: {INVARIANT_ENABLED_BUDGET}x)"
     )
 
-    fastpath = payload["fastpath"]
-    assert fastpath["identical_trajectory"], (
-        "the IPC/network fast paths changed the simulated trajectory"
-    )
-    # The absolute storm time (asserted against the recorded baseline in
-    # the smoke tests) carries the wall-clock acceptance; the A/B ratio
-    # here guards against the toggles becoming a pessimization.  Its
-    # exact value swings with machine state, so only a noise-floor is
-    # asserted.
-    assert fastpath["speedup"] >= 0.9, fastpath
-
     copy_plane = payload["copy_plane"]
     assert copy_plane["identical_trajectory"], (
         "the COPY_PLANE-off storm diverged from the canonical trajectory"
@@ -1034,39 +850,20 @@ def test_simcore_fastpaths(benchmark):
 
 
 @pytest.mark.smoke
-def test_smoke_precopy_scan_speedup():
-    """Quick CI check: the flat representation still beats the seed by a
-    wide margin, and pages/sec has not regressed >2x vs the recorded
-    baseline."""
-    flat_s, moved = _measure_precopy(AddressSpace, SMOKE_MICRO_ROUNDS)
-    legacy_s, legacy_moved = _measure_precopy(LegacyAddressSpace,
-                                              SMOKE_MICRO_ROUNDS)
-    assert moved == legacy_moved
-    assert legacy_s / flat_s >= 3.0, (flat_s, legacy_s)
-    baseline = _load_baseline()
-    if baseline:
-        floor = baseline["precopy_microbench"]["flat_pages_per_sec"] / 2
-        assert moved / flat_s >= floor, (
-            f"pre-copy pages/sec regressed >2x: {moved / flat_s:.0f} "
-            f"vs recorded {floor * 2:.0f}"
-        )
-
-
-@pytest.mark.smoke
 def test_smoke_metrics_disabled_is_free():
     """Quick CI check: with the registry left disabled (the default),
     the instrumented storm still clears the recorded events/sec floor --
     i.e. the dormant instrumentation shows no measurable slowdown."""
-    run = _run_storm(AddressSpace)
+    run = _run_storm()
     baseline = _load_baseline()
     if baseline:
-        floor = baseline["migration_storm"]["flat_events_per_sec"] / 2
+        floor = baseline["migration_storm"]["events_per_sec"] / 2
         assert run["events_per_sec"] >= floor, (
             f"disabled-metrics storm regressed >2x: {run['events_per_sec']} "
             f"events/sec vs recorded {floor * 2:.0f}"
         )
     # Enabling metrics must not change the simulated trajectory either.
-    enabled = _run_storm(AddressSpace, instrument=_enable_metrics)
+    enabled = _run_storm(instrument=_enable_metrics)
     assert (enabled["sim_time_us"], enabled["events"], enabled["outcomes"]) \
         == (run["sim_time_us"], run["events"], run["outcomes"])
 
@@ -1078,15 +875,15 @@ def test_smoke_invariants_dormant_is_free():
     still clears the recorded events/sec floor; installing a checker
     does not change the simulated trajectory and costs at most
     ``INVARIANT_ENABLED_BUDGET`` (best of three runs each)."""
-    run = _measure_storm(AddressSpace)
+    run = _measure_storm()
     baseline = _load_baseline()
     if baseline:
-        floor = baseline["migration_storm"]["flat_events_per_sec"] / 2
+        floor = baseline["migration_storm"]["events_per_sec"] / 2
         assert run["events_per_sec"] >= floor, (
             f"dormant-invariants storm regressed >2x: "
             f"{run['events_per_sec']} events/sec vs recorded {floor * 2:.0f}"
         )
-    checked = _measure_storm(AddressSpace, instrument=_install_invariants)
+    checked = _measure_storm(instrument=_install_invariants)
     assert (checked["sim_time_us"], checked["events"], checked["outcomes"]) \
         == (run["sim_time_us"], run["events"], run["outcomes"])
     ratio = checked["seconds"] / run["seconds"]
@@ -1097,27 +894,11 @@ def test_smoke_invariants_dormant_is_free():
 
 
 @pytest.mark.smoke
-def test_smoke_fastpath_identical_trajectory():
-    """Quick CI check: turning every IPC/network fast path off leaves
-    the storm's simulated trajectory untouched (pure wall-clock wins)."""
-    from repro._fastpath import FASTPATH
-
-    on = _run_storm(AddressSpace)
-    FASTPATH.set_all(False)
-    try:
-        off = _run_storm(AddressSpace)
-    finally:
-        FASTPATH.set_all(True)
-    assert (on["sim_time_us"], on["events"], on["outcomes"]) == (
-        off["sim_time_us"], off["events"], off["outcomes"])
-
-
-@pytest.mark.smoke
 def test_smoke_copy_plane():
     """Quick CI check: with COPY_PLANE left off (the default) the storm
     still takes the canonical trajectory; switched on, burst pacing cuts
     the scheduled copy-pacing events >=3x with every migration intact."""
-    canonical = _run_storm(AddressSpace)
+    canonical = _run_storm()
     off = _run_storm_copy_plane(False)
     on = _run_storm_copy_plane(True)
     assert (off["sim_time_us"], off["events"], off["outcomes"]) == (
@@ -1234,15 +1015,12 @@ def main():
     payload = collect()
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(json.dumps(payload, indent=2))
-    micro, storm = payload["precopy_microbench"], payload["migration_storm"]
-    sweep = payload["parallel_sweep"]
-    print(f"\npre-copy scan speedup: {micro['speedup']}x "
-          f"(target >= 5x)  storm speedup: {storm['speedup']}x "
-          f"(target >= 2x)  metrics overhead: "
+    storm, sweep = payload["migration_storm"], payload["parallel_sweep"]
+    print(f"\nstorm: {storm['seconds']} s, {storm['events_per_sec']} "
+          f"events/s  metrics overhead: "
           f"{payload['metrics_overhead']['overhead_ratio']}x "
           f"(budget <= 1.15x)", file=sys.stderr)
-    print(f"fastpath A/B: {payload['fastpath']['speedup']}x "
-          f"(off vs on; guard >= 0.9x)  sweep speedup: {sweep['speedup']}x "
+    print(f"sweep speedup: {sweep['speedup']}x "
           f"at {sweep['workers']} workers on {sweep['cores_available']} "
           f"core(s) (target >= 2.5x on >= 4 cores)  "
           f"identical: {sweep['identical_results']}", file=sys.stderr)

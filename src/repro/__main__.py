@@ -149,7 +149,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print()
     print(sim.metrics.render())
     print()
-    print(_fastpath_summary(cluster))
+    print(_routing_summary(cluster))
     print()
     print(state["profiler"].render())
     # Fail (for CI) unless the migration succeeded AND the exported
@@ -375,24 +375,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_DIFFERENT if failed else EXIT_OK
 
 
-def _fastpath_summary(cluster) -> str:
-    """One-screen account of what the IPC/network fast paths did this
-    run: binding-cache routing, packet-pool recycling, rx coalescing."""
-    hits = misses = fast = 0
+def _routing_summary(cluster) -> str:
+    """One-screen account of how this run's frames were routed and
+    received: binding-cache hits and coalesced rx deliveries."""
+    hits = misses = 0
     for station in cluster.workstations:
         cache = station.kernel.binding_cache
         hits += cache.hits
         misses += cache.misses
-        fast += cache.fast_hits
-    pool = cluster.net.pool.stats()
     lookups = hits + misses
     lines = [
-        "fast path summary",
+        "routing summary",
         f"  binding cache     {hits}/{lookups} hits"
-        + (f" ({100.0 * hits / lookups:.0f}%)" if lookups else "")
-        + f", {fast} memoized-route sends",
-        f"  packet pool       {pool['reused']} reused / "
-        f"{pool['allocated']} allocs, {pool['recycled']} recycled",
+        + (f" ({100.0 * hits / lookups:.0f}%)" if lookups else ""),
         f"  rx batching       {cluster.net.rx_coalesced} deliveries coalesced",
     ]
     return "\n".join(lines)

@@ -1,42 +1,22 @@
-"""Global switches for the single-simulation fast paths.
+"""Global switch blocks for the simulator's toggleable modes.
 
-The IPC/network fast paths (packet free-list, message free-list, the
-binding-cache route memo and memoized wire-cost functions) never change
-a simulation's trajectory -- same seeds give the same simulated
-times, event order and outcomes with every switch on or off.  The
-switches exist so ``benchmarks/bench_simcore.py`` can A/B the wall-clock
-cost of the plain code paths against the fast ones and *prove* the
-trajectory identity, not so users can mix and match.  Coalesced receive
-processing and the one-pass broadcast delivery are not switches: they
-are the only receive path (see :mod:`repro.net.ethernet`).
-
-Components read the switches once, at construction time (a per-packet
-global load would itself be hot-path overhead), so toggling only affects
-simulators built afterwards::
-
-    from repro._fastpath import FASTPATH
-    FASTPATH.set_all(False)   # build a cluster the PR 2 way
-    ...
-    FASTPATH.set_all(True)    # back to the default
-
-A second switch block, :data:`COPY_PLANE`, governs the bulk-transfer
-data-plane *modes* (burst pacing, adaptive pre-copy).  Those are not
-trajectory-neutral -- they change which packets exist -- so they default
-**off** and are opted into per run (benchmarks, ``--copy-plane`` chaos
-campaigns).  ``FASTPATH.copy_runs`` -- extent-coalesced run descriptors
-instead of per-page lists -- *is* trajectory-neutral and rides the
-default-on block.
-
-``FASTPATH.event_wheel`` selects the hybrid event core (now-queue +
-timer wheel + overflow heap, see :class:`repro.sim.engine.WheelSimulator`)
-when a ``Simulator`` is constructed.  It is trajectory-neutral -- pop
-order is provably identical to the reference heap -- but being the
-engine's foundation it is flipped *explicitly*, not by ``set_all``:
-benchmarks that A/B the PR 2-era fast paths keep whichever event core
-the run was started with.  It defaults off; set ``REPRO_EVENT_WHEEL=1``
+:data:`FASTPATH` holds the one trajectory-neutral switch:
+``event_wheel`` selects the hybrid event core (now-queue + timer wheel +
+overflow heap, see :class:`repro.sim.engine.WheelSimulator`) when a
+``Simulator`` is constructed.  Pop order is provably identical to the
+reference heap, so same seeds give the same simulated times, event order
+and outcomes either way.  It defaults off; set ``REPRO_EVENT_WHEEL=1``
 in the environment (as one CI job does for the whole test suite) or
 assign ``FASTPATH.event_wheel = True`` before building a simulator to
-opt in.
+opt in.  Components read switches once, at construction time, so
+toggling only affects simulators built afterwards.
+
+A second switch block, :data:`COPY_PLANE`, governs the bulk-transfer
+data-plane *modes* (burst pacing, adaptive pre-copy), and a third,
+:data:`PLACEMENT`, the placement plane.  Those are not
+trajectory-neutral -- they change which packets exist -- so they default
+**off** and are opted into per run (benchmarks, ``--copy-plane`` and
+``--placement`` chaos campaigns).
 """
 
 from __future__ import annotations
@@ -53,35 +33,14 @@ def _env_flag(name: str, default: bool) -> bool:
 
 
 class FastPathFlags:
-    """One boolean per independently toggleable fast path (default on).
+    """The trajectory-neutral switches: only ``event_wheel``, which picks
+    the event core and defaults to the ``REPRO_EVENT_WHEEL`` environment
+    toggle (off when unset)."""
 
-    ``event_wheel`` is the exception: it picks the event core itself, is
-    exempt from :meth:`set_all`, and defaults to the
-    ``REPRO_EVENT_WHEEL`` environment toggle (off when unset).
-    """
-
-    __slots__ = (
-        "packet_pool",
-        "message_pool",
-        "route_cache",
-        "cost_memo",
-        "copy_runs",
-        "event_wheel",
-    )
-
-    #: Switches that set_all leaves alone (explicit opt-in only).
-    _SET_ALL_EXEMPT = frozenset({"event_wheel"})
+    __slots__ = ("event_wheel",)
 
     def __init__(self) -> None:
-        self.set_all(True)
         self.event_wheel = _env_flag("REPRO_EVENT_WHEEL", False)
-
-    def set_all(self, enabled: bool) -> None:
-        """Switch every fast path on or off at once (except the
-        explicit-only event-core switch)."""
-        for name in self.__slots__:
-            if name not in self._SET_ALL_EXEMPT:
-                setattr(self, name, enabled)
 
     def snapshot(self) -> dict:
         """Current switch positions (for benchmark payloads)."""
@@ -187,8 +146,7 @@ def knob_block(domain: str):
 
 
 def knob_default(name: str) -> bool:
-    """The *canonical* default position of a knob: fastpath on,
-    copy-plane off, placement off, ``event_wheel`` off.
+    """The *canonical* default position of a knob: every knob is off.
 
     Deliberately ignores ``REPRO_EVENT_WHEEL``: the verification matrix
     (:mod:`repro.verify`) anchors its baseline here, and the baseline
@@ -196,8 +154,4 @@ def knob_default(name: str) -> bool:
     the wheel on via the environment would fold the heap-vs-wheel
     differential axis into a point and differences between the cores
     (e.g. a planted mutation) would become invisible."""
-    if name in CopyPlaneFlags.__slots__ or name in PlacementFlags.__slots__:
-        return False
-    if name == "event_wheel":
-        return False
-    return True
+    return False

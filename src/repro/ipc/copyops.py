@@ -17,10 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro._fastpath import COPY_PLANE, FASTPATH
+from repro._fastpath import COPY_PLANE
 from repro.config import PAGE_SIZE
 from repro.errors import NoSuchProcessError
-from repro.kernel.address_space import Page, PageRuns
 from repro.kernel.ids import Pid
 from repro.net.packet import Packet
 
@@ -36,40 +35,12 @@ class PageSnapshot:
 
 
 def _snapshot_pages(pages) -> list:
-    """Point-in-time captures of ``pages``, batched off the flat version
-    array when the pages are views of one (avoids a property call per
-    page on the bulk local-copy path).  Run descriptors batch straight
-    off their index extents: no view objects at all."""
-    if isinstance(pages, PageRuns):
-        versions = pages.space.versions
-        return [PageSnapshot(i, versions[i]) for i in pages.index_list()]
-    if pages and type(pages[0]) is Page:
-        versions = pages[0].space.versions
-        return [PageSnapshot(p.index, versions[p.index]) for p in pages]
-    return [PageSnapshot(p.index, p.version) for p in pages]
-
-
-def _snapshot_slice(pages, start: int, count: int) -> list:
-    """Captures of ``pages[start:start+count]`` at this instant (one
-    burst's worth), batched like :func:`_snapshot_pages`."""
-    if isinstance(pages, PageRuns):
-        versions = pages.space.versions
-        return [
-            PageSnapshot(i, versions[i])
-            for i in pages.index_list()[start:start + count]
-        ]
-    chunk = pages[start:start + count]
-    if chunk and type(chunk[0]) is Page:
-        versions = chunk[0].space.versions
-        return [PageSnapshot(p.index, versions[p.index]) for p in chunk]
-    return [PageSnapshot(p.index, p.version) for p in chunk]
-
-
-def _page_index_tuple(pages) -> tuple:
-    """``tuple(p.index for p in pages)`` without materializing views."""
-    if isinstance(pages, PageRuns):
-        return tuple(pages.index_list())
-    return tuple(p.index for p in pages)
+    """Point-in-time captures of ``pages`` (views of one space), batched
+    off the flat version array instead of one property call per page."""
+    if not pages:
+        return []
+    versions = pages[0].space.versions
+    return [PageSnapshot(p.index, versions[p.index]) for p in pages]
 
 
 class CopyEngine:
@@ -82,12 +53,6 @@ class CopyEngine:
         self._sched = self.sim.schedule
         self.model = transport.model
         self.nic = transport.nic
-        #: Pacing interval for one page; bulk_copy_us is a pure function
-        #: of its size argument, so computing it per streamed page (the
-        #: single hottest call in a migration) is pure overhead.
-        self._page_copy_us = (
-            self.model.bulk_copy_us(PAGE_SIZE) if FASTPATH.cost_memo else None
-        )
         #: Pages per packet blast; 1 = the per-page stream (one frame and
         #: one pacing timer per page).  Read once at construction, like
         #: every other toggle.
@@ -99,8 +64,6 @@ class CopyEngine:
         self.pacing_events = 0
         #: Burst frames emitted (0 unless burst pacing is on).
         self.bursts = 0
-        #: Coalesced run descriptors streamed (0 unless runs arrive).
-        self.runs_streamed = 0
         # Pages/bytes this host pushed out via copy ops (repro.obs).
         m = self.sim.metrics
         self.metrics = m
@@ -108,18 +71,11 @@ class CopyEngine:
         self._m_pages = m.counter("ipc.copy_pages", host)
         self._m_bytes = m.counter("ipc.copy_bytes", host)
         self._m_bursts = m.counter("copy.bursts", host)
-        self._m_runs = m.counter("copy.runs", host)
         #: In-progress inbound copies: (src, seq) -> buffered snapshots.
         self.inbound: Dict[Tuple[Pid, int], list] = {}
         #: CopyFrom requests we served: (src, seq) -> source pid, kept for
         #: selective retransmission of lost reply pages.
         self.served_copyfrom: Dict[Tuple[Pid, int], Pid] = {}
-
-    def _page_pace_us(self) -> int:
-        page_us = self._page_copy_us
-        if page_us is None:
-            page_us = self.model.bulk_copy_us(PAGE_SIZE)
-        return page_us
 
     # ------------------------------------------------------------ utilities
 
@@ -138,10 +94,6 @@ class CopyEngine:
     def start_stream(self, record, address) -> None:
         """Begin (or restart, after a retransmission) a paced CopyTo."""
         pages = record.pages
-        if isinstance(pages, PageRuns):
-            self.runs_streamed += len(pages.runs)
-            if self.metrics.active:
-                self._m_runs.inc(len(pages.runs))
         if self._burst_pages > 1:
             self._send_burst(record, address, pages, 0)
         else:
@@ -166,7 +118,7 @@ class CopyEngine:
         )
         self.pacing_events += 1
         self._sched(
-            self._page_pace_us(),
+            self.model.bulk_copy_us(PAGE_SIZE),
             self._send_page, record, address, pages, i + 1,
         )
 
@@ -183,7 +135,7 @@ class CopyEngine:
         if i >= n:
             self._send_end(record, address)
             return
-        snapshots = _snapshot_slice(pages, i, self._burst_pages)
+        snapshots = _snapshot_pages(pages[i:i + self._burst_pages])
         k = len(snapshots)
         self.bursts += 1
         if self.metrics.active:
@@ -198,14 +150,16 @@ class CopyEngine:
         )
         self.pacing_events += 1
         self._sched(
-            k * self._page_pace_us(),
+            k * self.model.bulk_copy_us(PAGE_SIZE),
             self._send_burst, record, address, pages, i + k,
         )
 
     def _send_end(self, record, address) -> None:
         indexes = record.page_indexes
         if indexes is None:
-            indexes = record.page_indexes = _page_index_tuple(record.pages)
+            indexes = record.page_indexes = tuple(
+                page.index for page in record.pages
+            )
         self.nic.emit(
             address, "copy-end",
             {"src": record.src_pid, "dst": record.dst, "seq": record.seq,
@@ -222,15 +176,8 @@ class CopyEngine:
         record = self._client(payload)
         if record is None or record.completed or record.op != "copyto":
             return
-        all_pages = record.pages
-        if isinstance(all_pages, PageRuns):
-            views = all_pages.space._views()
-            pages = [
-                views[i] for i in payload["missing"] if all_pages.has_index(i)
-            ]
-        else:
-            by_index = {page.index: page for page in all_pages}
-            pages = [by_index[i] for i in payload["missing"] if i in by_index]
+        by_index = {page.index: page for page in record.pages}
+        pages = [by_index[i] for i in payload["missing"] if i in by_index]
         if pages:
             self._send_page(record, packet.src, pages, 0)
 
@@ -339,16 +286,11 @@ class CopyEngine:
         else:
             self._stream_reply(src, seq, snapshots, origin_addr, 0)
 
-    def _snapshot(self, pcb, indexes):
-        space = pcb.space
-        if getattr(space, "FLAT", False):
-            # Batch read off the flat version array: no page views.
-            return [PageSnapshot(i, v) for i, v in space.version_items(indexes)]
-        return [
-            PageSnapshot(space.pages[i].index, space.pages[i].version)
-            for i in indexes
-            if i < len(space.pages)
-        ]
+    @staticmethod
+    def _snapshot(pcb, indexes):
+        """Captures of the requested pages; indexes outside the space
+        (the list comes from a remote kernel) are skipped."""
+        return [PageSnapshot(i, v) for i, v in pcb.space.version_items(indexes)]
 
     def _stream_reply(self, src, seq, snapshots, address, i) -> None:
         if i < len(snapshots):
@@ -362,7 +304,7 @@ class CopyEngine:
             )
             self.pacing_events += 1
             self._sched(
-                self._page_pace_us(),
+                self.model.bulk_copy_us(PAGE_SIZE),
                 self._stream_reply, src, seq, snapshots, address, i + 1,
             )
             return
@@ -385,7 +327,7 @@ class CopyEngine:
             )
             self.pacing_events += 1
             self._sched(
-                k * self._page_pace_us(),
+                k * self.model.bulk_copy_us(PAGE_SIZE),
                 self._stream_reply_burst, src, seq, snapshots, address, i + k,
             )
             return

@@ -8,17 +8,10 @@ named fields; ``extra_bytes`` sizes the segment for wire-time purposes
 
 from __future__ import annotations
 
-from sys import getrefcount
-from typing import Any, Iterator, List, Mapping, Optional
-
-from repro._fastpath import FASTPATH
+from typing import Any, Iterator, Mapping, Optional
 
 #: Size of the fixed V message header on the wire.
 MESSAGE_BYTES = 32
-
-#: Free list of recycled Message shells (see release_message).
-_free: List["Message"] = []
-_MSG_POOL_MAX = 256
 
 
 class Message(Mapping):
@@ -29,20 +22,9 @@ class Message(Mapping):
         msg = Message("create_program", program="cc68", remote=True)
         msg["program"]      # "cc68"
         msg.get("missing")  # None
-
-    Messages churn with every request/reply, so expired transport
-    records offer theirs back through :func:`release_message`;
-    construction then re-stamps a recycled shell instead of allocating.
-    Recycling is refcount-guarded, so immutability is never violated for
-    an object anyone can still observe.
     """
 
     __slots__ = ("kind", "_fields", "extra_bytes")
-
-    def __new__(cls, *_args: Any, **_fields: Any) -> "Message":
-        if cls is Message and _free:
-            return _free.pop()
-        return super().__new__(cls)
 
     def __init__(self, kind: str, extra_bytes: int = 0, **fields: Any):
         if extra_bytes < 0:
@@ -98,25 +80,3 @@ class Message(Mapping):
     def __hash__(self):
         return hash((self.kind, tuple(sorted(self._fields)), self.extra_bytes))
 
-
-def release_message(message: Message, held: int = 0) -> bool:
-    """Return a message shell to the free list if provably unreachable.
-
-    Expected references: the caller's variable, the ``message``
-    parameter, ``getrefcount``'s own argument, plus ``held`` extras the
-    call site knows about.  Anything more means some holder could still
-    read the message, and re-stamping it later would break immutability
-    -- so it is left alone.  Subclass instances are never pooled (the
-    pool hands out plain Messages).
-    """
-    if (
-        FASTPATH.message_pool
-        and type(message) is Message
-        and len(_free) < _MSG_POOL_MAX
-        and getrefcount(message) <= 3 + held
-    ):
-        # Drop the field dict's object graph now rather than at reuse.
-        object.__setattr__(message, "_fields", None)
-        _free.append(message)
-        return True
-    return False

@@ -129,7 +129,6 @@ class Kernel:
             raise KernelError(f"{self.name} already hosts lhid {lhid:#x}")
         lh = LogicalHost(lhid, kernel=self)
         self.logical_hosts[lhid] = lh
-        self.binding_cache.note_topology_change()
         return lh
 
     def change_lhid(self, lh: LogicalHost, new_lhid: int) -> None:
@@ -144,7 +143,6 @@ class Kernel:
         old = lh.lhid
         lh.lhid = new_lhid
         self.logical_hosts[new_lhid] = lh
-        self.binding_cache.note_topology_change()
         for pcb in lh.processes.values():
             pcb.pid = Pid(new_lhid, pcb.pid.local_index)
         if self.sim.invariants is not None:
@@ -179,7 +177,6 @@ class Kernel:
         for space in list(lh.spaces):
             self.free_space(lh, space)
         del self.logical_hosts[lh.lhid]
-        self.binding_cache.note_topology_change()
 
     # ---------------------------------------------------------- processes
 
@@ -394,7 +391,6 @@ class Kernel:
             for pcb in list(lh.processes.values()):
                 pcb.state = ProcessState.DEAD
         self.logical_hosts.clear()
-        self.binding_cache.note_topology_change()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Kernel {self.name} lhs={sorted(self.logical_hosts)}>"

@@ -19,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro._fastpath import COPY_PLANE, FASTPATH
+from repro._fastpath import COPY_PLANE
 from repro.config import PAGE_SIZE, HardwareModel
-from repro.kernel.address_space import AddressSpace, Page, PageRuns, mask_runs
+from repro.kernel.address_space import AddressSpace, Page
 from repro.kernel.ids import Pid
 from repro.kernel.process import CopyToInstr
 from repro.migration.stats import MigrationStats
@@ -140,18 +140,16 @@ def precopy_space(
     """
     # Round 0: the complete address space.  Clearing the dirty bits first
     # means "modified during this copy" is exactly what the next round's
-    # scan returns.  On flat spaces both the clear and every later scan
-    # are O(dirty) mask operations, so the simulator's own cost per round
-    # tracks the pages actually recopied, not the space size.
+    # scan returns.  Both the clear and every later scan are O(dirty)
+    # mask operations, so the simulator's own cost per round tracks the
+    # pages actually recopied, not the space size.
     trace = sim.trace
     invariants = sim.invariants
-    use_runs = FASTPATH.copy_runs and getattr(space, "FLAT", False)
     adaptive = None
     if COPY_PLANE.adaptive_precopy:
         adaptive = AdaptivePrecopy(policy)
         stats.adaptive = True
     space.collect_dirty()
-    whole = space.full_runs() if use_runs else space.pages
     started = sim.now
     span = 0
     if trace.active:
@@ -163,7 +161,7 @@ def precopy_space(
         )
     if invariants is not None:
         invariants.note_page_versions(space, space.pages)
-    yield CopyToInstr(target, whole)
+    yield CopyToInstr(target, space.pages)
     if span:
         trace.end_span(span)
     stats.add_round(len(space.pages), sim.now - started)
@@ -171,7 +169,7 @@ def precopy_space(
     prev_duration = sim.now - started
 
     while True:
-        dirty = space.collect_dirty_runs() if use_runs else space.collect_dirty()
+        dirty = space.collect_dirty()
         if not len(dirty):
             if adaptive is not None:
                 stats.stop_reason = "clean"
@@ -227,22 +225,10 @@ def final_copy(
     """Copy the frozen residual: the carried-over dirty pages plus any
     dirtied between the last scan and the freeze (there can be no new
     writers now).  Generator; run **after** the freeze."""
-    if FASTPATH.copy_runs and getattr(space, "FLAT", False):
-        # Merge as bitmasks and re-coalesce: the residual and the fresh
-        # dirty set union in O(1), and the result streams as runs.
-        if isinstance(residual, PageRuns):
-            mask = residual.mask
-        else:
-            mask = 0
-            for page in residual:
-                mask |= 1 << page.index
-        mask |= space.collect_dirty_runs().mask
-        pages = PageRuns(space, mask_runs(mask), mask)
-    else:
-        merged: Dict[int, Page] = {page.index: page for page in residual}
-        for page in space.collect_dirty():
-            merged[page.index] = page
-        pages = [merged[i] for i in sorted(merged)]
+    merged: Dict[int, Page] = {page.index: page for page in residual}
+    for page in space.collect_dirty():
+        merged[page.index] = page
+    pages = [merged[i] for i in sorted(merged)]
     if pages:
         if sim is not None and sim.invariants is not None:
             sim.invariants.note_page_versions(space, pages)

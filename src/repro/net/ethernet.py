@@ -29,22 +29,17 @@ protocol-processing delay first (``rx_delay_us``, see
   delay -- one item for a whole cluster of kernels.  Segments with a
   fault plane deliver per NIC instead, so duplicate and delay timers
   keep their place in the schedule.
-* the segment owns the :class:`~repro.net.packet.PacketPool` that
-  recycles fully-processed frames;
-* wire times are memoized per payload size (the cost model is a pure
-  function and a simulation uses only a handful of distinct sizes).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro._fastpath import FASTPATH
 from repro.config import DEFAULT_MODEL, HardwareModel
 from repro.errors import SimulationError
 from repro.net.addresses import HostAddress
 from repro.net.loss import LossModel, NoLoss
-from repro.net.packet import Packet, PacketPool
+from repro.net.packet import Packet
 
 
 class Ethernet:
@@ -78,15 +73,10 @@ class Ethernet:
         self.packets_sent = 0
         self.packets_dropped = 0
         self.bytes_sent = 0
-        #: Free list for fully-delivered frames (see repro.net.packet).
-        self.pool = PacketPool(enabled=FASTPATH.packet_pool)
-        self.pool.bind_metrics(sim.metrics)
         #: Same-tick receive-processing events coalesced into one.
         self.rx_coalesced = 0
         #: The open batch: [time, guard_seq, items, handler_count].
         self._rx_batch: Optional[list] = None
-        self._cost_memo = FASTPATH.cost_memo
-        self._wire_us: Dict[int, int] = {}
         # Per-source instruments, labelled by str(address) -- the net
         # layer has no workstation names (repro.obs metric catalog).
         self.metrics = sim.metrics
@@ -143,12 +133,7 @@ class Ethernet:
         is next free; receivers see it at the end of that interval.
         """
         size = packet.size_bytes
-        if self._cost_memo:
-            wire_us = self._wire_us.get(size)
-            if wire_us is None:
-                wire_us = self._wire_us[size] = self.model.packet_wire_us(size)
-        else:
-            wire_us = self.model.packet_wire_us(size)
+        wire_us = self.model.packet_wire_us(size)
         now = self.sim.now
         start = self._busy_until
         if start < now:
@@ -190,10 +175,6 @@ class Ethernet:
             nic = self._nics.get(packet.dst)
             if nic is not None:
                 self._deliver_one(nic, packet)
-        # Recycle unless a receiver kept the frame (a scheduled
-        # processing step, a test's capture list, ...); held=1 accounts
-        # for the fired timer's args tuple the run loop still references.
-        self.pool.release(packet, held=1)
 
     def _deliver_broadcast(self, packet: Packet, receivers: List["Nic"]) -> None:
         """One pass over a broadcast's receivers: loss draws and
@@ -272,9 +253,7 @@ class Ethernet:
     def _deliver_with_faults(self, faults, packet: Packet, nic, trace) -> bool:
         """Apply the fault plane's plan for one delivery.  Returns True
         when the caller must NOT deliver the frame inline (discarded or
-        deferred); duplicate and delayed copies are scheduled here, and
-        the frames they reference stay alive through the timers' args
-        (the refcount-guarded pool never recycles a held packet)."""
+        deferred); duplicate and delayed copies are scheduled here."""
         plan = faults.plan(self.sim, packet)
         if plan.dropped or plan.corrupted:
             self._count_drop(packet, nic, trace)
@@ -309,9 +288,7 @@ class Ethernet:
     def schedule_rx(self, delay_us: int, frame, packet: Packet, receivers) -> None:
         """Schedule ``frame(packet, receivers)`` after ``delay_us``,
         coalescing it into the open same-time batch when provably
-        order-identical (see the module docstring).  The batch runner
-        releases the packet back to the pool once it has been
-        processed."""
+        order-identical (see the module docstring)."""
         sim = self.sim
         time = sim._now + delay_us
         batch = self._rx_batch
@@ -335,10 +312,5 @@ class Ethernet:
         # Each receiving handler counts as one processed event, so event
         # counts and budgets match one event per receiver.
         self.sim._event_count += batch[3] - 1
-        items = batch[2]
-        pool = self.pool
-        for i in range(len(items)):
-            frame, packet, receivers = items[i]
-            items[i] = None  # drop the tuple so release sees only us
+        for frame, packet, receivers in batch[2]:
             frame(packet, receivers)
-            pool.release(packet)

@@ -64,12 +64,9 @@ class Nic:
         payload,
         size_bytes: int = 64,
     ) -> None:
-        """Build a frame from us to ``dst`` -- recycled through the
-        segment's packet pool when possible -- and transmit it.  The
+        """Build a frame from us to ``dst`` and transmit it.  The
         preferred way for protocol code to send."""
         ethernet = self.ethernet
         if ethernet is None:
             return
-        ethernet.transmit(
-            ethernet.pool.alloc(self.address, dst, kind, payload, size_bytes)
-        )
+        ethernet.transmit(Packet(self.address, dst, kind, payload, size_bytes))

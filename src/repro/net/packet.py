@@ -8,29 +8,16 @@ than one logical page: under ``COPY_PLANE.burst_pacing`` the copy engine
 emits ``copy-burst`` / ``copyfrom-burst`` frames whose payload is a list
 of page snapshots and whose ``size_bytes`` is the whole burst, modelling
 V's multi-packet blasts as one scheduled unit.
-
-Packets are the highest-churn objects in a busy simulation (every IPC
-request, reply, copy-data page and acknowledgement is one), so each
-:class:`~repro.net.ethernet.Ethernet` owns a :class:`PacketPool`: a
-small free list that hands back fully-delivered packets instead of
-allocating afresh.  Reuse is guarded with ``sys.getrefcount`` exactly
-like the simulator's timer pool -- a packet some handler (or test) still
-holds is never recycled.  Every packet, pooled or not, takes a fresh
-``packet_id``, so trace records stay unambiguous.
 """
 
 from __future__ import annotations
 
 import itertools
-from sys import getrefcount
-from typing import Any, List
+from typing import Any
 
 from repro.net.addresses import HostAddress
 
 _packet_ids = itertools.count(1)
-
-#: Upper bound on free-listed packets kept per pool.
-_POOL_MAX = 512
 
 
 class Packet:
@@ -63,96 +50,3 @@ class Packet:
             f"{self.size_bytes}B>"
         )
 
-
-class PacketPool:
-    """A per-segment free list of :class:`Packet` objects.
-
-    ``alloc`` pops a recycled packet when one is available (re-stamping
-    every field, including a fresh id); ``release`` returns a packet to
-    the list only when the reference count proves nothing outside the
-    caller can still reach it.  With the pool disabled both calls fall
-    back to plain construction / no-op, which is what the fast-path A/B
-    benchmark compares against.
-    """
-
-    __slots__ = ("enabled", "_free", "allocated", "reused", "recycled",
-                 "_metrics", "_m_reused", "_m_recycled")
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-        self._free: List[Packet] = []
-        #: Packets handed out (fresh + reused) / served from the free
-        #: list / accepted back, for reports and the obs registry.
-        self.allocated = 0
-        self.reused = 0
-        self.recycled = 0
-        self._metrics = None
-        self._m_reused = None
-        self._m_recycled = None
-
-    def bind_metrics(self, registry) -> None:
-        """Register the pool's obs instruments (called by the Ethernet
-        that owns the pool; one pool per simulated segment)."""
-        self._metrics = registry
-        self._m_reused = registry.counter("net.pool_reused")
-        self._m_recycled = registry.counter("net.pool_recycled")
-
-    def alloc(
-        self,
-        src: HostAddress,
-        dst: HostAddress,
-        kind: str,
-        payload: Any,
-        size_bytes: int = 64,
-    ) -> Packet:
-        """A packet with the given fields, recycled when possible."""
-        free = self._free
-        if not free:
-            self.allocated += 1
-            return Packet(src, dst, kind, payload, size_bytes)
-        if size_bytes < 0:
-            raise ValueError(f"negative packet size {size_bytes}")
-        packet = free.pop()
-        packet.src = src
-        packet.dst = dst
-        packet.kind = kind
-        packet.payload = payload
-        packet.size_bytes = size_bytes
-        packet.packet_id = next(_packet_ids)
-        packet.is_broadcast = dst.is_broadcast
-        self.allocated += 1
-        self.reused += 1
-        m = self._metrics
-        if m is not None and m.active:
-            self._m_reused.inc()
-        return packet
-
-    def release(self, packet: Packet, held: int = 0) -> bool:
-        """Return ``packet`` to the free list if nothing else can reach
-        it.  Expected references: the caller's local, the ``packet``
-        parameter, ``getrefcount``'s own argument, plus ``held`` extras
-        the call site knows about (e.g. the fired timer's args tuple the
-        run loop still holds).  Anything more means a live external
-        reference survives and the object must not be reused."""
-        if (
-            self.enabled
-            and len(self._free) < _POOL_MAX
-            and getrefcount(packet) <= 3 + held
-        ):
-            packet.payload = None  # drop the payload's object graph now
-            self._free.append(packet)
-            self.recycled += 1
-            m = self._metrics
-            if m is not None and m.active:
-                self._m_recycled.inc()
-            return True
-        return False
-
-    def stats(self) -> dict:
-        """Plain-int pool counters (for sweep results and benchmarks)."""
-        return {
-            "allocated": self.allocated,
-            "reused": self.reused,
-            "recycled": self.recycled,
-            "free": len(self._free),
-        }

@@ -7,8 +7,8 @@ class* the cell's payload is expected to fall into relative to the
 baseline cell (all defaults, same seed):
 
 ``byte``
-    Trajectory-preserving deltas only (``fastpath`` knobs, including
-    the event core): the payload must be **byte-identical** to the
+    Trajectory-preserving deltas only (the ``fastpath`` block, i.e. the
+    event core): the payload must be **byte-identical** to the
     baseline (:func:`repro.verify.scenario.canonical_digest`).
 ``tolerant``
     Copy-plane deltas change which packets exist: the four stable
@@ -116,28 +116,20 @@ def make_cell(
 
 def sample_matrix(n: int, seed: int = 0) -> List[Dict[str, Any]]:
     """A stratified sample of ``n`` cells (first is always the
-    baseline).  The first eight cover every equivalence class and both
-    event cores, cells nine and ten the placement plane; beyond that,
+    baseline).  The first six cover every equivalence class and both
+    event cores, cells seven and eight the placement plane; beyond that,
     deterministic random toggle vectors fill the budget (seeded from
     ``seed``, so the same matrix replays)."""
     if n < 2:
         raise SimulationError("a differential matrix needs >= 2 cells")
-    fastpath_off = {
-        name: False for name, dom in knob_domains().items()
-        if dom == "fastpath" and name != "event_wheel"
-    }
     strata = [
         make_cell(),
         make_cell({"event_wheel": True}),
-        make_cell(fastpath_off),
-        make_cell(dict(fastpath_off, event_wheel=True)),
         make_cell({"burst_pacing": True}),
         make_cell({"burst_pacing": True, "adaptive_precopy": True}),
         make_cell(perturb={"seed": derive_seed(seed, "verify:perturb:0"),
                            "rate": 0.25}),
         make_cell(schedule=_SAMPLE_SCHEDULE),
-        # Placement strata ride after the original eight so budgeted
-        # prefixes of older matrices stay byte-for-byte the same.
         make_cell({"load_cache": True}),
         make_cell({"load_cache": True, "probe_placement": True}),
     ]

@@ -29,8 +29,7 @@ identical permutation -- the whole triple (toggle vector, seed, trace)
 is a pure function of its inputs.
 
 Off by default and orthogonal to :data:`repro._fastpath.FASTPATH`
-(``set_all`` never touches it; nothing constructs one outside the
-verification harness).
+(nothing constructs one outside the verification harness).
 """
 
 from __future__ import annotations

@@ -7,14 +7,11 @@ so a migration hands the pager object to the destination rather than
 copying anything -- precisely the paper's residual-dependency principle
 (state at global servers "does not need to move", §6).
 
-Performance.  On flat (bitmap) address spaces every scan here is mask
-arithmetic: ``dirty_resident_pages`` intersects two ints, ``flush`` of
-the whole dirty set walks only set bits, and the CLOCK eviction hand
-finds its victim with bit-twiddling instead of stepping page objects one
-at a time.  Spaces without the flat representation (``FLAT`` false,
-e.g. the legacy baseline used by ``bench_simcore``) fall back to the
-seed's object walks -- behaviour is identical either way, which
-``tests/properties`` asserts.
+Performance.  Every scan here is mask arithmetic on the space's flat
+(bitmap) page table: ``dirty_resident_pages`` intersects two ints,
+``flush`` of the whole dirty set walks only set bits, and the CLOCK
+eviction hand finds its victim with bit-twiddling instead of stepping
+page objects one at a time.
 """
 
 from __future__ import annotations
@@ -101,11 +98,7 @@ class Pager:
         the file server on first touch)."""
         self.space = space
         space.pager = self
-        if getattr(space, "FLAT", False):
-            space.resident_mask = space.full_mask if resident else 0
-        else:
-            for page in space.pages:
-                page.resident = resident
+        space.resident_mask = space.full_mask if resident else 0
         return self
 
     # --------------------------------------------------------------- faults
@@ -122,40 +115,24 @@ class Pager:
         if space is None:
             raise KernelError("pager not attached to a space")
         cost = 0
-        if getattr(space, "FLAT", False):
-            capped = self.max_resident is not None
-            store = self.store
-            versions = space.versions
-            fault_us_per = self.model.page_fault_service_us
-            for index in indexes:
-                bit = 1 << index
-                if space._resident & bit:
-                    continue
-                if capped:
-                    while _popcount(space._resident) >= self.max_resident:
-                        cost += self._evict_clock_victim(protect=index)
-                stored = store.get(index)
-                if stored is not None and stored > versions[index]:
-                    versions[index] = stored
-                    self.double_transfers += 1
-                space._resident |= bit
-                self.faults += 1
-                cost += fault_us_per
-        else:
-            for index in indexes:
-                page = space.pages[index]
-                if page.resident:
-                    continue
-                if self.max_resident is not None:
-                    while self.resident_count() >= self.max_resident:
-                        cost += self._evict_clock_victim(protect=index)
-                stored = self.store.get(index)
-                if stored is not None and stored > page.version:
-                    page.version = stored
-                    self.double_transfers += 1
-                page.resident = True
-                self.faults += 1
-                cost += self.model.page_fault_service_us
+        capped = self.max_resident is not None
+        store = self.store
+        versions = space.versions
+        fault_us_per = self.model.page_fault_service_us
+        for index in indexes:
+            bit = 1 << index
+            if space._resident & bit:
+                continue
+            if capped:
+                while _popcount(space._resident) >= self.max_resident:
+                    cost += self._evict_clock_victim(protect=index)
+            stored = store.get(index)
+            if stored is not None and stored > versions[index]:
+                versions[index] = stored
+                self.double_transfers += 1
+            space._resident |= bit
+            self.faults += 1
+            cost += fault_us_per
         self.fault_us += cost
         mr = self._metrics
         if mr is not None and mr.active:
@@ -165,16 +142,15 @@ class Pager:
     def service_faults_span(self, offset: int, nbytes: int) -> int:
         """Fault in the non-resident pages covering a byte range.
 
-        On an uncapped flat space this touches only the *faulting* pages
-        (one mask intersection finds them); a residency cap needs the
-        index-order walk because each eviction can change residency
-        mid-scan."""
+        Uncapped, this touches only the *faulting* pages (one mask
+        intersection finds them); a residency cap needs the index-order
+        walk because each eviction can change residency mid-scan."""
         space = self.space
         if space is None:
             raise KernelError("pager not attached to a space")
         if nbytes <= 0:
             return 0
-        if getattr(space, "FLAT", False) and self.max_resident is None:
+        if self.max_resident is None:
             missing = space.span_mask(offset, nbytes) & ~space._resident
             if not missing:
                 return 0
@@ -198,51 +174,20 @@ class Pager:
 
     def resident_count(self) -> int:
         """Pages currently in physical memory."""
-        space = self.space
-        if getattr(space, "FLAT", False):
-            return _popcount(space._resident)
-        return sum(1 for p in space.pages if p.resident)
+        return _popcount(self.space._resident)
 
     def _evict_clock_victim(self, protect: int) -> int:
         """Second-chance (CLOCK) eviction: sweep the reference bits,
         evict the first unreferenced resident page (never ``protect``).
-        Returns the time cost (a dirty victim is flushed first)."""
-        space = self.space
-        if getattr(space, "FLAT", False):
-            return self._evict_clock_victim_flat(space, protect)
-        pages = space.pages
-        n = len(pages)
-        cost = 0
-        for _ in range(2 * n):  # at most two sweeps: all bits cleared once
-            page = pages[self._clock_hand]
-            self._clock_hand = (self._clock_hand + 1) % n
-            if not page.resident or page.index == protect:
-                continue
-            if page.referenced:
-                page.referenced = False  # second chance
-                continue
-            if page.dirty:
-                self.store[page.index] = page.version
-                page.dirty = False
-                self.flushed_pages += 1
-                self.writeback_evictions += 1
-                cost += self.model.page_flush_us_per_page
-            page.resident = False
-            self.evictions += 1
-            return cost
-        raise KernelError(
-            f"{self.name}: no evictable page (cap {self.max_resident} too small?)"
-        )
+        Returns the time cost (a dirty victim is flushed first).
 
-    def _evict_clock_victim_flat(self, space: AddressSpace, protect: int) -> int:
-        """CLOCK over the bitmasks: identical victim, identical
-        second-chance clearing, no per-page object stepping.
-
-        The sweep's observable effects are (a) reference bits of the
-        resident, non-protected pages it passes get cleared and (b) the
-        first such page found unreferenced is evicted; both fall out of
-        mask arithmetic on the region between the hand and the victim.
+        The sweep runs on the bitmasks, not page by page.  Its
+        observable effects are (a) reference bits of the resident,
+        non-protected pages it passes get cleared and (b) the first such
+        page found unreferenced is evicted; both fall out of mask
+        arithmetic on the region between the hand and the victim.
         """
+        space = self.space
         n = space.n_pages
         protect_bit = 1 << protect
         candidates = space._resident & ~protect_bit
@@ -302,13 +247,11 @@ class Pager:
 
     def dirty_resident_count(self) -> int:
         """How many pages would need flushing before the space could be
-        dropped from this host (one popcount on flat spaces)."""
+        dropped from this host (one popcount)."""
         space = self.space
         if space is None:
             return 0
-        if getattr(space, "FLAT", False):
-            return _popcount(space._dirty & space._resident)
-        return sum(1 for p in space.pages if p.resident and p.dirty)
+        return _popcount(space._dirty & space._resident)
 
     def dirty_resident_pages(self) -> List[Page]:
         """Pages that would need flushing before the space could be
@@ -316,11 +259,9 @@ class Pager:
         space = self.space
         if space is None:
             return []
-        if getattr(space, "FLAT", False):
-            views = space._views()
-            return list(map(views.__getitem__,
-                            bit_indexes(space._dirty & space._resident)))
-        return [p for p in space.pages if p.resident and p.dirty]
+        views = space._views()
+        return list(map(views.__getitem__,
+                        bit_indexes(space._dirty & space._resident)))
 
     def flush(self, pages: Iterable[Page]) -> Tuple[int, int]:
         """Write the given pages to the file server; clears their dirty
@@ -338,25 +279,23 @@ class Pager:
         return count, count * self.model.page_flush_us_per_page
 
     def flush_dirty_resident(self) -> Tuple[int, int]:
-        """Flush every resident dirty page; O(dirty) on flat spaces."""
+        """Flush every resident dirty page; O(dirty)."""
         space = self.space
         if space is None:
             return 0, 0
-        if getattr(space, "FLAT", False):
-            mask = space._dirty & space._resident
-            if not mask:
-                return 0, 0
-            versions = space.versions
-            indexes = bit_indexes(mask)
-            self.store.update(zip(indexes, map(versions.__getitem__, indexes)))
-            space._dirty &= ~mask
-            count = len(indexes)
-            self.flushed_pages += count
-            mr = self._metrics
-            if mr is not None and mr.active:
-                self._sync_metrics()
-            return count, count * self.model.page_flush_us_per_page
-        return self.flush(self.dirty_resident_pages())
+        mask = space._dirty & space._resident
+        if not mask:
+            return 0, 0
+        versions = space.versions
+        indexes = bit_indexes(mask)
+        self.store.update(zip(indexes, map(versions.__getitem__, indexes)))
+        space._dirty &= ~mask
+        count = len(indexes)
+        self.flushed_pages += count
+        mr = self._metrics
+        if mr is not None and mr.active:
+            self._sync_metrics()
+        return count, count * self.model.page_flush_us_per_page
 
     def flush_all_dirty(self) -> Tuple[int, int]:
         """Flush every resident dirty page."""
@@ -366,21 +305,14 @@ class Pager:
         """Drop resident pages whose stored copy is current (they can
         fault back in); returns how many were evicted."""
         space = self.space
-        if getattr(space, "FLAT", False):
-            store = self.store
-            versions = space.versions
-            evicted_mask = 0
-            for index in iter_bits(space._resident & ~space._dirty):
-                if store.get(index) == versions[index]:
-                    evicted_mask |= 1 << index
-            space._resident &= ~evicted_mask
-            return _popcount(evicted_mask)
-        evicted = 0
-        for page in space.pages:
-            if page.resident and not page.dirty and self.store.get(page.index) == page.version:
-                page.resident = False
-                evicted += 1
-        return evicted
+        store = self.store
+        versions = space.versions
+        evicted_mask = 0
+        for index in iter_bits(space._resident & ~space._dirty):
+            if store.get(index) == versions[index]:
+                evicted_mask |= 1 << index
+        space._resident &= ~evicted_mask
+        return _popcount(evicted_mask)
 
 
 def attach_pager(

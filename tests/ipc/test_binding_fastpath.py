@@ -1,7 +1,6 @@
-"""Binding-cache epoch tracking and the transport's memoized-route
-fast path (counters, invalidation, trajectory identity)."""
+"""Binding-cache counters: per-host metrics and the hits that repeated
+pid-directed sends over a stable binding score."""
 
-from repro._fastpath import FASTPATH
 from repro.cluster import build_cluster
 from repro.execution.api import query_host_by_name
 from repro.ipc.binding_cache import BindingCache
@@ -11,58 +10,7 @@ from repro.sim import Simulator
 from repro.workloads import standard_registry
 
 
-class TestEpoch:
-    def make(self):
-        return BindingCache(Simulator(seed=0))
-
-    def test_learning_a_new_binding_bumps_epoch(self):
-        cache = self.make()
-        e0 = cache.epoch
-        cache.learn(7, workstation_address(1))
-        assert cache.epoch == e0 + 1
-
-    def test_same_address_refresh_keeps_epoch(self):
-        # Every incoming request refreshes its sender's binding; if that
-        # bumped the epoch, the route memo would never survive a reply.
-        cache = self.make()
-        cache.learn(7, workstation_address(1))
-        e = cache.epoch
-        cache.learn(7, workstation_address(1))
-        assert cache.epoch == e
-
-    def test_rebinding_to_a_new_address_bumps_epoch(self):
-        # The migration case: the logical host moved hosts.
-        cache = self.make()
-        cache.learn(7, workstation_address(1))
-        e = cache.epoch
-        cache.learn(7, workstation_address(2))
-        assert cache.epoch == e + 1
-        assert cache.lookup(7) == workstation_address(2)
-
-    def test_invalidate_bumps_epoch(self):
-        cache = self.make()
-        cache.learn(7, workstation_address(1))
-        e = cache.epoch
-        cache.invalidate(7)
-        assert cache.epoch == e + 1
-        cache.invalidate(7)  # absent: no change
-        assert cache.epoch == e + 1
-
-    def test_topology_change_bumps_epoch(self):
-        cache = self.make()
-        e = cache.epoch
-        cache.note_topology_change()
-        assert cache.epoch == e + 1
-
-
 class TestCounters:
-    def test_fast_hit_parity_with_cached_lookup(self):
-        cache = BindingCache(Simulator(seed=0))
-        cache.note_fast_hit(cached=True)
-        assert (cache.fast_hits, cache.hits) == (1, 1)
-        cache.note_fast_hit(cached=False)  # memoized local route
-        assert (cache.fast_hits, cache.hits) == (2, 1)
-
     def test_metrics_surface_in_registry(self):
         registry = MetricsRegistry()
         registry.enable()
@@ -71,27 +19,20 @@ class TestCounters:
         cache.learn(1, workstation_address(1))
         cache.lookup(1)
         cache.lookup(2)
-        cache.note_fast_hit()
         per_host = registry.snapshot()["per_host"]["ws9"]
-        assert per_host["ipc.binding_hits"] == 2  # lookup + fast-hit parity
+        assert per_host["ipc.binding_hits"] == 1
         assert per_host["ipc.binding_misses"] == 1
-        assert per_host["ipc.binding_fast_hits"] == 1
 
+    def test_repeated_sends_hit_the_binding_cache(self):
+        # ws0 resolves ws1's program manager by group multicast (which
+        # teaches the cache its binding), then every pid-directed send
+        # is a cache hit.
+        from repro.ipc.messages import Message
+        from repro.kernel.process import Send
 
-def _run_name_queries(route_cache: bool, count=8, seed=3):
-    """A cluster session that resolves ws1's program manager once (group
-    multicast), then sends ``count`` requests straight to its pid --
-    repeated pid-directed sends over a stable binding, the route memo's
-    target case.  Returns (trajectory, total fast hits, total lookups)."""
-    from repro.ipc.messages import Message
-    from repro.kernel.process import Send
-
-    old = FASTPATH.route_cache
-    FASTPATH.route_cache = route_cache
-    try:
+        count = 8
         cluster = build_cluster(
-            n_workstations=3, registry=standard_registry(scale=0.2),
-            seed=seed,
+            n_workstations=3, registry=standard_registry(scale=0.2), seed=3,
         )
         sim = cluster.sim
         replies = []
@@ -99,35 +40,12 @@ def _run_name_queries(route_cache: bool, count=8, seed=3):
         def session(ctx):
             pm = yield from query_host_by_name("ws1")
             for _ in range(count):
-                reply = yield Send(
-                    pm, Message("query-host", hostname="ws1")
-                )
+                reply = yield Send(pm, Message("query-host", hostname="ws1"))
                 replies.append(str(reply["pm"]))
 
+        cache = cluster.workstations[0].kernel.binding_cache
         cluster.spawn_session(cluster.workstations[0], session)
         while len(replies) < count and sim.peek() is not None:
             sim.run(until_us=sim.now + 100_000)
-        fast = sum(w.kernel.binding_cache.fast_hits
-                   for w in cluster.workstations)
-        lookups = sum(w.kernel.binding_cache.hits
-                      + w.kernel.binding_cache.misses
-                      for w in cluster.workstations)
-        return (sim.now, sim.event_count, cluster.net.packets_sent,
-                tuple(replies)), fast, lookups
-    finally:
-        FASTPATH.route_cache = old
-
-
-class TestRouteMemoIntegration:
-    def test_memo_engages_on_repeated_sends(self):
-        _, fast, _ = _run_name_queries(route_cache=True)
-        assert fast > 0
-
-    def test_trajectory_and_counters_identical_with_memo_off(self):
-        on_traj, _, on_lookups = _run_name_queries(route_cache=True)
-        off_traj, off_fast, off_lookups = _run_name_queries(route_cache=False)
-        assert off_fast == 0
-        assert on_traj == off_traj
-        # Counter parity: the memo replays exactly the lookups the slow
-        # path would have performed.
-        assert on_lookups == off_lookups
+        assert len(replies) == count
+        assert (cache.hits, cache.misses) == (count, 0)

@@ -70,19 +70,19 @@ class TestHostQuery:
 # Per-NIC receive accounting of small storms, recorded with one handler
 # timer per receiving NIC (before broadcasts were delivered in one
 # pass): frames received per NIC (address order), coalesced handler
-# timers, recycled frames, events and frames sent.
+# timers, events and frames sent.
 RECORDED = {
     "probe": dict(
         received=[455, 446, 376, 352, 313, 291, 280, 277, 269, 263, 386,
                   408, 415, 390, 354, 315, 372],
-        rx_coalesced=3585, recycled=2377, events=15078, sent=2377),
+        rx_coalesced=3585, events=15078, sent=2377),
     "lossy": dict(
         received=[393, 406, 303, 316, 193, 195, 213, 185, 184, 189, 270,
                   255, 273],
-        rx_coalesced=1646, recycled=1781, events=10009, sent=1781),
+        rx_coalesced=1646, events=10009, sent=1781),
     "chaos": dict(
         received=[59, 50, 115, 37, 19],
-        rx_coalesced=39, recycled=225, events=1405, sent=225),
+        rx_coalesced=39, events=1405, sent=225),
 }
 
 RUNS = {
@@ -116,6 +116,5 @@ def test_receive_accounting_matches_recorded(name, monkeypatch):
     assert [nic.received for nic in nics] == expected["received"]
     assert all(nic.dropped_no_handler == 0 for nic in nics)
     assert net.rx_coalesced == expected["rx_coalesced"]
-    assert net.pool.recycled == expected["recycled"]
     assert cluster.sim.event_count == expected["events"]
     assert net.packets_sent == expected["sent"]

@@ -582,6 +582,31 @@ class TestBulkCopy:
         assert len(got[0]) == 4
         assert [s.version for s in got[0]] == [1, 1, 1, 0]
 
+    def test_copyfrom_serves_only_in_range_pages(self):
+        # The index list arrives from a remote kernel: -1 and n_pages
+        # fall outside the space and are skipped, not wrapped around.
+        from repro.config import PAGE_SIZE
+
+        cluster = BareCluster(n=2)
+        a, b = cluster.stations
+
+        def idle():
+            yield Delay(60_000_000)
+
+        src_lh, src_pcb = cluster.spawn_program(
+            b, idle(), space_bytes=PAGE_SIZE * 8, name="src"
+        )
+        src_pcb.space.touch_pages([2, 7, 7])
+        got = []
+
+        def fetcher():
+            snaps = yield CopyFromInstr(src_pcb.pid, [-1, 2, 8, 7])
+            got.append(snaps)
+
+        cluster.spawn_program(a, fetcher(), name="fetcher")
+        cluster.run(until_us=60_000_000)
+        assert [(s.index, s.version) for s in got[0]] == [(2, 1), (7, 2)]
+
     def test_copyto_local_is_fast(self):
         from repro.config import PAGE_SIZE
 

@@ -1,4 +1,5 @@
-"""Unit tests for the Ethernet bus, NICs, addresses and loss models."""
+"""Unit tests for the Ethernet bus, NICs, addresses, loss models and
+coalesced receive processing."""
 
 import pytest
 
@@ -69,6 +70,23 @@ class TestPacket:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             Packet(workstation_address(0), BROADCAST, "x", None, size_bytes=-1)
+
+    def test_emit_builds_a_fresh_packet_per_frame(self):
+        sim, net, nics = make_net(2)
+        kept = []
+        install(nics[1], kept.append)
+        for kind in ("first", "second"):
+            nics[0].emit(nics[1].address, kind, {"kind": kind})
+            sim.run()
+        first, second = kept
+        assert first is not second
+        assert second.packet_id > first.packet_id
+        assert (first.kind, first.payload) == ("first", {"kind": "first"})
+
+    def test_emit_rejects_negative_size(self):
+        sim, net, nics = make_net(2)
+        with pytest.raises(ValueError):
+            nics[0].emit(nics[1].address, "x", None, size_bytes=-1)
 
 
 class TestDelivery:
@@ -164,6 +182,66 @@ class TestDelivery:
         sim.run()
         assert net.packets_sent == 1
         assert net.bytes_sent == 200
+
+    def test_emit_delivers_like_send(self):
+        sim, net, nics = make_net(2)
+        got = []
+        install(nics[1], lambda p: got.append((p.kind, p.payload)))
+        nics[0].emit(nics[1].address, "hello", {"n": 1})
+        sim.run()
+        assert got == [("hello", {"n": 1})]
+
+
+class TestBatchedRx:
+    """Coalescing happens on the receive-*processing* hop: receivers
+    that charge a per-packet protocol delay (as the IPC transport
+    does)."""
+
+    @staticmethod
+    def _processing_handlers(sim, nics, got, delay_us=25):
+        for i, nic in enumerate(nics[1:], start=1):
+            install(nic, lambda p, i=i: got.append((i, sim.now)), delay_us)
+
+    def test_broadcast_processing_coalesces_and_preserves_order(self):
+        sim, net, nics = make_net(4)
+        got = []
+        self._processing_handlers(sim, nics, got)
+        nics[0].emit(BROADCAST, "q", None)
+        sim.run()
+        # All three process at the same simulated instant, in attach
+        # order -- exactly as three separate events would have.
+        assert [i for i, _ in got] == [1, 2, 3]
+        assert len({t for _, t in got}) == 1
+        assert net.rx_coalesced == 2  # 3 handler timers in 1 event
+
+    def test_event_count_is_transmits_plus_receiving_handlers(self):
+        sim, net, nics = make_net(5, seed=3)
+        got = []
+        self._processing_handlers(sim, nics, got)
+        nics[4].remove_handler()  # drops: no processing event
+        for _ in range(5):
+            nics[0].emit(BROADCAST, "q", None)
+        nics[0].emit(nics[1].address, "u", None)
+        sim.run()
+        receiving = 5 * 3 + 1
+        assert len(got) == receiving
+        assert sim.event_count == net.packets_sent + receiving
+        assert nics[4].dropped_no_handler == 5
+
+    def test_mixed_delays_split_into_ordered_runs(self):
+        sim, net, nics = make_net(5)
+        got = []
+        for i, delay in ((1, 25), (2, 25), (3, 40), (4, 25)):
+            install(nics[i], lambda p, i=i: got.append((i, sim.now)), delay)
+        nics[0].emit(BROADCAST, "q", None)
+        sim.run()
+        wire = got[0][1] - 25
+        assert got == [(1, wire + 25), (2, wire + 25), (4, wire + 25),
+                       (3, wire + 40)]
+        # Runs 1-2 and 4 open separate batches: the delay-40 run's timer
+        # moved the sequence counter between them.
+        assert net.rx_coalesced == 1
+        assert sim.event_count == 1 + 4
 
 
 class TestLossModels:

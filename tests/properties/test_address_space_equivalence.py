@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.config import PAGE_SIZE
 from repro.kernel import AddressSpace
-from repro.kernel._legacy_address_space import LegacyAddressSpace
+from tests.properties._legacy_address_space import LegacyAddressSpace
 
 MAX_PAGES = 24
 
@@ -91,13 +91,6 @@ def test_bitmap_space_is_observation_equivalent_to_seed(data):
         assert new_twin.version_vector() == old_twin.version_vector()
         # identical_to verdicts agree, including across the twin pair.
         assert new.identical_to(new_twin) == old.identical_to(old_twin)
-
-    # Final cross-check: the flat space also compares correctly against
-    # a *legacy* space holding the same contents (mixed-representation
-    # identical_to goes through the version-vector fallback).
-    assert new.identical_to(old) == (
-        new.version_vector() == old.version_vector()
-    )
 
 
 @settings(max_examples=40, deadline=None)

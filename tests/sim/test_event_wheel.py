@@ -42,18 +42,6 @@ class TestToggleDispatch:
         finally:
             FASTPATH.event_wheel = saved
 
-    def test_set_all_leaves_event_wheel_alone(self):
-        saved = FASTPATH.event_wheel
-        try:
-            FASTPATH.event_wheel = True
-            FASTPATH.set_all(False)
-            assert FASTPATH.event_wheel is True
-            FASTPATH.set_all(True)
-            assert FASTPATH.event_wheel is True
-        finally:
-            FASTPATH.event_wheel = saved
-            FASTPATH.set_all(True)
-
     def test_explicit_class_still_constructable(self):
         saved = FASTPATH.event_wheel
         try:

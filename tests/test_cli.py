@@ -39,6 +39,9 @@ def test_trace_command_emits_chrome_trace(tmp_path, capsys):
     # The freeze span's duration is checked against MigrationStats live.
     assert "freeze span:" in out and "==" in out
     assert "self-profile" in out
+    assert ("routing summary\n"
+            "  binding cache     10/13 hits (77%)\n"
+            "  rx batching       14 deliveries coalesced\n") in out
 
     payload = json.loads(out_file.read_text())
     events = payload["traceEvents"]

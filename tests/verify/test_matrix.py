@@ -13,8 +13,8 @@ SMALL = {"messages": 4, "storm_rounds": 12, "migrate_at_ms": 200}
 # ---------------------------------------------------------------- cells
 
 def test_cells_record_only_deltas_from_the_defaults():
-    cell = make_cell({"packet_pool": True, "route_cache": False})
-    assert cell["toggles"] == {"route_cache": False}  # packet_pool is default
+    cell = make_cell({"event_wheel": False, "burst_pacing": True})
+    assert cell["toggles"] == {"burst_pacing": True}  # event_wheel is default
 
 
 def test_expect_class_derivation():

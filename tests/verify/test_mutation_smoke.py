@@ -4,7 +4,7 @@
 cancel timers due at the current instant, so stale continuations fire
 as counted events and the wheel core's trajectory diverges from the
 reference heap.  The explorer must flag exactly the ``event_wheel``
-cells, and the minimizer must shrink the widest failing cell to the
+cells, and the minimizer must shrink a widened failing cell to the
 single-knob delta ``{event_wheel: True}`` with an empty (<= 5 swap)
 perturbation trace -- the acceptance criterion of the harness.
 """
@@ -16,6 +16,7 @@ from repro.obs.flight_recorder import load_postmortem
 from repro.verify import (
     build_matrix,
     dump_repro,
+    make_cell,
     minimize_failure,
     planted_mutation,
     replay_bundle,
@@ -72,15 +73,21 @@ def test_explorer_flags_exactly_the_event_wheel_cells():
 
 def test_minimizer_shrinks_to_a_single_knob():
     cells, result = _mutated_matrix()
-    widest = max(result.failures,
-                 key=lambda f: len(cells[f["index"]]["toggles"]))
-    cell = cells[widest["index"]]
-    assert len(cell["toggles"]) >= 2  # there is something to shrink
-    minimal = minimize_failure(cell, dict(BASE_CONFIG), result.results[0])
+    failing = cells[result.failures[0]["index"]]
+    assert failing["toggles"] == {"event_wheel": True}
+    # The event core is the only byte-class knob, so widen the failing
+    # cell with two knobs that leave this scenario's trajectory as it
+    # is.  The widened cell is tolerant-class; at tolerance 0 the
+    # mutation's extra events fail it, and the minimizer must strip
+    # both bystanders.
+    cell = make_cell(dict(failing["toggles"], adaptive_precopy=True,
+                          probe_placement=True))
+    minimal = minimize_failure(cell, dict(BASE_CONFIG), result.results[0],
+                               tolerance=0.0)
     assert minimal.cell["toggles"] == {"event_wheel": True}
     trace = (minimal.cell["perturb"] or {}).get("replay") or []
     assert len(trace) <= 5
-    assert minimal.dropped_toggles  # it really reduced something
+    assert minimal.dropped_toggles == ["adaptive_precopy", "probe_placement"]
 
 
 def test_minimal_repro_round_trips_through_a_bundle(tmp_path):
