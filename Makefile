@@ -43,13 +43,13 @@ chaos-smoke:
 
 # Differential verification smoke: a sampled 10-cell toggle matrix
 # (including the placement-plane strata) must pass clean, and the
-# planted ordering mutation must be caught (a harness that has never
+# planted burst-pacing mutation must be caught (a harness that has never
 # failed proves nothing).  REPRO_VERIFY_BUDGET=N caps the cell count;
 # the weekly CI job raises it and widens the matrix (see
 # docs/TESTING.md).
 verify-smoke:
 	python -m repro verify --matrix sample:10 --seed 7 --workers 2
-	python -m repro verify --matrix sample:10 --seed 7 --workers 2 --mutate skip-same-instant-cancel --expect-fail
+	python -m repro verify --matrix sample:10 --seed 7 --workers 2 --mutate burst-skip-copy-end --expect-fail
 
 # Regenerate the canonical migration RunReport and diff it against the
 # checked-in BASELINE_report.json within a 1% tolerance: simulated

@@ -10,7 +10,7 @@ scenarios:
    pre-copy and VM-flush migrations bounce them between hosts.  Every
    repeat must take the exact same simulated trajectory (equal
    ``sim.now``, event counts and migration outcomes); the metrics,
-   invariant, copy-plane and event-core cases run on it.
+   invariant and copy-plane cases run on it.
 2. A timer churn loop exercising the pooled/compacting event heap,
    reported as events per wall-clock second.
 
@@ -323,11 +323,10 @@ def _measure_copy_plane(baseline=None, repeats=3):
     """A/B of the bulk-transfer data plane (``COPY_PLANE``: burst pacing
     + adaptive pre-copy) on the storm.
 
-    Unlike ``FASTPATH.event_wheel``, COPY_PLANE *changes the
-    modelled trajectory* (fewer, larger pacing events; adaptive round
-    counts), so raw events/sec is not comparable across the two runs --
-    burst pacing removes exactly the cheapest events (pacing timers), so
-    the surviving event mix is heavier per event even as the storm
+    COPY_PLANE *changes the modelled trajectory* (fewer, larger pacing
+    events; adaptive round counts), so raw events/sec is not comparable
+    across the two runs -- burst pacing removes exactly the cheapest
+    events (pacing timers), so the surviving event mix is heavier per event even as the storm
     finishes much faster.  The headline throughput metric is therefore
     **simulated microseconds per wall-clock second** (how much simulation
     a second of CPU buys), which is what the overhaul optimizes; raw
@@ -614,130 +613,12 @@ def _engine_churn(n_ticks):
     }
 
 
-# -- scenario 3b: hybrid event core A/B (FASTPATH.event_wheel) ----------------
-
-WHEEL_SWEEP_HOSTS = 20_000
-WHEEL_SWEEP_EVENTS = 120_000
-SMOKE_WHEEL_SWEEP_HOSTS = 8_000
-SMOKE_WHEEL_SWEEP_EVENTS = 30_000
-
-
-def _run_wheel_churn(n_hosts, n_events):
-    """Sweep-scale event-core workload: ``n_hosts`` concurrent periodic
-    activities, each tick scheduling a delay-0 continuation (the task
-    resume pattern -- the single largest ``schedule`` population in real
-    scenarios) that re-arms the periodic timer.  The pending set stays
-    at ``n_hosts`` throughout, which is where the two cores diverge
-    structurally: the reference heap pays O(log n_hosts) C-level tuple
-    compares per schedule and per pop, while the hybrid core pays O(1)
-    bucket/now-queue appends.  This is the many-host regime the
-    ROADMAP's sweep work simulates; small sparse sims stay on the
-    (default) heap core, which is why the toggle exists."""
-    sim = Simulator(seed=7)
-    left = [n_events]
-
-    def resume(period):
-        sim.schedule(period, tick, period)
-
-    def tick(period):
-        if left[0] > 0:
-            left[0] -= 1
-            sim.schedule(0, resume, period)
-
-    for i in range(n_hosts):
-        sim.schedule(1 + (i * 37) % 8000, tick, 1 + (i * 53) % 8000)
-    started = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - started
-    return {
-        "seconds": elapsed,
-        "events": sim.event_count,
-        "sim_time_us": sim.now,
-        "events_per_sec": round(sim.event_count / elapsed),
-        "event_core": sim.event_core,
-        "wheel_hits": sim.wheel_hits,
-        "now_queue_hits": sim.now_queue_hits,
-        "overflow_hits": sim.overflow_hits,
-    }
-
-
-def _measure_engine_wheel(repeats=3, n_hosts=WHEEL_SWEEP_HOSTS,
-                          n_events=WHEEL_SWEEP_EVENTS, with_storm=True):
-    """A/B of the hybrid event core (``FASTPATH.event_wheel`` off vs
-    on) on the sweep-scale churn, alternating off/on pairs like
-    :func:`_measure_copy_plane` so machine-load drift cancels out.
-
-    Also re-runs the migration storm with the wheel forced on and
-    checks trajectory identity against the heap run: the storm's
-    traffic is sparse (one timer per instant, small pending set), which
-    is the C heap's home turf, so its off/on *ratio* is reported
-    honestly rather than asserted as a win -- the toggle defaults off
-    and exists for the many-pending-timer regime the churn measures."""
-    from repro._fastpath import FASTPATH
-
-    saved = FASTPATH.event_wheel
-    on = off = None
-    try:
-        for _ in range(repeats):
-            FASTPATH.event_wheel = False
-            run_off = _run_wheel_churn(n_hosts, n_events)
-            FASTPATH.event_wheel = True
-            run_on = _run_wheel_churn(n_hosts, n_events)
-            if off is None or run_off["seconds"] < off["seconds"]:
-                off = run_off
-            if on is None or run_on["seconds"] < on["seconds"]:
-                on = run_on
-    finally:
-        FASTPATH.event_wheel = saved
-    assert off["event_core"] == "heap" and on["event_core"] == "wheel"
-    identical = (
-        off["sim_time_us"] == on["sim_time_us"]
-        and off["events"] == on["events"]
-    )
-    result = {
-        "scenario": f"event-core sweep churn ({n_hosts} hosts)",
-        "events": off["events"],
-        "off_seconds": round(off["seconds"], 3),
-        "on_seconds": round(on["seconds"], 3),
-        "speedup": round(off["seconds"] / on["seconds"], 3),
-        "off_events_per_sec": off["events_per_sec"],
-        "on_events_per_sec": on["events_per_sec"],
-        "identical_trajectory": identical,
-        "on_wheel_hits": on["wheel_hits"],
-        "on_now_queue_hits": on["now_queue_hits"],
-        "on_overflow_hits": on["overflow_hits"],
-    }
-    if with_storm:
-        try:
-            FASTPATH.event_wheel = False
-            storm_off = _run_storm()
-            FASTPATH.event_wheel = True
-            storm_on = _run_storm()
-        finally:
-            FASTPATH.event_wheel = saved
-        result["migration_storm"] = {
-            "off_seconds": round(storm_off["seconds"], 3),
-            "on_seconds": round(storm_on["seconds"], 3),
-            "on_off_ratio": round(
-                storm_off["seconds"] / storm_on["seconds"], 3),
-            "off_events_per_sec": storm_off["events_per_sec"],
-            "on_events_per_sec": storm_on["events_per_sec"],
-            "identical_trajectory": (
-                storm_off["sim_time_us"] == storm_on["sim_time_us"]
-                and storm_off["events"] == storm_on["events"]
-                and storm_off["outcomes"] == storm_on["outcomes"]
-            ),
-        }
-    return result
-
-
 # -- collection ----------------------------------------------------------------
 
 def collect(engine_events=ENGINE_EVENTS):
     """Run every scenario; returns the BENCH_simcore.json payload."""
     storm = _measure_storm()
     engine = _engine_churn(engine_events)
-    engine_wheel = _measure_engine_wheel()
     metrics_overhead = _measure_metrics_overhead(disabled=storm)
     invariant_overhead = _measure_invariant_overhead(disabled=storm)
     copy_plane = _measure_copy_plane(baseline=storm)
@@ -763,7 +644,6 @@ def collect(engine_events=ENGINE_EVENTS):
         "parallel_sweep": parallel_sweep,
         "placement": placement,
         "engine": engine,
-        "engine_wheel": engine_wheel,
     }
 
 
@@ -786,17 +666,6 @@ def test_simcore_fastpaths(benchmark):
     assert payload["engine"]["timers_reused"] > 0
     assert payload["engine"]["compactions"] >= 1
 
-    wheel = payload["engine_wheel"]
-    assert wheel["identical_trajectory"], (
-        "heap and wheel cores diverged on the sweep churn; the "
-        "wall-clock comparison is void"
-    )
-    assert wheel["migration_storm"]["identical_trajectory"], (
-        "the event_wheel toggle changed the storm's simulated trajectory"
-    )
-    assert wheel["speedup"] >= 1.5, wheel
-    assert wheel["on_wheel_hits"] > 0
-    assert wheel["on_now_queue_hits"] > 0
 
     overhead = payload["metrics_overhead"]
     assert overhead["identical_trajectory"], (
@@ -981,21 +850,6 @@ def test_smoke_placement():
 
 
 @pytest.mark.smoke
-def test_smoke_engine_wheel_ab():
-    """Quick CI check: the hybrid event core still beats the heap at
-    sweep scale and takes the identical trajectory.  The floor is below
-    the full-run 1.5x target to keep loaded CI machines from flaking;
-    BENCH_simcore.json carries the acceptance number."""
-    result = _measure_engine_wheel(
-        repeats=1, n_hosts=SMOKE_WHEEL_SWEEP_HOSTS,
-        n_events=SMOKE_WHEEL_SWEEP_EVENTS, with_storm=False)
-    assert result["identical_trajectory"], result
-    assert result["on_wheel_hits"] > 0
-    assert result["on_now_queue_hits"] > 0
-    assert result["speedup"] >= 1.2, result
-
-
-@pytest.mark.smoke
 def test_smoke_engine_events_per_sec():
     """Quick CI check: timer pooling/compaction still engage, and
     events/sec has not regressed >2x vs the recorded baseline."""
@@ -1040,13 +894,6 @@ def main():
           f"msgs/exec with RandomK (target >= 5x), p99 at "
           f"{placement['randomk_p99_vs_best_fit_at_max']}x best-fit "
           f"(budget <= 1.2x)", file=sys.stderr)
-    wheel = payload["engine_wheel"]
-    print(f"event wheel A/B: {wheel['speedup']}x on sweep-churn "
-          f"(target >= 1.5x)  storm ratio: "
-          f"{wheel['migration_storm']['on_off_ratio']}x  identical "
-          f"trajectory: {wheel['identical_trajectory']} / "
-          f"{wheel['migration_storm']['identical_trajectory']}",
-          file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -670,7 +670,7 @@ def main(argv=None) -> int:
                         metavar="off|burst|adaptive|both",
                         help="add one extra cell with this copy-plane mode")
     verify.add_argument("--mutate", default=None, metavar="NAME",
-                        help="plant a named engine mutation in every cell "
+                        help="plant a named mutation in every cell "
                              "(mutation smoke; see repro.verify.mutation)")
     verify.add_argument("--expect-fail", action="store_true",
                         help="exit 0 iff the matrix FAILS (for mutation "

@@ -24,6 +24,23 @@ from repro.kernel.ids import Pid
 from repro.net.packet import Packet
 
 
+class _PlantedFlags:
+    """Deliberate, named bugs for the differential verification harness
+    (:mod:`repro.verify.mutation`).  Every flag defaults False and the
+    shipped engine never sets one; the mutation-smoke tests plant one,
+    prove the toggle-matrix explorer catches it, and clear it again.
+    """
+
+    __slots__ = ("burst_skip_copy_end",)
+
+    def __init__(self) -> None:
+        self.burst_skip_copy_end = False
+
+
+#: Process-wide planted-bug switch block (see :class:`_PlantedFlags`).
+_PLANTED = _PlantedFlags()
+
+
 class PageSnapshot:
     """An (index, version) capture of one page at its send instant."""
 
@@ -133,7 +150,8 @@ class CopyEngine:
             return
         n = len(pages)
         if i >= n:
-            self._send_end(record, address)
+            if not _PLANTED.burst_skip_copy_end:
+                self._send_end(record, address)
             return
         snapshots = _snapshot_pages(pages[i:i + self._burst_pages])
         k = len(snapshots)

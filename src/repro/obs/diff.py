@@ -1,7 +1,7 @@
 """RunReport diffing: per-metric deltas, subsystem attribution.
 
 Given two RunReports (:mod:`repro.obs.report`) -- typically a baseline
-and a fresh run, or the same scenario with a fast-path toggle flipped --
+and a fresh run, or the same scenario with a copy-plane toggle flipped --
 this module answers the two questions a regression hunt starts with:
 
 * **which metrics moved, and by how much?**  Every cluster-level metric
@@ -17,11 +17,7 @@ this module answers the two questions a regression hunt starts with:
 
 KPIs and the freeze-phase accounting are diffed too; the ``wall``
 section (wall-clock throughput) is deliberately ignored -- it measures
-the machine the report was produced on, not the simulation.  The
-event-core routing counters (:data:`_ENGINE_ROUTING`) are ignored for
-the same reason: they record which internal queue of the scheduler took
-each event, which flips wholesale with ``FASTPATH.event_wheel`` while
-the simulated trajectory stays byte-identical.
+the machine the report was produced on, not the simulation.
 
 ``python -m repro diff A.json B.json`` renders the result as a table
 (or ``--json``) and exits 0 when every gated delta is within tolerance,
@@ -59,19 +55,6 @@ SUBSYSTEMS = {
     "faults": "faults",
     "engine": "engine",
 }
-
-#: Event-core routing counters: which internal queue (now-queue, wheel
-#: bucket, overflow heap) took each schedule is an implementation detail
-#: of the ``FASTPATH.event_wheel`` toggle, not modelled behaviour -- the
-#: reference heap core reports all three as zero by construction.  Like
-#: the ``wall`` section, they are machine/engine truth and never diffed.
-#: (``engine.closure_free_steps`` is *not* here: both cores arm task
-#: waits identically, so it is a gated comparison like any other.)
-_ENGINE_ROUTING = frozenset({
-    "engine.now_queue_hits",
-    "engine.wheel_hits",
-    "engine.overflow_hits",
-})
 
 
 def subsystem_of(metric: str) -> str:
@@ -147,15 +130,12 @@ def diff_reports(
     * ``ok``: True iff every gated comparison is within tolerance.
       Toggle differences are reported but do not gate (comparing
       a knob-off baseline to a knob-on run is the point of the tool);
-      the ``wall`` sections and the event-core routing counters
-      (:data:`_ENGINE_ROUTING`) are never compared at all.
+      the ``wall`` sections are never compared at all.
     """
     flat_a = _flatten_metrics(report_a)
     flat_b = _flatten_metrics(report_b)
     metrics: Dict[str, Dict[str, Any]] = {}
     for name in sorted(set(flat_a) | set(flat_b)):
-        if name in _ENGINE_ROUTING:
-            continue
         a, b = flat_a.get(name), flat_b.get(name)
         if a is None and isinstance(b, (int, float)):
             a = 0

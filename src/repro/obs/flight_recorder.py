@@ -7,7 +7,7 @@ attached to an :class:`~repro.faults.invariants.InvariantChecker`
 freezes that state the instant the *first* violation is recorded:
 
 * ``manifest.json`` -- bundle version, the reason, sim time, the
-  fast-path/copy-plane toggle positions and the caller-supplied context
+  copy-plane toggle positions and the caller-supplied context
   (scenario name, schedule, seed, config) -- everything needed to
   re-run the exact failing unit offline;
 * ``trace.json`` -- the tail of the span/record ring in Chrome
@@ -86,7 +86,7 @@ class FlightRecorder:
     def dump(self, reason: str, checker=None) -> str:
         """Write the bundle now (also usable for manual snapshots);
         returns the bundle directory."""
-        from repro._fastpath import COPY_PLANE, FASTPATH
+        from repro._fastpath import COPY_PLANE
         from repro.verify.mutation import planted
 
         os.makedirs(self.out_dir, exist_ok=True)
@@ -98,7 +98,6 @@ class FlightRecorder:
             "context": self.context,
             "sim_time_us": sim.now if sim is not None else None,
             "toggles": {
-                "fastpath": FASTPATH.snapshot(),
                 "copy_plane": COPY_PLANE.snapshot(),
             },
             # Planted engine mutations (repro.verify.mutation) active at

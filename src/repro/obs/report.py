@@ -5,8 +5,8 @@ do, and under which knobs?" -- the artifact :mod:`repro.obs.diff`
 consumes to attribute regressions.  One dict (written as JSON) captures:
 
 * the **envelope**: schema version, run kind, seed, scenario config and
-  the :mod:`repro._fastpath` ``FASTPATH`` / ``COPY_PLANE`` switch
-  positions at run time;
+  the :mod:`repro._fastpath` ``COPY_PLANE`` switch positions at run
+  time;
 * the **metrics snapshot** (:meth:`MetricsRegistry.snapshot` or the
   sweep engine's cross-worker merge);
 * the **span profile** and **phase breakdowns**
@@ -41,8 +41,8 @@ RUN_REPORT_VERSION = 1
 def new_report(kind: str, *, seed: int, config: Optional[Dict[str, Any]] = None
                ) -> Dict[str, Any]:
     """The common envelope every report starts from: version, kind,
-    seed, config and the fast-path/copy-plane switch positions."""
-    from repro._fastpath import COPY_PLANE, FASTPATH
+    seed, config and the copy-plane switch positions."""
+    from repro._fastpath import COPY_PLANE
 
     return {
         "run_report_version": RUN_REPORT_VERSION,
@@ -50,7 +50,6 @@ def new_report(kind: str, *, seed: int, config: Optional[Dict[str, Any]] = None
         "seed": seed,
         "config": dict(config or {}),
         "toggles": {
-            "fastpath": FASTPATH.snapshot(),
             "copy_plane": COPY_PLANE.snapshot(),
         },
     }

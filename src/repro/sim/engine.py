@@ -1,4 +1,7 @@
-"""The discrete-event simulator core: clock, event queues, task spawning.
+"""The discrete-event simulator core: clock, event queue, task spawning.
+
+Events live in one binary heap keyed on ``(time, seq, timer)``, so equal
+times fire in schedule order.
 
 Hot-path notes.  The simulator recycles :class:`Timer` objects through a
 small free pool: when a fired (or cancelled-and-popped) timer has no
@@ -11,58 +14,24 @@ rebuilds preserve the (time, seq) order exactly, so determinism is
 unaffected).  ``alive_event_count`` reports only live entries, which is
 what budget checks want.
 
-Two interchangeable event cores implement the same ``(time, seq)``
-pop-order contract:
-
-* :class:`Simulator` -- the reference core: one binary heap keyed on
-  ``(time, seq, timer)``.
-
-* :class:`WheelSimulator` -- the hybrid core behind
-  ``FASTPATH.event_wheel``: a current-instant FIFO (the *now-queue*) for
-  delay-0 schedules, a bucketed timer wheel of ``2**15`` one-microsecond
-  slots for near-term delays, and the binary heap kept only as an
-  overflow list for far-future timers.  Constructing ``Simulator(...)``
-  returns a :class:`WheelSimulator` when the toggle is on (read once, at
-  construction, like every other fast-path switch).
-
-Why the hybrid pops in exactly heap order:
-
-* Every entry with ``time == now`` lives in the now-queue: delay-0
-  schedules go there directly, and the wheel bucket / overflow entries
-  for the current instant were drained into it when the clock chose that
-  instant.  Anything in the wheel or overflow heap is therefore strictly
-  in the future, and the now-queue's FIFO order *is* seq order.
-
-* A wheel entry always satisfies ``now <= time < now + 2**15``, so each
-  occupied bucket holds exactly one absolute time and appends happen in
-  seq order -- a bucket is an exact-order FIFO, no sorting needed.
-
-* When the overflow heap and the wheel tie on the next instant ``t``,
-  every overflow entry at ``t`` was scheduled earlier (it needed a delay
-  >= the wheel span, hence an earlier ``now``) and thus carries a
-  smaller seq than every wheel entry at ``t``; draining overflow first,
-  then the bucket, reproduces seq order without any cascade machinery.
-
 The ``(time, seq)`` tie-breaking contract is also where the differential
 verification harness (:mod:`repro.verify`) plugs in: an installed
-*perturber* (:meth:`Simulator.install_perturber`, heap core only) may
-replace the integer seq key with a fractional one, permuting the FIFO
-order of same-instant events -- the orderings the paper's protocol must
-tolerate -- while leaving cross-instant order untouched.  No perturber
-installed (the default) costs one attribute load + branch per schedule
-and leaves the trajectory byte-identical.
+*perturber* (:meth:`Simulator.install_perturber`) may replace the
+integer seq key with a fractional one, permuting the FIFO order of
+same-instant events -- the orderings the paper's protocol must tolerate
+-- while leaving cross-instant order untouched.  No perturber installed
+(the default) costs one attribute load + branch per schedule and leaves
+the trajectory byte-identical.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from sys import getrefcount
 from typing import Any, Callable, List, Optional, Tuple
 
 from time import perf_counter
 
-from repro._fastpath import FASTPATH
 from repro.errors import SimulationError
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.events import Event
@@ -76,30 +45,6 @@ _TIMER_POOL_MAX = 256
 #: they make up more than half of it.
 _COMPACT_MIN_CANCELLED = 64
 
-#: Timer-wheel geometry: 2**15 one-microsecond buckets (~32.8 ms of
-#: near-term horizon).  Delays below the span are O(1) bucket inserts;
-#: longer ones overflow into the heap.
-_WHEEL_BITS = 15
-_WHEEL_SPAN = 1 << _WHEEL_BITS
-_WHEEL_MASK = _WHEEL_SPAN - 1
-
-
-class _PlantedFlags:
-    """Deliberate, named bugs for the differential verification harness
-    (:mod:`repro.verify.mutation`).  Every flag defaults False and the
-    shipped simulator never sets one; the mutation-smoke tests plant one,
-    prove the toggle-matrix explorer catches it, and clear it again.
-    """
-
-    __slots__ = ("skip_same_instant_cancel",)
-
-    def __init__(self) -> None:
-        self.skip_same_instant_cancel = False
-
-
-#: Process-wide planted-bug switch block (see :class:`_PlantedFlags`).
-_PLANTED = _PlantedFlags()
-
 
 #: A perturber armed for the *next* ``Simulator`` construction (see
 #: :func:`arm_perturber`); consumed -- and cleared -- by ``__init__``.
@@ -112,8 +57,7 @@ def arm_perturber(perturber) -> None:
     build their simulator deep inside cluster constructors, so the
     verification harness cannot call :meth:`Simulator.install_perturber`
     directly; arming bridges the gap without threading a parameter
-    through every builder.  Heap core only -- constructing a
-    :class:`WheelSimulator` with a perturber armed raises."""
+    through every builder."""
     global _PENDING_PERTURBER
     _PENDING_PERTURBER = perturber
 
@@ -121,32 +65,18 @@ def arm_perturber(perturber) -> None:
 class Timer:
     """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = ("time", "fn", "args", "cancelled", "heaped", "_sim")
+    __slots__ = ("time", "fn", "args", "cancelled", "_sim")
 
     def __init__(self, time: int, fn: Callable, args: Tuple[Any, ...], sim=None):
         self.time = time
         self.fn = fn
         self.args = args
         self.cancelled = False
-        #: True while the entry sits in a binary heap (the reference
-        #: core's only queue, or the hybrid core's overflow list); the
-        #: heap compaction trigger counts only these.
-        self.heaped = True
         self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the callback from firing; safe to call repeatedly."""
         if not self.cancelled:
-            if _PLANTED.skip_same_instant_cancel:
-                # Planted ordering bug (mutation smoke): on the hybrid
-                # core, "forget" to cancel an entry due at the current
-                # instant -- the stale continuation then fires as a
-                # counted event the reference heap core never processes,
-                # so the two cores' trajectories diverge detectably.
-                sim = self._sim
-                if (sim is not None and not self.heaped
-                        and sim._now == self.time):
-                    return
             self.cancelled = True
             self.fn = None
             self.args = ()
@@ -155,17 +85,7 @@ class Timer:
             # handle cannot skew the live-entry accounting.
             sim = self._sim
             if sim is not None:
-                if self.heaped:
-                    sim._cancelled_alive += 1
-                    sim._cancelled_heap += 1
-                elif sim._purge_bucket(self):
-                    # Wheel-bucket entries are removed eagerly -- the
-                    # bucket is known from the time alone, so a cancel
-                    # costs a small list removal now instead of a full
-                    # advance cycle over a dead bucket later.
-                    pass
-                else:
-                    sim._cancelled_alive += 1
+                sim._cancelled_alive += 1
 
 
 class Simulator:
@@ -184,18 +104,7 @@ class Simulator:
 
     All model randomness must come from :attr:`rand` so that equal seeds
     give equal runs.
-
-    When ``FASTPATH.event_wheel`` is on, ``Simulator(...)`` constructs a
-    :class:`WheelSimulator` instead (same contract, hybrid event core).
     """
-
-    #: Which event core this instance runs ("heap" or "wheel").
-    event_core = "heap"
-
-    def __new__(cls, seed: int = 0):
-        if cls is Simulator and FASTPATH.event_wheel:
-            cls = WheelSimulator
-        return object.__new__(cls)
 
     def __init__(self, seed: int = 0):
         self._now = 0
@@ -223,7 +132,7 @@ class Simulator:
         self.strict = True
         #: Installed by :meth:`install_perturber` (or a pending
         #: :func:`arm_perturber`); None (the default) costs one attribute
-        #: load + branch per schedule on the heap core -- the same
+        #: load + branch per schedule -- the same
         #: zero-cost discipline as the profiler/invariant hooks, and the
         #: A/B test in tests/verify pins the trajectory byte-identical.
         self._perturber = None
@@ -232,36 +141,21 @@ class Simulator:
             pending, _PENDING_PERTURBER = _PENDING_PERTURBER, None
             self.install_perturber(pending)
         self._event_count = 0
-        #: Cancelled timers still sitting in any queue (now-queue, wheel
-        #: bucket or heap) awaiting removal.
+        #: Cancelled timers still sitting in the heap awaiting removal.
         self._cancelled_alive = 0
-        #: The subset of :attr:`_cancelled_alive` sitting in the binary
-        #: heap specifically -- the compaction trigger must not count
-        #: dead wheel/now-queue entries against the heap's size.
-        self._cancelled_heap = 0
         self._timer_pool: List[Timer] = []
         #: Heap compactions performed (perf counters for bench_simcore).
         self.compactions = 0
         #: Timer objects served from the free pool instead of allocated.
         self.timers_reused = 0
-        #: Event-core counters (always on, like ``timers_reused``); the
-        #: hybrid core bumps the first three per schedule, and the task
-        #: layer bumps ``closure_free_steps`` once per armed wait.  Each
-        #: is mirrored into an ``engine.*`` metrics counter while the
+        #: Armed task waits (always on, like ``timers_reused``): the task
+        #: layer bumps it once per wait, and it is mirrored into the
+        #: ``engine.closure_free_steps`` metrics counter while the
         #: registry is enabled.
-        self.wheel_hits = 0
-        self.now_queue_hits = 0
-        self.overflow_hits = 0
         self.closure_free_steps = 0
-        self._m_wheel_hits = self.metrics.counter("engine.wheel_hits")
-        self._m_now_queue_hits = self.metrics.counter("engine.now_queue_hits")
-        self._m_overflow_hits = self.metrics.counter("engine.overflow_hits")
         self._m_closure_free_steps = self.metrics.counter("engine.closure_free_steps")
-        # Last values folded into the metric mirrors; see
+        # Last value folded into the metric mirror; see
         # _flush_engine_counters.
-        self._flushed_wheel_hits = 0
-        self._flushed_now_queue_hits = 0
-        self._flushed_overflow_hits = 0
         self._flushed_closure_free_steps = 0
 
     # ------------------------------------------------------------ properties
@@ -303,7 +197,6 @@ class Simulator:
             timer.fn = fn
             timer.args = args
             timer.cancelled = False
-            timer.heaped = True
             timer._sim = self
             self.timers_reused += 1
         else:
@@ -324,14 +217,7 @@ class Simulator:
         """Install a same-instant tie perturber (see
         :class:`repro.verify.perturb.TiePerturber`): every subsequent
         ``schedule`` routes its heap key through ``perturber.assign``.
-        Heap core only -- the hybrid core's bucket FIFOs have no per-entry
-        key to permute, and the verification matrix pins perturbed cells
-        to the reference core instead.  ``None`` uninstalls."""
-        if perturber is not None and self.event_core != "heap":
-            raise SimulationError(
-                "schedule perturbation requires the reference heap core; "
-                "build the simulator with FASTPATH.event_wheel off"
-            )
+        ``None`` uninstalls."""
         self._perturber = perturber
 
     def schedule_at(self, time_us: int, fn: Callable, *args: Any) -> Timer:
@@ -383,11 +269,7 @@ class Simulator:
                 live.append(entry)
         heapq.heapify(live)
         self._heap = live
-        # Decrement by what was actually removed rather than zeroing:
-        # the hybrid core also counts cancelled entries that live in the
-        # now-queue or wheel buckets, which a heap pass never sees.
         self._cancelled_alive -= dropped
-        self._cancelled_heap -= dropped
         self.compactions += 1
 
     def _drop_dead_head(self) -> None:
@@ -396,56 +278,28 @@ class Simulator:
         once they exceed half of it.  (run() and peek() used to carry
         diverging copies of this sweep.)"""
         if (
-            self._cancelled_heap >= _COMPACT_MIN_CANCELLED
-            and self._cancelled_heap * 2 > len(self._heap)
+            self._cancelled_alive >= _COMPACT_MIN_CANCELLED
+            and self._cancelled_alive * 2 > len(self._heap)
         ):
             self._compact()
         else:
             _, _, timer = heapq.heappop(self._heap)
             self._cancelled_alive -= 1
-            self._cancelled_heap -= 1
             timer._sim = None
             self._recycle(timer)
 
-    def _purge_bucket(self, timer: Timer) -> bool:
-        """Hook for :meth:`Timer.cancel`: the hybrid core overrides this
-        to physically remove a cancelled wheel-bucket entry.  The
-        reference core has no buckets (and never reaches here -- its
-        timers are always ``heaped``)."""
-        return False
-
     def _flush_engine_counters(self) -> None:
-        """Fold the always-on engine counters into their ``engine.*``
-        metric mirrors.  Runs once at every :meth:`run` exit instead of
-        guarding each increment with ``metrics.active`` -- the
-        per-schedule guard was measurable on the hybrid core's fast
-        path.  Deltas accrued while the registry was disabled advance
-        the baseline without recording, so the record-only-while-enabled
-        discipline holds at run() granularity."""
-        active = self.metrics.active
-        v = self.wheel_hits
-        d = v - self._flushed_wheel_hits
-        if d:
-            self._flushed_wheel_hits = v
-            if active:
-                self._m_wheel_hits.inc(d)
-        v = self.now_queue_hits
-        d = v - self._flushed_now_queue_hits
-        if d:
-            self._flushed_now_queue_hits = v
-            if active:
-                self._m_now_queue_hits.inc(d)
-        v = self.overflow_hits
-        d = v - self._flushed_overflow_hits
-        if d:
-            self._flushed_overflow_hits = v
-            if active:
-                self._m_overflow_hits.inc(d)
+        """Fold :attr:`closure_free_steps` into its ``engine.*`` metric
+        mirror.  Runs once at every :meth:`run` exit instead of guarding
+        each increment with ``metrics.active``.  Deltas accrued while
+        the registry was disabled advance the baseline without
+        recording, so the record-only-while-enabled discipline holds at
+        run() granularity."""
         v = self.closure_free_steps
         d = v - self._flushed_closure_free_steps
         if d:
             self._flushed_closure_free_steps = v
-            if active:
+            if self.metrics.active:
                 self._m_closure_free_steps.inc(d)
 
     # ----------------------------------------------------------------- run
@@ -542,323 +396,3 @@ class Simulator:
 
     def _record_failure(self, task: Task, exc: BaseException) -> None:
         self.failures.append(TaskFailed(task, exc))
-
-
-class WheelSimulator(Simulator):
-    """Hybrid event core: now-queue + timer wheel + overflow heap.
-
-    Pop order is provably identical to the reference heap (see the
-    module docstring); only wall-clock cost differs.  The clock advances
-    one *instant* at a time: :meth:`_advance_instant` moves every entry
-    due at the earliest pending time into the now-queue, and the run
-    loop then pops that FIFO with no per-event heap traffic.  ``now``
-    itself only moves when a *live* entry fires, matching the reference
-    core's treatment of cancelled entries.
-    """
-
-    event_core = "wheel"
-
-    def __init__(self, seed: int = 0):
-        super().__init__(seed)
-        #: Entries due at the pending instant (and delay-0 schedules),
-        #: in seq order.
-        self._nowq: deque = deque()
-        #: Bound ``_nowq.append``, cached for the delay-0 schedule path
-        #: (the deque itself is never rebound).
-        self._nq_append = self._nowq.append
-        #: ``_buckets[t & _WHEEL_MASK]`` -> list of timers due at ``t``
-        #: (exactly one absolute ``t`` per occupied bucket), or None.
-        self._buckets: List[Optional[List[Timer]]] = [None] * _WHEEL_SPAN
-        #: Min-heap of absolute bucket instants -- the occupancy index.
-        #: One plain-int entry per *distinct* near-term instant (not per
-        #: timer), so its heap ops are C compares on ints and its size
-        #: is bounded by the span.  A bucket emptied by eager cancel
-        #: purging leaves its instant behind as a stale entry; the scan
-        #: drops those lazily (a stale head is detected because its
-        #: bucket slot is empty or re-occupied by a different absolute
-        #: time).
-        self._occ: List[int] = []
-        #: Total timers currently sitting in wheel buckets.
-        self._bucket_count = 0
-
-    # ------------------------------------------------------------ scheduling
-
-    def schedule(self, delay_us: int, fn: Callable, *args: Any) -> Timer:
-        """Run ``fn(*args)`` after ``delay_us`` microseconds; returns a
-        cancellable :class:`Timer`.  Delay 0 appends to the now-queue,
-        a delay under the wheel span inserts into its bucket, anything
-        farther overflows into the heap."""
-        if delay_us < 0:
-            raise SimulationError(f"cannot schedule {delay_us} us in the past")
-        if type(delay_us) is not int:
-            # Same half-up rounding contract as the reference core.
-            delay_us = int(delay_us + 0.5)
-        time = self._now + delay_us
-        pool = self._timer_pool
-        if pool:
-            timer = pool.pop()
-            timer.time = time
-            timer.fn = fn
-            timer.args = args
-            timer.cancelled = False
-            timer._sim = self
-            self.timers_reused += 1
-        else:
-            timer = Timer(time, fn, args, self)
-        self._seq += 1
-        if delay_us == 0:
-            timer.heaped = False
-            self._nq_append(timer)
-            self.now_queue_hits += 1
-        elif delay_us < _WHEEL_SPAN:
-            timer.heaped = False
-            idx = time & _WHEEL_MASK
-            bucket = self._buckets[idx]
-            if bucket is None:
-                self._buckets[idx] = [timer]
-                heapq.heappush(self._occ, time)
-            else:
-                bucket.append(timer)
-            self._bucket_count += 1
-            self.wheel_hits += 1
-        else:
-            timer.heaped = True
-            heapq.heappush(self._heap, (time, self._seq, timer))
-            self.overflow_hits += 1
-        return timer
-
-    # ------------------------------------------------------------ internals
-
-    @property
-    def alive_event_count(self) -> int:
-        """Scheduled events that will actually fire, across all three
-        queues (overflow heap, wheel buckets, now-queue)."""
-        return (
-            len(self._heap)
-            + self._bucket_count
-            + len(self._nowq)
-            - self._cancelled_alive
-        )
-
-    def _purge_bucket(self, timer: Timer) -> bool:
-        """Physically remove a cancelled, non-heaped timer from its
-        wheel bucket (the bucket index follows from the time alone).
-        Returns False when the entry is not in a bucket -- i.e. it was
-        already drained into the now-queue, where the run/peek sweep
-        handles it -- so the caller falls back to lazy accounting.
-        Eager removal keeps buckets live-only: a burst of cancelled
-        near-term timers costs small list removals now instead of full
-        advance cycles over dead buckets later.  An emptied bucket's
-        occupancy-heap entry is left behind and dropped lazily."""
-        idx = timer.time & _WHEEL_MASK
-        bucket = self._buckets[idx]
-        if bucket is None:
-            return False
-        try:
-            bucket.remove(timer)
-        except ValueError:
-            # The bucket at this index belongs to a different absolute
-            # time (ours was drained and the slot re-occupied); the
-            # timer is in the now-queue.
-            return False
-        self._bucket_count -= 1
-        if not bucket:
-            self._buckets[idx] = None
-        # The caller necessarily still holds the handle it cancelled
-        # through, so the pool's no-surviving-references test could
-        # never pass here -- detach without attempting to recycle.
-        timer._sim = None
-        return True
-
-    def _wheel_scan(self) -> Optional[int]:
-        """Absolute time of the earliest occupied wheel bucket, or None
-        when the wheel is empty.  Buckets are live-only (cancels purge
-        eagerly), so this is the wheel's next firing instant.  Stale
-        occupancy entries -- instants whose bucket was emptied by
-        purging, or duplicates from a re-occupied slot -- are popped
-        here; a live head is left in place for the drain to consume."""
-        occ = self._occ
-        buckets = self._buckets
-        while occ:
-            time = occ[0]
-            bucket = buckets[time & _WHEEL_MASK]
-            if bucket is not None and bucket[0].time == time:
-                return time
-            heapq.heappop(occ)
-        return None
-
-    def _advance_instant(self, until_us: Optional[int]):
-        """Advance to the earliest pending instant.  Returns None when
-        nothing is pending at or before ``until_us``; a lone :class:`Timer`
-        when that instant is a single wheel entry (the sparse-traffic
-        common case -- the run loop fires it directly, skipping the
-        now-queue round trip); True after draining the instant's entries
-        into the now-queue otherwise.  Overflow entries drain before the
-        wheel bucket on a tie -- their seqs are provably smaller."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            self._drop_dead_head()
-            heap = self._heap
-        t_heap = heap[0][0] if heap else None
-        occ = self._occ
-        buckets = self._buckets
-        bucket = None
-        t_wheel = None
-        while occ:
-            t = occ[0]
-            bucket = buckets[t & _WHEEL_MASK]
-            if bucket is not None and bucket[0].time == t:
-                t_wheel = t
-                break
-            heapq.heappop(occ)
-        if t_wheel is None:
-            if t_heap is None:
-                return None
-            time = t_heap
-        elif t_heap is None or t_wheel < t_heap:
-            time = t_wheel
-        else:
-            time = t_heap
-        if until_us is not None and time > until_us:
-            return None
-        if t_heap == time:
-            timer = heapq.heappop(heap)[2]
-            timer.heaped = False
-            if timer.cancelled:
-                self._cancelled_heap -= 1
-            elif t_wheel != time and not (heap and heap[0][0] == time):
-                # Lone live overflow entry: fire it directly too.
-                return timer
-            nowq = self._nowq
-            nowq.append(timer)
-            while heap and heap[0][0] == time:
-                timer = heapq.heappop(heap)[2]
-                timer.heaped = False
-                if timer.cancelled:
-                    self._cancelled_heap -= 1
-                nowq.append(timer)
-            if t_wheel == time:
-                heapq.heappop(occ)
-                buckets[time & _WHEEL_MASK] = None
-                self._bucket_count -= len(bucket)
-                nowq.extend(bucket)
-            return True
-        # Wheel-only instant: detach the bucket wholesale and retire its
-        # occupancy entry (verified live just above).
-        heapq.heappop(occ)
-        buckets[time & _WHEEL_MASK] = None
-        n = len(bucket)
-        self._bucket_count -= n
-        if n == 1:
-            return bucket[0]
-        self._nowq.extend(bucket)
-        return True
-
-    # ----------------------------------------------------------------- run
-
-    def run(
-        self,
-        until_us: Optional[int] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Identical contract to :meth:`Simulator.run`."""
-        if self._running:
-            raise SimulationError("run() re-entered; the simulator is not reentrant")
-        self._running = True
-        try:
-            budget = max_events if max_events is not None else -1
-            nowq = self._nowq
-            pool = self._timer_pool
-            popleft = nowq.popleft
-            advance = self._advance_instant
-            while True:
-                if nowq:
-                    timer = popleft()
-                    if timer.cancelled:
-                        self._cancelled_alive -= 1
-                        timer._sim = None
-                        self._recycle(timer)
-                        continue
-                    time = timer.time
-                    if until_us is not None and time > until_us:
-                        # Break-before-pop semantics: the entry stays
-                        # queued.
-                        nowq.appendleft(timer)
-                        break
-                else:
-                    nxt = advance(until_us)
-                    if nxt is None:
-                        break
-                    if nxt is True:
-                        continue
-                    # A lone live wheel timer, already bounds-checked
-                    # against until_us by the advance.
-                    timer = nxt
-                    time = timer.time
-                if time < self._now:
-                    raise SimulationError("event queue produced time travel")
-                self._now = time
-                self._event_count += 1
-                # Detach before firing: the callback may cancel its own
-                # (now already-dequeued) handle.
-                timer._sim = None
-                fn, args = timer.fn, timer.args
-                profiler = self._profiler
-                if profiler is None:
-                    fn(*args)
-                else:
-                    started = perf_counter()
-                    fn(*args)
-                    profiler._account(fn, perf_counter() - started)
-                invariants = self.invariants
-                if invariants is not None:
-                    invariants.after_event(self)
-                if self.strict and self.failures:
-                    raise self.failures[0]
-                # _recycle inlined (this is once per event): with no
-                # intervening call frame the no-surviving-references
-                # threshold tightens to our local + getrefcount's arg.
-                if len(pool) < _TIMER_POOL_MAX and getrefcount(timer) <= 2:
-                    timer.fn = None
-                    timer.args = ()
-                    pool.append(timer)
-                if budget > 0:
-                    budget -= 1
-                    if budget == 0:
-                        break
-            if until_us is not None and self._now < until_us:
-                nxt = self.peek()
-                if nxt is None or nxt > until_us:
-                    self._now = until_us
-            return self._now
-        finally:
-            self._running = False
-            self._flush_engine_counters()
-
-    def peek(self) -> Optional[int]:
-        """Time of the next live event, or None if the queues are empty."""
-        nowq = self._nowq
-        while nowq:
-            timer = nowq[0]
-            if timer.cancelled:
-                nowq.popleft()
-                self._cancelled_alive -= 1
-                timer._sim = None
-                self._recycle(timer)
-                continue
-            return timer.time
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            self._drop_dead_head()
-            heap = self._heap
-        t_heap = heap[0][0] if heap else None
-        t_wheel = self._wheel_scan()
-        if t_wheel is None:
-            return t_heap
-        if t_heap is not None and t_heap <= t_wheel:
-            # On a tie the instant is next either way; the (live) heap
-            # head settles it.
-            return t_heap
-        # Buckets hold only live entries (cancels purge them eagerly),
-        # so the earliest occupied bucket is the answer.
-        return t_wheel

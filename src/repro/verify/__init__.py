@@ -1,23 +1,23 @@
 """Differential verification: toggle matrices, schedule perturbation,
 failure minimization.
 
-The repository carries two kinds of switchable machinery: the event
-core, which must never change a trajectory
-(:data:`repro._fastpath.FASTPATH`), and protocol modes that deliberately
-do (:data:`repro._fastpath.COPY_PLANE`, :data:`repro._fastpath.PLACEMENT`).  This package *checks* those
-promises instead of assuming them:
+The repository carries switchable protocol modes
+(:data:`repro._fastpath.COPY_PLANE`, :data:`repro._fastpath.PLACEMENT`)
+that change which messages exist but must never change an outcome, and
+one event core whose same-instant ordering the paper's protocol must not
+lean on.  This package *checks* those promises instead of assuming them:
 
 * :mod:`repro.verify.matrix` -- run one scenario across a matrix of
   toggle vectors, fault schedules and schedule perturbations, and
   assert each cell's equivalence class against the all-defaults
-  baseline (byte-identical / tolerance-diffed / invariants-only);
+  baseline (tolerance-diffed / invariants-only);
 * :mod:`repro.verify.perturb` -- seeded fuzzing of the engine's
   same-instant ``(time, seq)`` tie-breaking, so outcomes provably do
   not lean on schedule-order accidents;
 * :mod:`repro.verify.minimize` -- shrink a failing cell to a minimal
   (toggle delta, seed, swap trace) triple and dump it as a
   flight-recorder bundle for offline replay;
-* :mod:`repro.verify.mutation` -- planted engine bugs proving the
+* :mod:`repro.verify.mutation` -- planted bugs proving the
   harness actually catches what it claims to catch
   (``make verify-smoke`` runs one end to end);
 * :mod:`repro.verify.scenario` -- the ordering-heavy workload the

@@ -6,17 +6,14 @@ schedule, an optional schedule perturbation, and the *equivalence
 class* the cell's payload is expected to fall into relative to the
 baseline cell (all defaults, same seed):
 
-``byte``
-    Trajectory-preserving deltas only (the ``fastpath`` block, i.e. the
-    event core): the payload must be **byte-identical** to the
-    baseline (:func:`repro.verify.scenario.canonical_digest`).
 ``tolerant``
-    Copy-plane deltas change which packets exist: the four stable
-    outcome fields must match exactly, invariants must hold, and the
-    KPI scalars must agree within the ``repro diff`` tolerance formula
-    (generous by default -- burst coalescing roughly halves packet
-    counts by design; the tolerance trips on order-of-magnitude
-    regressions, not protocol-mode differences).
+    Toggle deltas only (every knob changes which packets exist): the
+    four stable outcome fields must match exactly, invariants must
+    hold, and the KPI scalars must agree within the ``repro diff``
+    tolerance formula (generous by default -- burst coalescing roughly
+    halves packet counts by design; the tolerance trips on
+    order-of-magnitude regressions, not protocol-mode differences).
+    The baseline cell itself falls in this class.
 ``perturb``
     Same toggles, fuzzed same-instant ordering: outcomes and invariants
     must survive any tie permutation, but event counts may wiggle.
@@ -43,7 +40,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro._fastpath import knob_default, knob_domains
+from repro._fastpath import knob_domains
 from repro.errors import SimulationError
 from repro.obs.diff import _entry
 from repro.sim.random import derive_seed
@@ -52,25 +49,19 @@ from repro.sim.random import derive_seed
 DEFAULT_TOLERANCE = 0.75
 
 #: Equivalence classes, weakest guarantee last.
-EXPECT_CLASSES = ("byte", "tolerant", "perturb", "fault")
+EXPECT_CLASSES = ("tolerant", "perturb", "fault")
 
 #: The fault schedule sampled matrices include by default.
 _SAMPLE_SCHEDULE = "drop"
 
 
-def _expect_for(toggles: Dict[str, bool], schedule: Optional[str],
-                perturb: Optional[dict]) -> str:
+def _expect_for(schedule: Optional[str], perturb: Optional[dict]) -> str:
     """The strongest class a cell with these knobs can promise."""
     if schedule is not None:
         return "fault"
     if perturb is not None:
         return "perturb"
-    domains = knob_domains()
-    if any(domains[name] != "fastpath" and value
-           for name, value in toggles.items()):
-        # copy_plane and placement knobs change which messages exist.
-        return "tolerant"
-    return "byte"
+    return "tolerant"
 
 
 def make_cell(
@@ -89,13 +80,8 @@ def make_cell(
             raise SimulationError(
                 f"unknown toggle {name!r}; known: {', '.join(sorted(domains))}"
             )
-        if bool(value) != knob_default(name):
-            deltas[name] = bool(value)
-    if perturb is not None and deltas.get("event_wheel"):
-        raise SimulationError(
-            "schedule perturbation requires the reference heap core; "
-            "drop event_wheel from the cell's toggles"
-        )
+        if value:
+            deltas[name] = True
     if label is None:
         parts = [f"{n}={'on' if v else 'off'}" for n, v in deltas.items()]
         if schedule is not None:
@@ -108,7 +94,7 @@ def make_cell(
         "toggles": deltas,
         "schedule": schedule,
         "perturb": perturb,
-        "expect": _expect_for(deltas, schedule, perturb),
+        "expect": _expect_for(schedule, perturb),
     }
 
 
@@ -116,15 +102,14 @@ def make_cell(
 
 def sample_matrix(n: int, seed: int = 0) -> List[Dict[str, Any]]:
     """A stratified sample of ``n`` cells (first is always the
-    baseline).  The first six cover every equivalence class and both
-    event cores, cells seven and eight the placement plane; beyond that,
+    baseline).  The first five cover every equivalence class, cells six
+    and seven the placement plane; beyond that,
     deterministic random toggle vectors fill the budget (seeded from
     ``seed``, so the same matrix replays)."""
     if n < 2:
         raise SimulationError("a differential matrix needs >= 2 cells")
     strata = [
         make_cell(),
-        make_cell({"event_wheel": True}),
         make_cell({"burst_pacing": True}),
         make_cell({"burst_pacing": True, "adaptive_precopy": True}),
         make_cell(perturb={"seed": derive_seed(seed, "verify:perturb:0"),
@@ -142,7 +127,7 @@ def sample_matrix(n: int, seed: int = 0) -> List[Dict[str, Any]]:
         attempts += 1
         toggles = {name: rng.random() < 0.5 for name in names}
         perturb = None
-        if not toggles.get("event_wheel") and rng.random() < 0.25:
+        if rng.random() < 0.25:
             perturb = {"seed": rng.randrange(1 << 30), "rate": 0.25}
         cell = make_cell(toggles, perturb=perturb)
         key = json.dumps(_cell_key(cell), sort_keys=True)
@@ -249,15 +234,6 @@ def classify(cell: Dict[str, Any], result: Dict[str, Any],
     if result.get("crash"):
         return [f"scenario crashed: {result['crash']}"]
     expect = cell["expect"]
-    if expect == "byte":
-        if result["payload_sha256"] != baseline["payload_sha256"]:
-            reasons.append(
-                "payload digest differs from baseline "
-                f"({result['payload_sha256'][:12]} != "
-                f"{baseline['payload_sha256'][:12]}) -- a "
-                "trajectory-preserving toggle changed the trajectory"
-            )
-        return reasons
     if not result.get("invariants_ok"):
         violated = {k: v for k, v in result.get("invariants", {}).items() if v}
         reasons.append(f"invariant violations: {violated}")
@@ -377,7 +353,7 @@ def run_matrix(
         out.failures.append({
             "index": 0,
             "label": cells[0]["label"],
-            "expect": "byte",
+            "expect": cells[0]["expect"],
             "reasons": [
                 "baseline cell crashed: "
                 + str(baseline.get("crash") if baseline else None)

@@ -11,9 +11,9 @@ classifier, so "still fails" means exactly what the explorer meant):
 * **greedy toggle reversion** -- try reverting each delta to its
   shipped default, keep the reversion whenever the cell still fails,
   loop to a fixpoint.  Toggle interactions here are near-monotone
-  (a digest mismatch caused by one knob survives reverting the
-  others), so greedy converges in one or two passes where full ddmin
-  over vectors would burn cells;
+  (a failure caused by one knob survives reverting the others), so
+  greedy converges in one or two passes where full ddmin over vectors
+  would burn cells;
 * **ddmin over the swap trace** -- a fuzzed perturbation is first
   pinned to replay mode (the recorded swap ordinals), then Zeller's
   delta debugging shrinks the ordinal set: try dropping chunks at

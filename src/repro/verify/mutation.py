@@ -2,20 +2,18 @@
 
 A verification harness that has never seen a failure proves nothing.
 Each entry in :data:`MUTATIONS` names a deliberate, realistic bug wired
-(dormant) into the engine behind
-:data:`repro.sim.engine._PLANTED`; the mutation-smoke test plants one,
-asserts the toggle-matrix explorer flags exactly the cells it should,
-and asserts the minimizer shrinks the failure to its minimal triple.
+(dormant) into the code behind a planted-flag block beside its one
+reader; the mutation-smoke test plants one, asserts the toggle-matrix
+explorer flags exactly the cells it should, and asserts the minimizer
+shrinks the failure to its minimal triple.
 
-``skip-same-instant-cancel``
-    On the hybrid event core only, :meth:`Timer.cancel` "forgets" to
-    cancel an entry due at the current instant -- e.g. the losing twin
-    of an ``AnyOf([..., D, D])`` reaped by ``Task._step`` at its own
-    due time.  The stale continuation is inert (wait tokens make it a
-    no-op) but it *fires as a counted event*, so ``event_count``
-    diverges from the reference heap core: a byte-identity violation
-    whose minimal toggle delta is the single knob ``event_wheel`` and
-    whose minimal perturbation trace is empty.
+``burst-skip-copy-end``
+    :meth:`CopyEngine._send_burst` reaches the end of its page list and
+    returns without announcing the end of the run
+    (:data:`repro.ipc.copyops._PLANTED`).  The receiver never acks, so
+    a burst-paced CopyTo stalls and the migration fails: a stable
+    outcome-field violation whose minimal toggle delta is the single
+    knob ``burst_pacing`` -- the per-page stream never reaches the bug.
 
 Plant/clear are process-global (like the toggles themselves); the
 ``tests/conftest.py`` hygiene fixture clears them around every test.
@@ -27,11 +25,11 @@ from contextlib import contextmanager
 from typing import Dict, List
 
 from repro.errors import SimulationError
-from repro.sim.engine import _PLANTED
+from repro.ipc.copyops import _PLANTED
 
 #: Mutation name -> the ``_PLANTED`` flag it sets.
 MUTATIONS: Dict[str, str] = {
-    "skip-same-instant-cancel": "skip_same_instant_cancel",
+    "burst-skip-copy-end": "burst_skip_copy_end",
 }
 
 

@@ -5,7 +5,7 @@ scheduled for the same instant fire in schedule order.  The paper's
 protocol argument, though, must not *depend* on that accident -- freeze
 completions, retransmissions and reply deliveries that land on the same
 microsecond have no defined relative order in a real V kernel.  A
-:class:`TiePerturber` installed on the reference heap core
+:class:`TiePerturber` installed on the event core
 (:meth:`Simulator.install_perturber` or
 :func:`repro.sim.engine.arm_perturber`) permutes exactly those ties:
 
@@ -28,8 +28,8 @@ trace (:attr:`TiePerturber.swaps`, opportunity ordinals) replays to the
 identical permutation -- the whole triple (toggle vector, seed, trace)
 is a pure function of its inputs.
 
-Off by default and orthogonal to :data:`repro._fastpath.FASTPATH`
-(nothing constructs one outside the verification harness).
+Off by default (nothing constructs one outside the verification
+harness).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _PRUNE_THRESHOLD = 2048
 
 
 class TiePerturber:
-    """Seeded permutation of same-instant schedule order (heap core).
+    """Seeded permutation of same-instant schedule order.
 
     ``seed`` drives the fuzz RNG; ``rate`` is the per-opportunity swap
     probability; ``replay`` (an iterable of opportunity ordinals)

@@ -5,10 +5,9 @@ stream, a mid-run migration of the server, and a *tie storm* -- a task
 that keeps arming ``AnyOf`` twins with equal delays, guaranteeing a
 steady supply of same-instant event collisions and same-instant timer
 cancels (the exact interleavings §3.1-3.2's freeze/copy/retry argument
-must commute over, and the ones the planted ordering mutations corrupt).
-It returns a plain JSON-able payload with no wall-clock values, so two
-runs under trajectory-preserving toggles must produce *byte-identical*
-payloads (:func:`canonical_digest`).
+must commute over).  It returns a plain JSON-able payload with no
+wall-clock values, so two runs of the same cell must produce
+*byte-identical* payloads (:func:`canonical_digest`).
 
 ``verify_cell`` wraps any registered scenario in one matrix cell: apply
 a toggle vector, optionally plant a mutation and/or arm a schedule
@@ -46,7 +45,7 @@ STABLE_FIELDS = ("completed", "served", "migration_success",
 
 def canonical_digest(payload: Any) -> str:
     """SHA-256 over the canonical JSON encoding of ``payload`` -- the
-    byte-identity test two trajectory-preserving cells must pass."""
+    byte-identity test two runs of the same cell must pass."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -239,14 +238,12 @@ def ordering_scenario(
 # --------------------------------------------------------------- cell wrapper
 
 def _apply_toggles(toggles: Dict[str, bool]) -> None:
-    """Pin every knob to canonical-default XOR the cell's deltas.
+    """Pin every knob to off, then switch on the cell's deltas.
 
     Resetting *all* knobs first (not just the deltas) makes the cell's
     effective toggle vector a pure function of the cell -- inherited
-    process state such as ``REPRO_EVENT_WHEEL=1`` must not leak in, or
-    the baseline would silently run on the wheel core and the
-    heap-vs-wheel differential axis would collapse."""
-    from repro._fastpath import knob_block, knob_default, knob_domains
+    process state must not leak into the baseline."""
+    from repro._fastpath import knob_block, knob_domains
 
     domains = knob_domains()
     for name in sorted(toggles):
@@ -256,8 +253,7 @@ def _apply_toggles(toggles: Dict[str, bool]) -> None:
                 f"known: {', '.join(sorted(domains))}"
             )
     for name, domain in domains.items():
-        setattr(knob_block(domain), name,
-                bool(toggles.get(name, knob_default(name))))
+        setattr(knob_block(domain), name, bool(toggles.get(name, False)))
 
 
 def run_cell_config(config: Dict[str, Any]) -> Dict[str, Any]:
@@ -285,7 +281,7 @@ def verify_cell(
     (None or a :mod:`repro.verify.mutation` name), plus the
     ``postmortem_*`` passthroughs.
     """
-    from repro._fastpath import COPY_PLANE, FASTPATH, PLACEMENT
+    from repro._fastpath import COPY_PLANE, PLACEMENT
     from repro.sim.engine import arm_perturber
     from repro.verify import mutation as mutation_mod
     from repro.verify.perturb import TiePerturber
@@ -300,7 +296,6 @@ def verify_cell(
     perturb_cfg = config.get("perturb")
     mutation_name = config.get("mutation")
 
-    fp_before = FASTPATH.snapshot()
     cp_before = COPY_PLANE.snapshot()
     pl_before = PLACEMENT.snapshot()
     perturber = None
@@ -327,8 +322,6 @@ def verify_cell(
         arm_perturber(None)
         if mutation_name:
             mutation_mod.clear_all()
-        for name, value in fp_before.items():
-            setattr(FASTPATH, name, value)
         for name, value in cp_before.items():
             setattr(COPY_PLANE, name, value)
         for name, value in pl_before.items():

@@ -70,7 +70,7 @@ class BareCluster:
 
 
 def apply_toggles(toggles: Optional[Dict[str, bool]]) -> None:
-    """Set FASTPATH/COPY_PLANE/PLACEMENT knobs by name (unknown names
+    """Set COPY_PLANE/PLACEMENT knobs by name (unknown names
     raise).  No restore here -- the conftest hygiene fixture owns that."""
     if not toggles:
         return

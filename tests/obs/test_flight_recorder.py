@@ -47,7 +47,7 @@ class TestFlightRecorder:
         bundle = load_postmortem(str(out))
         assert bundle["manifest"]["reason"] == "invariant-violation"
         assert bundle["manifest"]["context"]["seed"] == 42
-        assert "fastpath" in bundle["manifest"]["toggles"]
+        assert "copy_plane" in bundle["manifest"]["toggles"]
         assert not bundle["invariants"]["ok"]
         (v,) = bundle["invariants"]["violations"]
         assert v["invariant"] == "at-most-once"

@@ -32,8 +32,7 @@ class TestEnvelope:
         assert report["run_report_version"] == RUN_REPORT_VERSION
         assert report["seed"] == 7
         assert report["config"] == {"program": "tex"}
-        assert "fastpath" in report["toggles"]
-        assert "copy_plane" in report["toggles"]
+        assert set(report["toggles"]) == {"copy_plane"}
 
     def test_write_load_round_trip(self, tmp_path):
         report = report_with({"ipc.sends": 5})

@@ -1,27 +1,26 @@
-"""Heap vs wheel event-core equivalence on randomized programs.
+"""The event core against a sorted-list reference model.
 
-One randomized op program -- schedules across all three queue regimes
-(delay 0 -> now-queue, near -> wheel bucket, far -> overflow heap),
+One randomized op program -- schedules (zero, near and far delays),
 cancellations, partial runs, task sleeps, interrupts and AnyOf
-combinators -- is interpreted twice, once on the reference heap core and
-once on the hybrid wheel core.  Fire order, the ``now`` trajectory,
-``event_count``, ``alive_event_count``, ``peek()`` and the ``_seq``
-allocation stream must be identical after every single op: the toggle
-may only change wall-clock cost, never the simulation.
+combinators -- is interpreted twice: once on :class:`Simulator` and once
+on :class:`_SortedListModel`, a deliberately naive queue kept here that
+holds every entry in one ``(time, seq)``-sorted list.  Fire order, the
+``now`` trajectory, ``event_count``, ``alive_event_count``, ``peek()``
+and the ``_seq`` allocation stream must be identical after every single
+op: the heap, its compaction and the timer pool may only change
+wall-clock cost, never the simulation.
 """
 
+import bisect
 import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro._fastpath import FASTPATH
 from repro.sim import AnyOf, Simulator
-from repro.sim.engine import _WHEEL_SPAN
+from repro.sim.process import Task, TaskFailed
 
-# Delays straddle the wheel span so every program can hit the now-queue,
-# the wheel and the overflow heap.
-_DELAY = st.integers(min_value=0, max_value=_WHEEL_SPAN + 10_000)
+_DELAY = st.integers(min_value=0, max_value=60_000)
 
 _OP = st.one_of(
     st.tuples(st.just("schedule"), _DELAY),
@@ -37,15 +36,87 @@ _OP = st.one_of(
 _PROGRAM = st.lists(_OP, min_size=1, max_size=40)
 
 
-def _execute(ops, use_wheel):
-    saved = FASTPATH.event_wheel
-    FASTPATH.event_wheel = use_wheel
-    try:
-        sim = Simulator(seed=11)
-    finally:
-        FASTPATH.event_wheel = saved
-    assert sim.event_core == ("wheel" if use_wheel else "heap")
+class _Handle:
+    """A cancellable entry in the reference model's queue."""
 
+    __slots__ = ("cancelled",)
+
+    def __init__(self):
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class _SortedListModel:
+    """The ``Simulator`` scheduling contract, the slow obvious way: one
+    list of ``(time, seq, handle, fn, args)`` kept sorted, cancelled
+    entries skipped at the head without moving the clock.  It offers
+    exactly what tasks and events call (``schedule``,
+    ``_record_failure``, ``closure_free_steps``), so the real
+    :class:`Task` runs on it unchanged."""
+
+    def __init__(self):
+        self.now = 0
+        self.event_count = 0
+        self._seq = 0
+        self._queue = []
+        self.failures = []
+        self.strict = True
+        self.closure_free_steps = 0
+
+    @property
+    def alive_event_count(self):
+        return sum(1 for entry in self._queue if not entry[2].cancelled)
+
+    def schedule(self, delay_us, fn, *args):
+        self._seq += 1
+        handle = _Handle()
+        bisect.insort(self._queue,
+                      (self.now + delay_us, self._seq, handle, fn, args),
+                      key=lambda entry: entry[:2])
+        return handle
+
+    def spawn(self, gen, name="task"):
+        task = Task(self, gen, name)
+        task._start()
+        return task
+
+    def _record_failure(self, task, exc):
+        self.failures.append(TaskFailed(task, exc))
+
+    def peek(self):
+        for time, _seq, handle, _fn, _args in self._queue:
+            if not handle.cancelled:
+                return time
+        return None
+
+    def run(self, until_us=None, max_events=None):
+        fired = 0
+        while self._queue:
+            time, _seq, handle, fn, args = self._queue[0]
+            if handle.cancelled:
+                self._queue.pop(0)
+                continue
+            if until_us is not None and time > until_us:
+                break
+            self._queue.pop(0)
+            self.now = time
+            self.event_count += 1
+            fn(*args)
+            if self.strict and self.failures:
+                raise self.failures[0]
+            fired += 1
+            if max_events is not None and fired == max_events:
+                break
+        if until_us is not None and self.now < until_us:
+            nxt = self.peek()
+            if nxt is None or nxt > until_us:
+                self.now = until_us
+        return self.now
+
+
+def _execute(ops, sim):
     log = []
     handles = []
     tasks = []
@@ -90,30 +161,30 @@ def _execute(ops, use_wheel):
 
 @given(ops=_PROGRAM)
 @settings(max_examples=60, deadline=None)
-def test_heap_and_wheel_trajectories_identical(ops):
-    assert _execute(ops, use_wheel=False) == _execute(ops, use_wheel=True)
+def test_simulator_matches_the_sorted_list_model(ops):
+    assert _execute(ops, Simulator(seed=11)) == _execute(ops, _SortedListModel())
 
 
 @given(
-    delays=st.lists(_DELAY, min_size=1, max_size=60),
-    cancel_every=st.integers(min_value=2, max_value=7),
+    delays=st.lists(_DELAY, min_size=150, max_size=300),
+    keep_every=st.integers(min_value=3, max_value=7),
 )
 @settings(max_examples=40, deadline=None)
-def test_fire_order_identical_under_cancellation_pressure(delays, cancel_every):
-    def run(use_wheel):
-        saved = FASTPATH.event_wheel
-        FASTPATH.event_wheel = use_wheel
-        try:
-            sim = Simulator()
-        finally:
-            FASTPATH.event_wheel = saved
+def test_fire_order_identical_under_cancellation_pressure(delays, keep_every):
+    """Cancelling all but every ``keep_every``-th of 150+ timers leaves
+    enough dead entries to trip heap compaction; the fire order, clock
+    and counts must still match the model."""
+    def run(sim):
         fired = []
         handles = [
             sim.schedule(d, fired.append, i) for i, d in enumerate(delays)
         ]
-        for h in handles[::cancel_every]:
-            h.cancel()
+        for i, h in enumerate(handles):
+            if i % keep_every:
+                h.cancel()
         sim.run()
         return fired, sim.now, sim.event_count, sim.alive_event_count
 
-    assert run(False) == run(True)
+    sim = Simulator()
+    assert run(sim) == run(_SortedListModel())
+    assert sim.compactions >= 1

@@ -130,6 +130,40 @@ def test_run_max_events_budget():
     assert seen == [0, 1, 2]
 
 
+def test_budget_break_mid_instant_resumes_in_order():
+    sim = Simulator()
+    seen = []
+    for tag in ("a", "b", "c"):
+        sim.schedule(5, seen.append, tag)
+    sim.run(max_events=2)
+    assert seen == ["a", "b"]
+    assert sim.peek() == 5
+    sim.run()
+    assert seen == ["a", "b", "c"]
+
+
+def test_cancelled_instant_does_not_advance_clock():
+    # Skipping dead entries must not move ``now`` to their deadline.
+    sim = Simulator()
+    sim.schedule(5, lambda: None).cancel()
+    sim.run()
+    assert sim.now == 0
+
+
+def test_closure_free_steps_mirrored_into_metrics():
+    sim = Simulator()
+    sim.metrics.enable()
+
+    def body():
+        yield 1
+
+    sim.spawn(body())
+    sim.run()
+    assert sim.closure_free_steps >= 1
+    assert sim.metrics.aggregate("engine.closure_free_steps") == \
+        sim.closure_free_steps
+
+
 def test_peek_returns_next_live_event_time():
     sim = Simulator()
     timer = sim.schedule(10, lambda: None)

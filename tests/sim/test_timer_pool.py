@@ -1,28 +1,7 @@
 """Unit tests for timer pooling, heap compaction and the zero-cost tracer."""
 
-import pytest
-
-from repro._fastpath import FASTPATH
 from repro.sim import Simulator
 from repro.sim.engine import _COMPACT_MIN_CANCELLED
-
-
-@pytest.fixture
-def heap_sim():
-    """A Simulator pinned to the reference heap core.
-
-    The compaction tests below exercise heap mechanics specifically;
-    under ``REPRO_EVENT_WHEEL=1`` (the forced-on CI job) their near-term
-    timers would land in wheel buckets and never create heap pressure,
-    so the heap core is selected explicitly.  Wheel-side sweep coverage
-    lives in tests/sim/test_event_wheel.py.
-    """
-    saved = FASTPATH.event_wheel
-    FASTPATH.event_wheel = False
-    try:
-        yield Simulator()
-    finally:
-        FASTPATH.event_wheel = saved
 
 
 class TestTimerPool:
@@ -92,8 +71,8 @@ class TestAliveEventCount:
 
 
 class TestCompaction:
-    def test_mass_cancellation_compacts_instead_of_popping(self, heap_sim):
-        sim = heap_sim
+    def test_mass_cancellation_compacts_instead_of_popping(self):
+        sim = Simulator()
         n = 4 * _COMPACT_MIN_CANCELLED
         doomed = [sim.schedule(1_000 + i, lambda: None) for i in range(n)]
         survivor = []
@@ -106,8 +85,8 @@ class TestCompaction:
         assert sim.compactions >= 1
         assert sim.alive_event_count == 0
 
-    def test_compaction_preserves_event_order(self, heap_sim):
-        sim = heap_sim
+    def test_compaction_preserves_event_order(self):
+        sim = Simulator()
         seen = []
         cancelled = [sim.schedule(100, lambda: None)
                      for _ in range(4 * _COMPACT_MIN_CANCELLED)]

@@ -65,7 +65,7 @@ class TestVerifyErrors:
         assert "warp_drive" in err
 
     def test_toggle_without_value_exits_2(self, capsys):
-        assert main(["verify", "--toggle", "event_wheel"]) == 2
+        assert main(["verify", "--toggle", "burst_pacing"]) == 2
         err = capsys.readouterr().err
         assert "NAME=on|off" in err
 
@@ -78,7 +78,7 @@ class TestVerifyErrors:
 
     def test_unknown_mutation_exits_2(self, capsys):
         assert main(["verify", "--mutate", "no-such-bug"]) == 2
-        assert "skip-same-instant-cancel" in capsys.readouterr().err
+        assert "burst-skip-copy-end" in capsys.readouterr().err
 
     def test_unwritable_report_exits_2(self, tmp_path, capsys):
         rc = main(["verify", "--matrix", "sample:2", "--messages", "3",

@@ -43,14 +43,14 @@ def test_verify_exit_ok_on_clean_matrix(tmp_path, capsys):
 
 def test_verify_exit_different_on_planted_mutation(tmp_path):
     code = main(["verify", "--matrix", "sample:2", "--seed", "3",
-                 "--mutate", "skip-same-instant-cancel",
+                 "--mutate", "burst-skip-copy-end",
                  "--no-minimize"] + SMALL)
     assert code == EXIT_DIFFERENT
 
 
 def test_verify_expect_fail_inverts_the_gate(tmp_path):
     failing = main(["verify", "--matrix", "sample:2", "--seed", "3",
-                    "--mutate", "skip-same-instant-cancel", "--expect-fail",
+                    "--mutate", "burst-skip-copy-end", "--expect-fail",
                     "--postmortem", str(tmp_path / "pm")] + SMALL)
     assert failing == EXIT_OK
     clean = main(["verify", "--matrix", "sample:2", "--seed", "3",
@@ -63,7 +63,7 @@ def test_verify_usage_errors_exit_2(tmp_path, capsys):
         ["verify", "--matrix", "bogus"],
         ["verify", "--matrix", "sample:x"],
         ["verify", "--toggle", "warp_drive=on"],
-        ["verify", "--toggle", "event_wheel"],
+        ["verify", "--toggle", "burst_pacing"],
         ["verify", "--copy-plane", "sideways"],
         ["verify", "--mutate", "no-such-bug"],
         ["verify", "--replay", str(tmp_path / "not-a-bundle")],

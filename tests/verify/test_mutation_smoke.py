@@ -1,12 +1,12 @@
-"""Mutation smoke: the harness must catch the planted ordering bug.
+"""Mutation smoke: the harness must catch the planted copy-plane bug.
 
-``skip-same-instant-cancel`` makes the hybrid event core "forget" to
-cancel timers due at the current instant, so stale continuations fire
-as counted events and the wheel core's trajectory diverges from the
-reference heap.  The explorer must flag exactly the ``event_wheel``
-cells, and the minimizer must shrink a widened failing cell to the
-single-knob delta ``{event_wheel: True}`` with an empty (<= 5 swap)
-perturbation trace -- the acceptance criterion of the harness.
+``burst-skip-copy-end`` makes the burst-paced CopyTo stream "forget" its
+closing ``copy-end`` frame, so the receiver never acks and the ordering
+scenario's migration fails.  The per-page stream never reaches the bug.
+The explorer must flag exactly the ``burst_pacing`` cells, and the
+minimizer must shrink a widened failing cell to the single-knob delta
+``{burst_pacing: True}`` with an empty (<= 5 swap) perturbation trace --
+the acceptance criterion of the harness.
 """
 
 import pytest
@@ -26,7 +26,7 @@ from repro.verify.minimize import _shrink_trace
 from repro.verify.scenario import verify_cell
 
 SMALL = {"messages": 4, "storm_rounds": 12, "migrate_at_ms": 200}
-MUT = "skip-same-instant-cancel"
+MUT = "burst-skip-copy-end"
 
 BASE_CONFIG = {
     "base_seed": 11,
@@ -44,50 +44,46 @@ def _mutated_matrix():
                              mutation=MUT)
 
 
-def test_mutation_diverges_only_on_the_wheel_core():
+def test_mutation_breaks_only_burst_paced_migration():
     clean = verify_cell({"base_seed": 11, "scenario_config": SMALL}, 0)
-    heap = verify_cell({"base_seed": 11, "scenario_config": SMALL,
-                        "mutation": MUT}, 0)
-    wheel = verify_cell({"base_seed": 11, "scenario_config": SMALL,
+    per_page = verify_cell({"base_seed": 11, "scenario_config": SMALL,
+                            "mutation": MUT}, 0)
+    burst = verify_cell({"base_seed": 11, "scenario_config": SMALL,
                          "mutation": MUT,
-                         "toggles": {"event_wheel": True}}, 0)
-    # The bug is wheel-specific: the heap core is the unharmed reference.
-    assert heap["payload_sha256"] == clean["payload_sha256"]
-    assert wheel["payload_sha256"] != clean["payload_sha256"]
-    # Stale fires are inert no-ops, so only the event count moves.
-    assert wheel["kpis"]["events"] > clean["kpis"]["events"]
-    assert wheel["stable"] == clean["stable"]
+                         "toggles": {"burst_pacing": True}}, 0)
+    # The per-page stream never reaches the bug.
+    assert per_page["payload_sha256"] == clean["payload_sha256"]
+    # A burst-paced CopyTo is never acked, so the migration fails.
+    assert clean["stable"]["migration_success"]
+    assert not burst["stable"]["migration_success"]
+    assert burst["invariants_ok"]
 
 
-def test_explorer_flags_exactly_the_event_wheel_cells():
+def test_explorer_flags_exactly_the_burst_pacing_cells():
     cells, result = _mutated_matrix()
     assert not result.ok
     flagged = {f["index"] for f in result.failures}
-    wheel = {i for i, c in enumerate(cells)
-             if c["toggles"].get("event_wheel")}
-    assert flagged == wheel and wheel
+    burst = {i for i, c in enumerate(cells)
+             if c["toggles"].get("burst_pacing")}
+    assert flagged == burst and burst
     for failure in result.failures:
-        assert failure["expect"] == "byte"
-        assert any("digest differs" in r for r in failure["reasons"])
+        assert any("stable outcome fields differ" in r
+                   for r in failure["reasons"])
 
 
 def test_minimizer_shrinks_to_a_single_knob():
-    cells, result = _mutated_matrix()
-    failing = cells[result.failures[0]["index"]]
-    assert failing["toggles"] == {"event_wheel": True}
-    # The event core is the only byte-class knob, so widen the failing
-    # cell with two knobs that leave this scenario's trajectory as it
-    # is.  The widened cell is tolerant-class; at tolerance 0 the
-    # mutation's extra events fail it, and the minimizer must strip
-    # both bystanders.
-    cell = make_cell(dict(failing["toggles"], adaptive_precopy=True,
-                          probe_placement=True))
-    minimal = minimize_failure(cell, dict(BASE_CONFIG), result.results[0],
-                               tolerance=0.0)
-    assert minimal.cell["toggles"] == {"event_wheel": True}
+    _, result = _mutated_matrix()
+    # Widen a caught cell with every other knob; at the default
+    # tolerance the minimizer must strip all three bystanders.
+    cell = make_cell({"burst_pacing": True, "adaptive_precopy": True,
+                      "load_cache": True, "probe_placement": True})
+    minimal = minimize_failure(cell, dict(BASE_CONFIG), result.results[0])
+    assert minimal.cell["toggles"] == {"burst_pacing": True}
     trace = (minimal.cell["perturb"] or {}).get("replay") or []
     assert len(trace) <= 5
-    assert minimal.dropped_toggles == ["adaptive_precopy", "probe_placement"]
+    assert minimal.dropped_toggles == [
+        "adaptive_precopy", "load_cache", "probe_placement",
+    ]
 
 
 def test_minimal_repro_round_trips_through_a_bundle(tmp_path):
@@ -99,12 +95,13 @@ def test_minimal_repro_round_trips_through_a_bundle(tmp_path):
     manifest = load_postmortem(bundle)["manifest"]
     assert manifest["mutations"] == [MUT]
     repro = manifest["context"]["verify_repro"]
-    assert repro["toggles"] == {"event_wheel": True}
+    assert repro["toggles"] == {"burst_pacing": True}
     assert repro["mutation"] == MUT
 
     verdict = replay_bundle(bundle)
     assert verdict["still_fails"]
-    assert any("digest differs" in r for r in verdict["reasons"])
+    assert any("stable outcome fields differ" in r
+               for r in verdict["reasons"])
 
 
 def test_minimizer_refuses_a_passing_cell():
@@ -117,13 +114,14 @@ def test_minimizer_refuses_a_passing_cell():
 
 
 def test_planted_mutation_context_manager_clears_on_exit():
-    from repro.sim.engine import _PLANTED
+    from repro.ipc.copyops import _PLANTED
     from repro.verify import planted
 
     with planted_mutation(MUT):
         assert planted() == [MUT]
-        assert _PLANTED.skip_same_instant_cancel
+        assert _PLANTED.burst_skip_copy_end
     assert planted() == []
+    assert not _PLANTED.burst_skip_copy_end
 
 
 def test_ddmin_finds_the_minimal_swap_set():

@@ -1,9 +1,6 @@
 """The schedule perturbation engine: off by default, byte-identical at
-rate 0, deterministic under replay, heap-core-only."""
+rate 0, deterministic under replay."""
 
-import pytest
-
-from repro.errors import SimulationError
 from repro.sim import Simulator
 from repro.sim.engine import arm_perturber
 from repro.verify import TiePerturber
@@ -36,12 +33,6 @@ def test_hook_compiled_in_is_byte_identical_when_off():
     assert b["perturb"]["swaps"] == []
     assert b["perturb"]["opportunities"] > 0  # ties existed to decline
     assert a["payload_sha256"] == b["payload_sha256"]
-
-
-def test_zero_rate_replays_across_event_cores_too():
-    wheel = _cell(toggles={"event_wheel": True})
-    heap = _cell()
-    assert wheel["payload_sha256"] == heap["payload_sha256"]
 
 
 # ---------------------------------------------------------- perturbation on
@@ -85,19 +76,7 @@ def test_replay_subset_is_a_different_permutation():
 
 # ------------------------------------------------------------- engine hooks
 
-def test_wheel_core_rejects_perturber():
-    from repro._fastpath import FASTPATH
-
-    FASTPATH.event_wheel = True
-    sim = Simulator(seed=0)
-    with pytest.raises(SimulationError):
-        sim.install_perturber(TiePerturber(seed=0))
-
-
 def test_armed_perturber_is_consumed_by_the_next_simulator_only():
-    from repro._fastpath import FASTPATH
-
-    FASTPATH.event_wheel = False  # the hook lives on the heap core
     p = TiePerturber(seed=0)
     arm_perturber(p)
     first = Simulator(seed=0)
@@ -109,9 +88,6 @@ def test_armed_perturber_is_consumed_by_the_next_simulator_only():
 def test_assign_swaps_adjacent_keys_only():
     """One taken opportunity files the new entry just before the
     youngest pending same-instant key and leaves everything else."""
-    from repro._fastpath import FASTPATH
-
-    FASTPATH.event_wheel = False
     p = TiePerturber(replay=[2])
     sim = Simulator(seed=0)
     keys = [p.assign(sim, 100, 1), p.assign(sim, 100, 2),
