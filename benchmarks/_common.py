@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.cluster import build_cluster
-from repro.execution import exec_program
+from repro.execution import ExecSpec, exec_program
 from repro.workloads import standard_registry
 
 
@@ -33,9 +33,9 @@ def launch_program(cluster, program, where="ws1", args=(), source=0):
     holder = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, program, args=args, where=where)
-        holder["pid"] = pid
-        holder["origin_pm"] = pm
+        handle = yield from exec_program(ctx, ExecSpec(program, args=args, where=where))
+        holder["pid"] = handle.pid
+        holder["origin_pm"] = handle.origin_pm
 
     cluster.spawn_session(
         cluster.workstations[source], session, name=f"launch-{program}"

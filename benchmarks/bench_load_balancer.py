@@ -6,7 +6,7 @@ pile of jobs dumped on one workstation, with and without balancing.
 """
 
 from repro.cluster import BalancerPolicy, build_cluster, install_load_balancer
-from repro.execution import exec_program, wait_for_program
+from repro.execution import ExecSpec, exec_program, wait_program
 from repro.metrics.report import ExperimentReport, register
 from repro.workloads import standard_registry
 
@@ -21,9 +21,9 @@ def _measure(balanced: bool, seed=3):
     holders = []
 
     def session(ctx, holder):
-        pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-        holder["pid"] = pid
-        code = yield from wait_for_program(pm, pid)
+        handle = yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+        holder["pid"] = handle.pid
+        code = yield from wait_program(ctx, handle)
         holder["code"] = code
         holder["finished"] = ctx.sim.now
 

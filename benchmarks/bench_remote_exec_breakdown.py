@@ -7,7 +7,7 @@ considerably dominates the first two."
 """
 
 from repro.cluster import build_cluster
-from repro.execution import ProgramImage, ProgramRegistry, exec_program
+from repro.execution import ExecSpec, ProgramImage, ProgramRegistry, exec_program
 from repro.kernel.process import Compute
 from repro.metrics.report import ExperimentReport, register
 
@@ -33,7 +33,7 @@ def _measure():
 
     def session(ctx):
         start = ctx.sim.now
-        pid, pm = yield from exec_program(ctx, "ref", where="*")
+        handle = yield from exec_program(ctx, ExecSpec("ref", where="*"))
         marks["total"] = ctx.sim.now - start
 
     cluster.spawn_session(cluster.workstations[0], session, name="bench")

@@ -7,7 +7,7 @@ scanned over the same intervals.
 """
 
 from repro.cluster import build_cluster
-from repro.execution import exec_program
+from repro.execution import ExecSpec, exec_program
 from repro.metrics.report import ExperimentReport, register
 from repro.workloads import FITTED_MODELS, TABLE_4_1_KB, standard_registry
 from repro.workloads.programs import ALL_SPECS
@@ -34,8 +34,8 @@ def _measure_program(program, trials=3, seed=0):
         holder = {}
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, program)
-            holder["pid"] = pid
+            handle = yield from exec_program(ctx, ExecSpec(program))
+            holder["pid"] = handle.pid
 
         cluster.spawn_session(cluster.workstations[0], session)
         run_until(cluster, lambda: "pid" in holder)
@@ -89,8 +89,8 @@ def test_control_programs_dirty_little(benchmark):
         holder = {}
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "cc68", args=("x.c",))
-            holder["pid"] = pid
+            handle = yield from exec_program(ctx, ExecSpec("cc68", args=("x.c",)))
+            holder["pid"] = handle.pid
 
         cluster.spawn_session(cluster.workstations[0], session)
         run_until(cluster, lambda: "pid" in holder)

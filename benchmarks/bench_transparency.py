@@ -10,7 +10,13 @@ byte-for-byte the same shape locally and remotely, (b) a program's
 """
 
 from repro.cluster import build_cluster
-from repro.execution import ProgramImage, ProgramRegistry, exec_program, wait_for_program
+from repro.execution import (
+    ExecSpec,
+    ProgramImage,
+    ProgramRegistry,
+    exec_program,
+    wait_program,
+)
 from repro.kernel.process import Compute
 from repro.metrics.report import ExperimentReport, register
 
@@ -42,10 +48,10 @@ def _measure():
     done = []
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "probe", args=("x",))
-        yield from wait_for_program(pm, pid)
-        pid, pm = yield from exec_program(ctx, "probe", args=("x",), where="ws1")
-        yield from wait_for_program(pm, pid)
+        handle = yield from exec_program(ctx, ExecSpec("probe", args=("x",)))
+        yield from wait_program(ctx, handle)
+        handle = yield from exec_program(ctx, ExecSpec("probe", args=("x",), where="ws1"))
+        yield from wait_program(ctx, handle)
         done.append(True)
 
     cluster.spawn_session(cluster.workstations[0], session, name="probe-session")

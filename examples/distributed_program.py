@@ -14,7 +14,7 @@ Run:  python examples/distributed_program.py
 """
 
 from repro.cluster import build_cluster
-from repro.execution import ProgramImage, exec_and_wait, exec_program
+from repro.execution import ExecSpec, ProgramImage, exec_program, run_program
 from repro.ipc.messages import Message
 from repro.kernel.process import Compute, Receive, Reply, Send, TouchPages
 from repro.workloads import standard_registry
@@ -40,11 +40,11 @@ def worker_body(ctx):
 def coordinator_body(ctx):
     """Fan out workers across the cluster, then gather."""
     for shard in range(N_WORKERS):
-        yield from exec_program(
-            ctx, "sweep-worker",
+        yield from exec_program(ctx, ExecSpec(
+            "sweep-worker",
             args=(str(ctx.self_pid.as_int()), str(shard)),
             where="*",
-        )
+        ))
     total = 0
     for _ in range(N_WORKERS):
         sender, msg = yield Receive()
@@ -71,7 +71,7 @@ def main():
     outcome = {}
 
     def session(ctx):
-        code = yield from exec_and_wait(ctx, "sweep-coordinator")
+        code = yield from run_program(ctx, ExecSpec("sweep-coordinator"))
         outcome["code"] = code
 
     print("=== distributed parameter sweep across idle workstations ===")

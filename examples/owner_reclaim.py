@@ -16,7 +16,7 @@ Run:  python examples/owner_reclaim.py
 from repro.cluster import build_cluster
 from repro.cluster.monitor import ClusterMonitor
 from repro.cluster.owner import Owner
-from repro.execution import exec_program, wait_for_program
+from repro.execution import ExecSpec, exec_program, wait_program
 from repro.migration.migrateprog import migrate_all_remote
 from repro.workloads import standard_registry
 
@@ -31,11 +31,11 @@ def main():
     # A researcher on ws0 launches four long simulations onto the pool.
     def submit_session(ctx):
         for i in range(4):
-            pid, pm = yield from exec_program(ctx, "longsim", where="*")
-            jobs.append({"pid": pid, "pm": pm})
+            handle = yield from exec_program(ctx, ExecSpec("longsim", where="*"))
+            jobs.append({"pid": handle.pid, "handle": handle})
 
     def waiter_session(ctx, job):
-        code = yield from wait_for_program(job["pm"], job["pid"])
+        code = yield from wait_program(ctx, job["handle"])
         job["exit_code"] = code
         job["finished_at"] = ctx.sim.now
 

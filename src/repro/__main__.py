@@ -80,8 +80,8 @@ def _migrate_scenario(program: str, seed: int, setup=None):
     holder = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, ExecSpec(program, where="ws1"))
-        holder["pid"] = pid
+        handle = yield from exec_program(ctx, ExecSpec(program, where="ws1"))
+        holder["pid"] = handle.pid
 
     cluster.spawn_session(cluster.workstations[0], session)
     while "pid" not in holder and cluster.sim.peek() is not None:

@@ -22,11 +22,9 @@ from repro.execution.api import (
     ExecHandle,
     ExecSpec,
     exec_program,
-    exec_and_wait,
     run_program,
     select_candidate_host,
     query_host_by_name,
-    wait_for_program,
     wait_program,
     write_stdout,
 )
@@ -38,11 +36,9 @@ __all__ = [
     "ExecHandle",
     "ExecSpec",
     "exec_program",
-    "exec_and_wait",
     "run_program",
     "select_candidate_host",
     "query_host_by_name",
-    "wait_for_program",
     "wait_program",
     "write_stdout",
 ]

@@ -16,20 +16,18 @@ body.  The execution protocol mirrors §2.1:
    environment variables and name cache travel in the start message --
    and starts it in execution.
 
-The canonical client surface is spec-based::
+The client surface is spec-based::
 
     spec = ExecSpec("cc68", args=("prog.c",), where="*")
     handle = yield from exec_program(ctx, spec)
     code = yield from wait_program(ctx, handle)
 
-The pre-placement positional forms (``exec_program(ctx, "cc68", ...)``,
-``wait_for_program(origin_pm, pid)``, ``exec_and_wait``) remain as thin
-deprecation shims with identical trajectories.
+or, to run a program to completion in one step,
+``code = yield from run_program(ctx, spec)``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple, Union
 
@@ -101,11 +99,6 @@ class ExecHandle:
     #: sim.now when the exec was requested / when the program started.
     requested_at: int = 0
     started_at: int = 0
-
-    def __iter__(self):
-        # Tuple-compatibility: ``pid, pm = yield from exec_program(...)``
-        # keeps working for code written against the positional API.
-        return iter((self.pid, self.origin_pm))
 
 
 def boot_body(body_factory):
@@ -187,37 +180,22 @@ def _resolve_policy(ctx: ProgramContext, spec: ExecSpec):
     return FirstResponder()
 
 
-def exec_program(
-    ctx: ProgramContext,
-    spec: Union[ExecSpec, str],
-    args: Tuple[str, ...] = (),
-    where: str = "local",
-    lhid: Optional[int] = None,
-):
+def exec_program(ctx: ProgramContext, spec: ExecSpec):
     """Execute a program described by an :class:`ExecSpec` and return an
     :class:`ExecHandle` (generator helper)::
 
         handle = yield from exec_program(ctx, ExecSpec("cc68", ("prog.c",),
                                                        where="*"))
-
-    The positional form ``exec_program(ctx, "cc68", args, where, lhid)``
-    is deprecated; it runs the identical trajectory and returns the
-    handle, which unpacks as the old ``(pid, origin_pm)`` tuple.
     """
     if not isinstance(spec, ExecSpec):
-        warnings.warn(
-            "exec_program(ctx, program, args, where, lhid) is deprecated; "
-            "pass an ExecSpec instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        spec = ExecSpec(program=spec, args=tuple(args), where=where,
-                        lhid=lhid)
+        raise TypeError(
+            f"exec_program needs an ExecSpec, got {type(spec).__name__}")
     handle = yield from _exec_spec(ctx, spec)
     return handle
 
 
 def _exec_spec(ctx: ProgramContext, spec: ExecSpec):
-    """The one placement/creation/start loop behind every exec form.
+    """The one placement/creation/start loop behind every exec.
 
     With the default FirstResponder policy this replays the
     pre-placement client byte for byte: the same candidate query, the
@@ -397,38 +375,10 @@ def _wait_impl(origin_pm: Optional[Pid], pid: Pid):
         raise ExecutionError(reply.get("error", "wait failed"))
 
 
-def wait_for_program(origin_pm: Optional[Pid], pid: Pid):
-    """Deprecated positional form of :func:`wait_program` (generator)."""
-    warnings.warn(
-        "wait_for_program(origin_pm, pid) is deprecated; use "
-        "wait_program(ctx, handle)",
-        DeprecationWarning, stacklevel=2,
-    )
-    code = yield from _wait_impl(origin_pm, pid)
-    return code
-
-
 def run_program(ctx: ProgramContext, spec: ExecSpec):
     """Execute a spec and wait for its exit code (generator helper)."""
     handle = yield from _exec_spec(ctx, spec)
     code = yield from _wait_impl(handle.origin_pm, handle.pid)
-    return code
-
-
-def exec_and_wait(
-    ctx: ProgramContext,
-    program: str,
-    args: Tuple[str, ...] = (),
-    where: str = "local",
-):
-    """Deprecated positional form of :func:`run_program` (generator)."""
-    warnings.warn(
-        "exec_and_wait(ctx, program, ...) is deprecated; use "
-        "run_program(ctx, ExecSpec(...))",
-        DeprecationWarning, stacklevel=2,
-    )
-    code = yield from run_program(
-        ctx, ExecSpec(program=program, args=tuple(args), where=where))
     return code
 
 

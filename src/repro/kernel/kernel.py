@@ -202,7 +202,6 @@ class Kernel:
         index = lh.allocate_index()
         pid = Pid(lh.lhid, index)
         pcb = Pcb(pid, lh, space, body, priority, name)
-        pcb.done_event = self.sim.event(f"done:{pcb.name}")
         lh.add_process(pcb)
         if self.metrics.active:
             self._m_created.inc()
@@ -230,8 +229,6 @@ class Kernel:
                 for p in lh.processes.values()
             ):
                 self.free_space(lh, pcb.space)
-        if pcb.done_event is not None and not pcb.done_event.triggered:
-            pcb.done_event.trigger(exit_code)
         if self.metrics.active:
             self._m_destroyed.inc()
         if self.sim.trace.active:

@@ -236,7 +236,6 @@ def _h_create_shell(kernel, sender, msg):
             Priority.REMOTE, f"stub:{name}",
         )
         stub.state = ProcessState.SUSPENDED
-        stub.done_event = kernel.sim.event(f"done:{stub.name}")
         shell.add_process(stub)
     return Message("shell-created", temp_lhid=shell.lhid)
 

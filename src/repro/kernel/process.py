@@ -256,8 +256,6 @@ class Pcb:
         #: Absolute wakeup time of an in-progress Delay (so a migration
         #: can re-arm it on the destination host).
         self.delay_deadline = 0
-        #: Set when the process dies; carries the exit code.
-        self.done_event = None  # installed by the kernel at creation
         #: Statistics for experiment reports.
         self.cpu_used_us = 0
         self.messages_sent = 0

@@ -123,8 +123,8 @@ def migration_scenario(
     holder: Dict[str, Any] = {}
 
     def session(ctx):
-        pid, _pm = yield from exec_program(ctx, ExecSpec(program, where="ws1"))
-        holder["pid"] = pid
+        handle = yield from exec_program(ctx, ExecSpec(program, where="ws1"))
+        holder["pid"] = handle.pid
 
     cluster.spawn_session(cluster.workstations[0], session)
     while "pid" not in holder and sim.peek() is not None:

@@ -1,37 +1,33 @@
 """Deterministic discrete-event simulation engine.
 
-The engine drives generator-based coroutines ("tasks") over an integer
-microsecond clock.  A task is an ordinary Python generator that *yields*
-things it wants to wait for:
+The engine fires scheduled callbacks over an integer microsecond clock:
+``sim.schedule(delay_us, fn, *args)`` runs ``fn(*args)`` ``delay_us``
+microseconds from now and returns a cancellable :class:`Timer`.  A
+callback that wants to keep going schedules its own next step::
 
-* an ``int`` -- sleep for that many microseconds;
-* an :class:`Event` -- resume when the event is triggered, receiving the
-  event's value;
-* another :class:`Task` -- resume when that task finishes, receiving its
-  result (or re-raising its exception);
-* :class:`AnyOf` / :class:`AllOf` -- combinators over the above;
-* ``None`` -- yield the floor, resume at the same simulated instant.
+    def tick(n):
+        print(sim.now)
+        if n:
+            sim.schedule(1_000, tick, n - 1)
 
-Determinism: given the same seed and the same spawn order, every run
+    sim.schedule(0, tick, 3)
+    sim.run()
+
+Simulated processes (program bodies) are generators stepped by the
+kernel's scheduler (:mod:`repro.kernel.scheduler`), not by this package.
+
+Determinism: given the same seed and the same schedule order, every run
 produces an identical event sequence.  All randomness must come from
 :class:`RandomStreams`.
 """
 
 from repro.sim.engine import Simulator, Timer
-from repro.sim.events import AllOf, AnyOf, Event, Interrupted
-from repro.sim.process import Task, TaskFailed
 from repro.sim.random import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
     "Timer",
-    "Event",
-    "AnyOf",
-    "AllOf",
-    "Interrupted",
-    "Task",
-    "TaskFailed",
     "RandomStreams",
     "Tracer",
     "TraceRecord",

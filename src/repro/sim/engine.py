@@ -1,4 +1,4 @@
-"""The discrete-event simulator core: clock, event queue, task spawning.
+"""The discrete-event simulator core: clock and event queue.
 
 Events live in one binary heap keyed on ``(time, seq, timer)``, so equal
 times fire in schedule order.
@@ -34,8 +34,6 @@ from time import perf_counter
 
 from repro.errors import SimulationError
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.events import Event
-from repro.sim.process import Task, TaskFailed
 from repro.sim.random import RandomStreams
 from repro.sim.trace import Tracer
 
@@ -96,10 +94,9 @@ class Simulator:
         sim = Simulator(seed=1)
 
         def hello():
-            yield 1_000          # sleep 1 ms
-            print(sim.now)
+            print(sim.now)       # 1000
 
-        sim.spawn(hello())
+        sim.schedule(1_000, hello)   # fire 1 ms from now
         sim.run()
 
     All model randomness must come from :attr:`rand` so that equal seeds
@@ -125,10 +122,10 @@ class Simulator:
         #: ``note_*`` hooks are consulted by the transport, kernel and
         #: migration manager.
         self.invariants = None
-        self.failures: List[TaskFailed] = []
-        #: When True (default), :meth:`run` raises the first task failure
-        #: it encounters.  Fault-injection tests set this False and
-        #: inspect :attr:`failures` instead.
+        #: When True (default), a program crash -- an unhandled exception
+        #: in a process body -- raises ``KernelError`` out of :meth:`run`
+        #: (``Kernel.on_process_fault``).  Fault-injection tests set this
+        #: False and inspect ``kernel.faulted`` instead.
         self.strict = True
         #: Installed by :meth:`install_perturber` (or a pending
         #: :func:`arm_perturber`); None (the default) costs one attribute
@@ -148,15 +145,6 @@ class Simulator:
         self.compactions = 0
         #: Timer objects served from the free pool instead of allocated.
         self.timers_reused = 0
-        #: Armed task waits (always on, like ``timers_reused``): the task
-        #: layer bumps it once per wait, and it is mirrored into the
-        #: ``engine.closure_free_steps`` metrics counter while the
-        #: registry is enabled.
-        self.closure_free_steps = 0
-        self._m_closure_free_steps = self.metrics.counter("engine.closure_free_steps")
-        # Last value folded into the metric mirror; see
-        # _flush_engine_counters.
-        self._flushed_closure_free_steps = 0
 
     # ------------------------------------------------------------ properties
 
@@ -224,16 +212,6 @@ class Simulator:
         """Run ``fn(*args)`` at absolute simulated time ``time_us``."""
         return self.schedule(time_us - self._now, fn, *args)
 
-    def event(self, name: str = "") -> Event:
-        """Create a fresh one-shot :class:`Event` bound to this simulator."""
-        return Event(self, name)
-
-    def spawn(self, gen, name: str = "task") -> Task:
-        """Start a generator coroutine as a simulated task."""
-        task = Task(self, gen, name)
-        task._start()
-        return task
-
     # ------------------------------------------------------------- recycling
 
     def _recycle(self, timer: Timer) -> None:
@@ -287,20 +265,6 @@ class Simulator:
             self._cancelled_alive -= 1
             timer._sim = None
             self._recycle(timer)
-
-    def _flush_engine_counters(self) -> None:
-        """Fold :attr:`closure_free_steps` into its ``engine.*`` metric
-        mirror.  Runs once at every :meth:`run` exit instead of guarding
-        each increment with ``metrics.active``.  Deltas accrued while
-        the registry was disabled advance the baseline without
-        recording, so the record-only-while-enabled discipline holds at
-        run() granularity."""
-        v = self.closure_free_steps
-        d = v - self._flushed_closure_free_steps
-        if d:
-            self._flushed_closure_free_steps = v
-            if self.metrics.active:
-                self._m_closure_free_steps.inc(d)
 
     # ----------------------------------------------------------------- run
 
@@ -360,8 +324,6 @@ class Simulator:
                 # stale local here would keep draining the old one while
                 # new schedules land in the new one.
                 heap = self._heap
-                if self.strict and self.failures:
-                    raise self.failures[0]
                 self._recycle(timer)
                 if budget > 0:
                     budget -= 1
@@ -374,7 +336,6 @@ class Simulator:
             return self._now
         finally:
             self._running = False
-            self._flush_engine_counters()
 
     def run_for(self, duration_us: int) -> int:
         """Advance the clock ``duration_us`` past the current time."""
@@ -391,8 +352,3 @@ class Simulator:
                 continue
             return time
         return None
-
-    # ------------------------------------------------------------- failures
-
-    def _record_failure(self, task: Task, exc: BaseException) -> None:
-        self.failures.append(TaskFailed(task, exc))

@@ -1,13 +1,13 @@
 """The verification workload and the per-cell wrapper scenario.
 
 ``ordering`` is the scenario the toggle matrix replays: an IPC echo
-stream, a mid-run migration of the server, and a *tie storm* -- a task
-that keeps arming ``AnyOf`` twins with equal delays, guaranteeing a
-steady supply of same-instant event collisions and same-instant timer
-cancels (the exact interleavings §3.1-3.2's freeze/copy/retry argument
-must commute over).  It returns a plain JSON-able payload with no
-wall-clock values, so two runs of the same cell must produce
-*byte-identical* payloads (:func:`canonical_digest`).
+stream, a mid-run migration of the server, and a *tie storm* -- rounds
+of twin timers with equal delays, guaranteeing a steady supply of
+same-instant event collisions and same-instant timer cancels (the
+exact interleavings §3.1-3.2's freeze/copy/retry argument must commute
+over).  It returns a plain JSON-able payload with no wall-clock values,
+so two runs of the same cell must produce *byte-identical* payloads
+(:func:`canonical_digest`).
 
 ``verify_cell`` wraps any registered scenario in one matrix cell: apply
 a toggle vector, optionally plant a mutation and/or arm a schedule
@@ -81,7 +81,6 @@ def ordering_scenario(
         Touch,
     )
     from repro.migration.manager import run_migration
-    from repro.sim import AnyOf
 
     messages = int(config.get("messages", 10))
     n_ws = int(config.get("workstations", 3))
@@ -178,25 +177,31 @@ def ordering_scenario(
         priority=Priority.MIGRATION, name="order-mgr",
     )
 
-    # -- tie storm: AnyOf twins with equal delays guarantee both a
-    # same-instant event collision AND a same-instant timer cancel (the
-    # losing twin is reaped by Task._step at its own due instant).  The
-    # winning twin's index is the payload's *order-sensitive probe*:
-    # outcome counts are permutation-invariant, so without it a schedule
-    # perturbation would be invisible to the digest -- with it, any
-    # same-instant transposition of the twins changes the payload bytes
-    # while every protocol outcome stays put.
+    # -- tie storm: each round schedules twin timers with equal delays,
+    # guaranteeing both a same-instant event collision AND a
+    # same-instant timer cancel (whichever twin fires first cancels the
+    # other at that instant).  The winning twin's index is the payload's
+    # *order-sensitive probe*: outcome counts are permutation-invariant,
+    # so without it a schedule perturbation would be invisible to the
+    # digest -- with it, any same-instant transposition of the twins
+    # changes the payload bytes while every protocol outcome stays put.
     storm_done: List[int] = []
     tie_winners: List[int] = []
 
-    def storm_body():
-        for i in range(storm_rounds):
-            won = yield AnyOf([tie_delay_us, tie_delay_us])
-            tie_winners.append(won[0])
-            yield 500
-        storm_done.append(storm_rounds)
+    def storm_round(i):
+        if i == storm_rounds:
+            storm_done.append(storm_rounds)
+            return
+        twins: List[Any] = []
+        for index in (0, 1):
+            twins.append(sim.schedule(tie_delay_us, storm_tie, i, index, twins))
 
-    sim.spawn(storm_body(), name="tie-storm")
+    def storm_tie(i, index, twins):
+        twins[1 - index].cancel()
+        tie_winners.append(index)
+        sim.schedule(500, storm_round, i + 1)
+
+    sim.schedule(0, storm_round, 0)
 
     sim.run(until_us=hard_stop)
 

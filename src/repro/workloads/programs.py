@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.config import PAGE_SIZE
-from repro.execution.api import ExecHandle, ExecSpec, exec_program, wait_program
+from repro.execution.api import ExecSpec, exec_program, wait_program
 from repro.execution.program import ProgramImage, ProgramRegistry
 from repro.kernel.process import Compute, TouchPages
 from repro.workloads.base import dirty_workload_body
@@ -96,10 +96,10 @@ def _cc68_body(ctx):
 
     rng = ctx.sim.rand.stream(f"wl:cc68:{ctx.self_pid.as_int():08x}")
     for spec in CC68_PHASES:
-        pid = None
+        handle = None
         for attempt in range(6):
             try:
-                pid, pm = yield from exec_program(ctx, ExecSpec(
+                handle = yield from exec_program(ctx, ExecSpec(
                     spec.name, args=ctx.args,
                     lhid=ctx.self_pid.logical_host_id,
                 ))
@@ -108,17 +108,17 @@ def _cc68_body(ctx):
                 # Transient memory pressure (several compilations sharing
                 # a 2 MB machine): back off and retry, like make re-runs.
                 yield Delay(2_000_000)
-        if pid is None:
+        if handle is None:
             return 1  # persistently out of memory: compile fails
         code = yield from _wait_with_bookkeeping(
-            ctx, pid, pm, CC68_SPEC.model, CC68_SPEC.base_page, rng
+            ctx, handle, CC68_SPEC.model, CC68_SPEC.base_page, rng
         )
         if code != 0:
             return code
     return 0
 
 
-def _wait_with_bookkeeping(ctx, pid, origin_pm, model, base_page, rng, poll_us=200_000):
+def _wait_with_bookkeeping(ctx, handle, model, base_page, rng, poll_us=200_000):
     """Wait for a subprogram while staying active: the control program
     keeps polling and updating its own tables, which is why make/cc68
     appear in Table 4-1 with small but nonzero dirty rates.  Polls go to
@@ -131,10 +131,9 @@ def _wait_with_bookkeeping(ctx, pid, origin_pm, model, base_page, rng, poll_us=2
         pages = model.tick_pages(rng, poll_us, base_page)
         if pages:
             yield TouchPages(pages)
-        listing = yield Send(origin_pm, Message("query-programs"))
-        if all(row["pid"] != pid for row in listing.get("rows", ())):
-            code = yield from wait_program(
-                ctx, ExecHandle(pid=pid, origin_pm=origin_pm))
+        listing = yield Send(handle.origin_pm, Message("query-programs"))
+        if all(row["pid"] != handle.pid for row in listing.get("rows", ())):
+            code = yield from wait_program(ctx, handle)
             return code
         yield Delay(poll_us)
 
@@ -149,10 +148,10 @@ def _make_body(ctx):
         pages = MAKE_SPEC.model.tick_pages(rng, 50_000, MAKE_SPEC.base_page)
         if pages:
             yield TouchPages(pages)
-        pid, pm = yield from exec_program(
+        handle = yield from exec_program(
             ctx, ExecSpec("cc68", args=(target,)))
         code = yield from _wait_with_bookkeeping(
-            ctx, pid, pm, MAKE_SPEC.model, MAKE_SPEC.base_page, rng
+            ctx, handle, MAKE_SPEC.model, MAKE_SPEC.base_page, rng
         )
         if code != 0:
             return code

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import build_cluster
 from repro.cluster.balancer import BalancerPolicy, LoadBalancer, install_load_balancer
 from repro.cluster.monitor import ClusterMonitor
-from repro.execution import exec_program, wait_for_program
+from repro.execution import ExecSpec, exec_program, wait_program
 from repro.workloads import standard_registry
 
 
@@ -16,9 +16,9 @@ def make_loaded_cluster(n=4, jobs=3, seed=0, scale=1.0):
     holders = []
 
     def session(ctx, holder):
-        pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-        holder["pid"] = pid
-        code = yield from wait_for_program(pm, pid)
+        handle = yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+        holder["pid"] = handle.pid
+        code = yield from wait_program(ctx, handle)
         holder["code"] = code
 
     for i in range(jobs):

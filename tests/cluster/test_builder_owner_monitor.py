@@ -5,7 +5,7 @@ import pytest
 from repro.cluster import Owner, OwnerActivityModel, build_cluster
 from repro.cluster.monitor import ClusterMonitor
 from repro.errors import SimulationError
-from repro.execution import ProgramRegistry, exec_program
+from repro.execution import ExecSpec, ProgramRegistry, exec_program
 from repro.workloads import standard_registry
 
 
@@ -120,8 +120,8 @@ class TestMonitor:
         state = {}
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-            state["pid"] = pid
+            handle = yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+            state["pid"] = handle.pid
 
         cluster.spawn_session(cluster.workstations[0], session)
         while "pid" not in state and cluster.sim.peek() is not None:
@@ -190,8 +190,8 @@ class TestMonitor:
         holder = {}
 
         def local_session(ctx):
-            pid, pm = yield from exec_program(ctx, "longsim")  # home machine
-            holder["pid"] = pid
+            handle = yield from exec_program(ctx, ExecSpec("longsim"))  # home machine
+            holder["pid"] = handle.pid
 
         cluster.spawn_session(cluster.workstations[2], local_session)
         while "pid" not in holder and cluster.sim.peek() is not None:
@@ -208,8 +208,8 @@ class TestMonitor:
         state = {}
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-            state["pid"] = pid
+            handle = yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+            state["pid"] = handle.pid
 
         cluster.spawn_session(cluster.workstations[0], session)
         cluster.run(until_us=2_000_000)

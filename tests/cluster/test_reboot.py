@@ -6,7 +6,7 @@ import pytest
 from repro.cluster import build_cluster
 from repro.cluster.monitor import ClusterMonitor
 from repro.errors import SendTimeoutError
-from repro.execution import exec_program, wait_for_program
+from repro.execution import ExecSpec, exec_program, wait_program
 from repro.ipc.messages import Message
 from repro.kernel.process import Send
 from repro.migration.migrateprog import migrate_program
@@ -19,9 +19,9 @@ def make_world():
     job = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-        job["pid"] = pid
-        code = yield from wait_for_program(pm, pid)
+        handle = yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+        job["pid"] = handle.pid
+        code = yield from wait_program(ctx, handle)
         job["code"] = code
 
     cluster.spawn_session(cluster.workstations[0], session)
@@ -67,9 +67,9 @@ def test_rebooted_host_serves_again():
     outcome = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "tex", where="ws1")
-        outcome["pid"] = pid
-        code = yield from wait_for_program(pm, pid)
+        handle = yield from exec_program(ctx, ExecSpec("tex", where="ws1"))
+        outcome["pid"] = handle.pid
+        code = yield from wait_program(ctx, handle)
         outcome["code"] = code
 
     cluster.spawn_session(cluster.workstations[0], session, name="again")

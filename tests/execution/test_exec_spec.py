@@ -1,22 +1,14 @@
-"""The spec-based execution client and its deprecation shims.
+"""The spec-based execution client.
 
 The redesign's core promise: ``exec_program(ctx, ExecSpec(...))`` with
 the default FirstResponder policy replays the pre-placement client's
-trajectory byte for byte, and the old positional entry points survive
-as shims that warn but behave identically.
+trajectory byte for byte.  The old positional entry points are gone;
+their recorded trajectory is pinned below.
 """
 
-import warnings
+import pytest
 
-from repro.execution import (
-    ExecHandle,
-    ExecSpec,
-    exec_and_wait,
-    exec_program,
-    run_program,
-    wait_for_program,
-    wait_program,
-)
+from repro.execution import ExecSpec, exec_program, run_program, wait_program
 from repro.execution.program import ProgramImage, ProgramRegistry
 from repro.workloads import standard_registry
 
@@ -46,12 +38,6 @@ def test_exec_spec_defaults():
     assert spec.timeout_us is None
 
 
-def test_exec_handle_tuple_unpacks_like_the_old_pair():
-    handle = ExecHandle(pid="p", origin_pm="m", host="ws1")
-    pid, origin_pm = handle
-    assert (pid, origin_pm) == ("p", "m")
-
-
 def test_wait_program_accepts_bare_pid_or_handle():
     cluster = make_cluster(2, full=True,
                            registry=standard_registry(scale=0.3))
@@ -73,17 +59,12 @@ def test_wait_program_accepts_bare_pid_or_handle():
 
 # ----------------------------------------------------- old vs new trajectory
 
-def legacy_session(outcomes):
-    def body(ctx):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid, pm = yield from exec_program(
-                ctx, "cc68", args=("x.c",), where="*")
-            code = yield from wait_for_program(pm, pid)
-            outcomes.append((str(pid), code))
-            code = yield from exec_and_wait(ctx, "cc68", args=("y.c",))
-            outcomes.append(code)
-    return body
+#: What the removed positional client produced for the same session --
+#: ``exec_program(ctx, "cc68", args=("x.c",), where="*")``, a wait on
+#: the ``(pid, pm)`` pair it returned, then a positional exec-and-wait
+#: of ``cc68 y.c``: outcomes and (now, event_count, packets_sent).
+LEGACY_OUTCOMES = [("<pid 001d:0001>", 0), 0]
+LEGACY_FINGERPRINT = (600_000_000, 4598, 659)
 
 
 def spec_session(outcomes):
@@ -98,39 +79,20 @@ def spec_session(outcomes):
 
 
 def test_legacy_and_spec_forms_take_identical_trajectories():
-    """The deprecation shims and the spec path must be the same program:
-    same simulated clock, event count, packet count and outcomes."""
-    old_outcomes, new_outcomes = [], []
-    _, old_fp = run_session(legacy_session(old_outcomes))
-    _, new_fp = run_session(spec_session(new_outcomes))
-    assert old_outcomes == new_outcomes
-    assert old_fp == new_fp
+    """The spec path is the old positional client's program: same
+    simulated clock, event count, packet count and outcomes as the
+    trajectory recorded from it."""
+    outcomes = []
+    _, fingerprint = run_session(spec_session(outcomes))
+    assert outcomes == LEGACY_OUTCOMES
+    assert fingerprint == LEGACY_FINGERPRINT
 
 
-def test_legacy_entry_points_warn():
-    """Each shim emits one DeprecationWarning naming its replacement.
-    The warnings fire inside generator bodies, so they are recorded
-    around the whole run rather than at call sites."""
-    cluster = make_cluster(2, full=True,
-                           registry=standard_registry(scale=0.3))
-    seen = []
-
-    def body(ctx):
-        handle = yield from exec_program(ctx, "cc68", args=("x.c",))
-        code = yield from wait_for_program(handle.origin_pm, handle.pid)
-        seen.append(code)
-        seen.append((yield from exec_and_wait(ctx, "cc68", args=("y.c",))))
-
-    cluster.spawn_session(cluster.workstations[0], body)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        cluster.run(until_us=600_000_000)
-    assert seen == [0, 0]
-    messages = [str(w.message) for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-    assert any("ExecSpec" in m for m in messages)
-    assert any("wait_program" in m for m in messages)
-    assert any("run_program" in m for m in messages)
+def test_exec_program_rejects_a_bare_program_name():
+    """The positional form is gone: anything but an ExecSpec is a
+    TypeError naming the type to use."""
+    with pytest.raises(TypeError, match="ExecSpec"):
+        next(exec_program(None, "cc68"))
 
 
 # ------------------------------------------------------------ env/io plumbing

@@ -4,7 +4,14 @@ recorded as faults -- nobody hangs on a dead rendezvous."""
 import pytest
 
 from repro.cluster import build_cluster
-from repro.execution import ProgramImage, ProgramRegistry, exec_and_wait
+from repro.execution import (
+    ExecSpec,
+    ProgramImage,
+    ProgramRegistry,
+    exec_program,
+    run_program,
+    wait_program,
+)
 from repro.kernel.process import Compute
 from repro.net import BurstLoss
 from repro.workloads import standard_registry
@@ -26,7 +33,7 @@ def test_crashed_program_releases_waiter():
     outcome = {}
 
     def session(ctx):
-        code = yield from exec_and_wait(ctx, "buggy", where="ws1")
+        code = yield from run_program(ctx, ExecSpec("buggy", where="ws1"))
         outcome["code"] = code
 
     cluster.spawn_session(cluster.workstations[0], session)
@@ -50,7 +57,7 @@ def test_crash_is_not_confused_with_clean_exit():
     outcome = {}
 
     def session(ctx):
-        code = yield from exec_and_wait(ctx, "fine", where="ws1")
+        code = yield from run_program(ctx, ExecSpec("fine", where="ws1"))
         outcome["code"] = code
 
     cluster.spawn_session(cluster.workstations[0], session)
@@ -62,7 +69,6 @@ def test_crash_is_not_confused_with_clean_exit():
 def test_migration_under_burst_loss():
     """Correlated loss bursts (a glitching segment) instead of uniform
     loss: the migration still completes and the job still finishes."""
-    from repro.execution import exec_program, wait_for_program
     from repro.migration.migrateprog import migrate_program
 
     cluster = build_cluster(
@@ -72,9 +78,9 @@ def test_migration_under_burst_loss():
     job = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-        job["pid"] = pid
-        code = yield from wait_for_program(pm, pid)
+        handle = yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+        job["pid"] = handle.pid
+        code = yield from wait_program(ctx, handle)
         job["code"] = code
 
     cluster.spawn_session(cluster.workstations[0], session)
@@ -99,17 +105,15 @@ def test_file_server_failover():
     """With two file servers, the death of the boot-configured one only
     delays the next program launch: the program manager falls back to
     the file-server group and adopts the survivor."""
-    from repro.execution import exec_and_wait
-
     cluster = build_cluster(n_workstations=2, n_file_servers=2,
                             registry=standard_registry(scale=0.1), seed=9)
     outcome = {}
 
     def session(ctx):
-        code = yield from exec_and_wait(ctx, "tex", where="ws1")
+        code = yield from run_program(ctx, ExecSpec("tex", where="ws1"))
         outcome["first"] = code
         outcome["crash"] = True
-        code = yield from exec_and_wait(ctx, "tex", where="ws1")
+        code = yield from run_program(ctx, ExecSpec("tex", where="ws1"))
         outcome["second"] = code
 
     cluster.spawn_session(cluster.workstations[0], session)

@@ -13,7 +13,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.cluster.monitor import ClusterMonitor
-from repro.execution import exec_program, wait_for_program
+from repro.execution import ExecSpec, exec_program, wait_program
 from repro.migration.migrateprog import migrate_program
 from repro.workloads import standard_registry
 
@@ -47,9 +47,9 @@ def test_lost_install_reply_does_not_fork_the_program():
     job = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-        job["pid"] = pid
-        code = yield from wait_for_program(pm, pid)
+        handle = yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+        job["pid"] = handle.pid
+        code = yield from wait_program(ctx, handle)
         job["code"] = code
 
     cluster.spawn_session(cluster.workstations[0], session)

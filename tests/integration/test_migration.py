@@ -5,7 +5,13 @@ import pytest
 from repro.cluster import build_cluster
 from repro.cluster.monitor import ClusterMonitor
 from repro.errors import MigrationError
-from repro.execution import ProgramImage, ProgramRegistry, exec_and_wait, exec_program, wait_for_program
+from repro.execution import (
+    ExecSpec,
+    ProgramImage,
+    ProgramRegistry,
+    exec_program,
+    wait_program,
+)
 from repro.ipc.messages import Message
 from repro.kernel.process import Compute, Delay, Priority, Touch, TouchPages, Send, Receive, Reply
 from repro.migration.migrateprog import migrate_all_remote, migrate_program
@@ -47,10 +53,10 @@ def start_remote_program(cluster, program="churner", where="ws1"):
     state = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, program, where=where)
-        state["pid"] = pid
-        state["origin_pm"] = pm
-        code = yield from wait_for_program(pm, pid)
+        handle = yield from exec_program(ctx, ExecSpec(program, where=where))
+        state["pid"] = handle.pid
+        state["origin_pm"] = handle.origin_pm
+        code = yield from wait_program(ctx, handle)
         state["exit_code"] = code
 
     cluster.spawn_session(cluster.workstations[0], session)
@@ -159,10 +165,10 @@ class TestBasicMigration:
 
         def parent_body(ctx):
             # Spawn a subprogram in the same logical host, then work.
-            pid, pm = yield from exec_program(
-                ctx, "churner", lhid=ctx.self_pid.logical_host_id
+            handle = yield from exec_program(
+                ctx, ExecSpec("churner", lhid=ctx.self_pid.logical_host_id)
             )
-            pids["child"] = pid
+            pids["child"] = handle.pid
             yield Compute(10_000_000)
             return 0
 
@@ -211,8 +217,8 @@ class TestMigrationTransparency:
         ))
 
         def server_session(ctx):
-            pid, pm = yield from exec_program(ctx, "countsrv", where="ws1")
-            server_state["pid"] = pid
+            handle = yield from exec_program(ctx, ExecSpec("countsrv", where="ws1"))
+            server_state["pid"] = handle.pid
 
         cluster.spawn_session(cluster.workstations[0], server_session, name="ssess")
         cluster.run(until_us=2_000_000)
@@ -262,8 +268,8 @@ class TestMigrationTransparency:
         ))
 
         def server_session(ctx):
-            pid, pm = yield from exec_program(ctx, "slowsrv", where="ws1")
-            server_state["pid"] = pid
+            handle = yield from exec_program(ctx, ExecSpec("slowsrv", where="ws1"))
+            server_state["pid"] = handle.pid
 
         cluster.spawn_session(cluster.workstations[0], server_session, name="ssess")
         cluster.run(until_us=2_000_000)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.cluster.monitor import ClusterMonitor
-from repro.execution import ProgramImage, exec_program, wait_for_program
+from repro.execution import ExecSpec, ProgramImage, exec_program, wait_program
 from repro.ipc.messages import Message
 from repro.kernel.process import Compute, Delay, Priority, Send
 from repro.migration.migrateprog import migrate_program
@@ -22,9 +22,9 @@ def launch(cluster, program="longsim", where="ws1"):
     holder = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, program, where=where)
-        holder["pid"] = pid
-        code = yield from wait_for_program(pm, pid)
+        handle = yield from exec_program(ctx, ExecSpec(program, where=where))
+        holder["pid"] = handle.pid
+        code = yield from wait_program(ctx, handle)
         holder["code"] = code
 
     cluster.spawn_session(cluster.workstations[0], session,

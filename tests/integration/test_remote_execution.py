@@ -5,7 +5,15 @@ import pytest
 from repro.cluster import build_cluster
 from repro.cluster.monitor import ClusterMonitor
 from repro.errors import ExecutionError
-from repro.execution import ProgramImage, ProgramRegistry, exec_and_wait, exec_program, wait_for_program, write_stdout
+from repro.execution import (
+    ExecSpec,
+    ProgramImage,
+    ProgramRegistry,
+    exec_program,
+    run_program,
+    wait_program,
+    write_stdout,
+)
 from repro.kernel.process import Compute, Priority, Touch
 
 
@@ -56,12 +64,12 @@ def make_cluster(n=3, seed=0, **kwargs):
 
 
 class TestLocalExecution:
-    def test_exec_and_wait_returns_exit_code(self):
+    def test_run_program_returns_exit_code(self):
         cluster = make_cluster()
         results = []
 
         def session(ctx):
-            code = yield from exec_and_wait(ctx, "sevener")
+            code = yield from run_program(ctx, ExecSpec("sevener"))
             results.append(code)
 
         cluster.spawn_session(cluster.workstations[0], session)
@@ -73,8 +81,8 @@ class TestLocalExecution:
         seen = []
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "slowpoke")
-            seen.append(pid)
+            handle = yield from exec_program(ctx, ExecSpec("slowpoke"))
+            seen.append(handle.pid)
 
         cluster.spawn_session(cluster.workstations[0], session)
         cluster.run(until_us=2_000_000)
@@ -89,7 +97,7 @@ class TestLocalExecution:
 
         def session(ctx):
             try:
-                yield from exec_program(ctx, "does-not-exist")
+                yield from exec_program(ctx, ExecSpec("does-not-exist"))
             except ExecutionError as exc:
                 caught.append(str(exc))
 
@@ -104,8 +112,8 @@ class TestRemoteExecution:
         seen = []
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "hello", where="ws2")
-            seen.append(pid)
+            handle = yield from exec_program(ctx, ExecSpec("hello", where="ws2"))
+            seen.append(handle.pid)
 
         cluster.spawn_session(cluster.workstations[0], session)
         while not seen and cluster.sim.peek() is not None:
@@ -119,8 +127,8 @@ class TestRemoteExecution:
         seen = []
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "hello", where="*")
-            seen.append(pid)
+            handle = yield from exec_program(ctx, ExecSpec("hello", where="*"))
+            seen.append(handle.pid)
 
         cluster.spawn_session(cluster.workstations[0], session)
         while not seen and cluster.sim.peek() is not None:
@@ -136,8 +144,8 @@ class TestRemoteExecution:
         seen = []
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "slowpoke", where="ws1")
-            seen.append(pid)
+            handle = yield from exec_program(ctx, ExecSpec("slowpoke", where="ws1"))
+            seen.append(handle.pid)
 
         cluster.spawn_session(cluster.workstations[0], session)
         cluster.run(until_us=10_000_000)
@@ -149,7 +157,7 @@ class TestRemoteExecution:
         results = []
 
         def session(ctx):
-            code = yield from exec_and_wait(ctx, "sevener", where="ws1")
+            code = yield from run_program(ctx, ExecSpec("sevener", where="ws1"))
             results.append(code)
 
         cluster.spawn_session(cluster.workstations[0], session)
@@ -162,7 +170,7 @@ class TestRemoteExecution:
         cluster = make_cluster()
 
         def session(ctx):
-            yield from exec_and_wait(ctx, "printer", where="ws1")
+            yield from run_program(ctx, ExecSpec("printer", where="ws1"))
 
         cluster.spawn_session(cluster.workstations[0], session)
         cluster.run(until_us=20_000_000)
@@ -175,7 +183,7 @@ class TestRemoteExecution:
 
         def session(ctx):
             try:
-                yield from exec_program(ctx, "framegrab", where="ws1")
+                yield from exec_program(ctx, ExecSpec("framegrab", where="ws1"))
             except ExecutionError as exc:
                 caught.append(str(exc))
 
@@ -188,7 +196,7 @@ class TestRemoteExecution:
         results = []
 
         def session(ctx):
-            code = yield from exec_and_wait(ctx, "framegrab")
+            code = yield from run_program(ctx, ExecSpec("framegrab"))
             results.append(code)
 
         cluster.spawn_session(cluster.workstations[0], session)
@@ -206,7 +214,7 @@ class TestRemoteExecution:
 
         def session(ctx):
             try:
-                yield from exec_program(ctx, "hello", where="*")
+                yield from exec_program(ctx, ExecSpec("hello", where="*"))
             except NoCandidateHostError:
                 caught.append(True)
 
@@ -219,7 +227,7 @@ class TestRemoteExecution:
         results = []
 
         def session(ctx, target):
-            code = yield from exec_and_wait(ctx, "hello", where=target)
+            code = yield from run_program(ctx, ExecSpec("hello", where=target))
             results.append((target, code))
 
         for i, target in enumerate(["ws1", "ws2", "ws3", "ws4"]):
@@ -241,11 +249,11 @@ class TestSubprograms:
         info = []
 
         def parent_body(ctx):
-            pid, pm = yield from exec_program(
-                ctx, "hello", lhid=ctx.self_pid.logical_host_id
+            handle = yield from exec_program(
+                ctx, ExecSpec("hello", lhid=ctx.self_pid.logical_host_id)
             )
-            info.append((ctx.self_pid, pid))
-            code = yield from wait_for_program(pm, pid)
+            info.append((ctx.self_pid, handle.pid))
+            code = yield from wait_program(ctx, handle)
             return code
 
         registry = cluster.registry
@@ -255,7 +263,7 @@ class TestSubprograms:
         ))
 
         def session(ctx):
-            yield from exec_and_wait(ctx, "parent")
+            yield from run_program(ctx, ExecSpec("parent"))
 
         cluster.spawn_session(cluster.workstations[0], session)
         cluster.run(until_us=30_000_000)
@@ -268,9 +276,9 @@ class TestSubprograms:
         info = []
 
         def parent_body(ctx):
-            pid, pm = yield from exec_program(ctx, "hello", where="ws2")
-            info.append((ctx.self_pid, pid))
-            yield from wait_for_program(pm, pid)
+            handle = yield from exec_program(ctx, ExecSpec("hello", where="ws2"))
+            info.append((ctx.self_pid, handle.pid))
+            yield from wait_program(ctx, handle)
             return 0
 
         cluster.registry.register(ProgramImage(
@@ -279,7 +287,7 @@ class TestSubprograms:
         ))
 
         def session(ctx):
-            yield from exec_and_wait(ctx, "parent2")
+            yield from run_program(ctx, ExecSpec("parent2"))
 
         cluster.spawn_session(cluster.workstations[0], session)
         cluster.run(until_us=30_000_000)
@@ -306,8 +314,8 @@ class TestEnvironmentTransparency:
         ))
 
         def session(ctx):
-            yield from exec_and_wait(ctx, "capture", args=("a", "b"))
-            yield from exec_and_wait(ctx, "capture", args=("a", "b"), where="ws1")
+            yield from run_program(ctx, ExecSpec("capture", args=("a", "b")))
+            yield from run_program(ctx, ExecSpec("capture", args=("a", "b"), where="ws1"))
 
         cluster.spawn_session(cluster.workstations[0], session)
         cluster.run(until_us=30_000_000)

@@ -19,7 +19,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.errors import SendTimeoutError
-from repro.execution import ProgramImage, exec_program
+from repro.execution import ExecSpec, ProgramImage, exec_program
 from repro.ipc.messages import Message
 from repro.kernel.process import Compute, Delay, Send
 from repro.migration.migrateprog import migrate_program
@@ -65,8 +65,8 @@ def build(fs_holder, outcomes, local_fs: bool):
     holder = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "scratcher", where="ws1")
-        holder["pid"] = pid
+        handle = yield from exec_program(ctx, ExecSpec("scratcher", where="ws1"))
+        holder["pid"] = handle.pid
 
     cluster.spawn_session(cluster.workstations[0], session)
     while "pid" not in holder and cluster.sim.peek() is not None:

@@ -63,5 +63,4 @@ def test_superseded_request_replies_resolve_fifo():
     # nothing crashed when it replied to the abandoned first request.
     assert served == [1, 2]
     assert not b.kernel.faulted
-    assert cluster.sim.failures == []
     assert loss.dropped > 0

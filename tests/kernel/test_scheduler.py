@@ -74,16 +74,6 @@ class TestBasicExecution:
         cluster.run()
         assert pcb.exit_code == 3
 
-    def test_done_event_triggers(self):
-        cluster, ws = make_station()
-
-        def body():
-            yield Compute(10)
-
-        _, pcb = cluster.spawn_program(ws, body())
-        cluster.run()
-        assert pcb.done_event.triggered
-
     def test_delay_does_not_use_cpu(self):
         cluster, ws = make_station()
 

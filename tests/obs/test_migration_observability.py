@@ -2,7 +2,7 @@
 metrics, and the no-trajectory-change guarantee."""
 
 from repro.cluster.monitor import ClusterMonitor
-from repro.execution import ProgramImage, ProgramRegistry, exec_program
+from repro.execution import ExecSpec, ProgramImage, ProgramRegistry, exec_program
 from repro.kernel.process import Compute, TouchPages
 from repro.migration.migrateprog import migrate_program
 
@@ -34,8 +34,8 @@ def run_migration_scenario(seed=0, instrument=None):
     state = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "churner", where="ws1")
-        state["pid"] = pid
+        handle = yield from exec_program(ctx, ExecSpec("churner", where="ws1"))
+        state["pid"] = handle.pid
 
     cluster.spawn_session(cluster.workstations[0], session)
     cluster.run(until_us=2_000_000)

@@ -1,8 +1,9 @@
 """The event core against a sorted-list reference model.
 
 One randomized op program -- schedules (zero, near and far delays),
-cancellations, partial runs, task sleeps, interrupts and AnyOf
-combinators -- is interpreted twice: once on :class:`Simulator` and once
+cancellations, partial runs, timer races whose winner cancels its rivals
+at the same instant, and callbacks that cancel an earlier handle later
+-- is interpreted twice: once on :class:`Simulator` and once
 on :class:`_SortedListModel`, a deliberately naive queue kept here that
 holds every entry in one ``(time, seq)``-sorted list.  Fire order, the
 ``now`` trajectory, ``event_count``, ``alive_event_count``, ``peek()``
@@ -17,8 +18,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AnyOf, Simulator
-from repro.sim.process import Task, TaskFailed
+from repro.sim import Simulator
 
 _DELAY = st.integers(min_value=0, max_value=60_000)
 
@@ -28,9 +28,8 @@ _OP = st.one_of(
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=255)),
     st.tuples(st.just("run_events"), st.integers(min_value=1, max_value=8)),
     st.tuples(st.just("run_until"), st.integers(min_value=0, max_value=50_000)),
-    st.tuples(st.just("sleeper"), _DELAY),
-    st.tuples(st.just("interrupt"), st.integers(min_value=0, max_value=300)),
-    st.tuples(st.just("anyof"), st.integers(min_value=0, max_value=120)),
+    st.tuples(st.just("race"), st.integers(min_value=0, max_value=120)),
+    st.tuples(st.just("cancel-later"), st.integers(min_value=0, max_value=300)),
 )
 
 _PROGRAM = st.lists(_OP, min_size=1, max_size=40)
@@ -51,19 +50,13 @@ class _Handle:
 class _SortedListModel:
     """The ``Simulator`` scheduling contract, the slow obvious way: one
     list of ``(time, seq, handle, fn, args)`` kept sorted, cancelled
-    entries skipped at the head without moving the clock.  It offers
-    exactly what tasks and events call (``schedule``,
-    ``_record_failure``, ``closure_free_steps``), so the real
-    :class:`Task` runs on it unchanged."""
+    entries skipped at the head without moving the clock."""
 
     def __init__(self):
         self.now = 0
         self.event_count = 0
         self._seq = 0
         self._queue = []
-        self.failures = []
-        self.strict = True
-        self.closure_free_steps = 0
 
     @property
     def alive_event_count(self):
@@ -76,14 +69,6 @@ class _SortedListModel:
                       (self.now + delay_us, self._seq, handle, fn, args),
                       key=lambda entry: entry[:2])
         return handle
-
-    def spawn(self, gen, name="task"):
-        task = Task(self, gen, name)
-        task._start()
-        return task
-
-    def _record_failure(self, task, exc):
-        self.failures.append(TaskFailed(task, exc))
 
     def peek(self):
         for time, _seq, handle, _fn, _args in self._queue:
@@ -104,8 +89,6 @@ class _SortedListModel:
             self.now = time
             self.event_count += 1
             fn(*args)
-            if self.strict and self.failures:
-                raise self.failures[0]
             fired += 1
             if max_events is not None and fired == max_events:
                 break
@@ -119,19 +102,18 @@ class _SortedListModel:
 def _execute(ops, sim):
     log = []
     handles = []
-    tasks = []
     tags = itertools.count()
 
     def fire(tag):
         log.append(("fire", sim.now, tag))
 
-    def sleeper(delay, tag):
-        yield delay
-        log.append(("wake", sim.now, tag))
-
-    def racer(delay, tag):
-        got = yield AnyOf([delay, delay + 37, 50_000])
-        log.append(("any", sim.now, tag, got[0]))
+    def race_won(tag, index, rivals):
+        # The first of the three to fire cancels the others -- the equal
+        # twin at this very instant.
+        log.append(("race", sim.now, tag, index))
+        for i, rival in enumerate(rivals):
+            if i != index:
+                rival.cancel()
 
     trail = []
     for op, arg in ops:
@@ -144,13 +126,15 @@ def _execute(ops, sim):
             sim.run(max_events=arg)
         elif op == "run_until":
             sim.run(until_us=sim.now + arg)
-        elif op == "sleeper":
-            tasks.append(sim.spawn(sleeper(arg, next(tags))))
-        elif op == "interrupt":
-            if tasks:
-                sim.schedule(arg, tasks[arg % len(tasks)].interrupt)
-        elif op == "anyof":
-            tasks.append(sim.spawn(racer(arg, next(tags))))
+        elif op == "race":
+            tag = next(tags)
+            rivals = []
+            for index, delay in enumerate((arg + 37, arg, arg)):
+                rivals.append(sim.schedule(delay, race_won, tag, index, rivals))
+            handles.extend(rivals)
+        elif op == "cancel-later":
+            if handles:
+                sim.schedule(arg, handles[arg % len(handles)].cancel)
         trail.append(
             (sim.now, sim.event_count, sim.alive_event_count, sim._seq, sim.peek())
         )

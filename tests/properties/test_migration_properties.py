@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 from repro.cluster import build_cluster
 from repro.cluster.monitor import ClusterMonitor
-from repro.execution import ProgramImage, ProgramRegistry, exec_program, wait_for_program
+from repro.execution import (
+    ExecSpec,
+    ProgramImage,
+    ProgramRegistry,
+    exec_program,
+    wait_program,
+)
 from repro.kernel.process import Compute, TouchPages
 from repro.migration.migrateprog import migrate_program
 
@@ -48,9 +54,9 @@ def test_midrun_migration_preserves_everything(seed, burst, period_ms,
     job = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "victim", where="ws1")
-        job["pid"] = pid
-        code = yield from wait_for_program(pm, pid)
+        handle = yield from exec_program(ctx, ExecSpec("victim", where="ws1"))
+        job["pid"] = handle.pid
+        code = yield from wait_program(ctx, handle)
         job["code"] = code
 
     cluster.spawn_session(cluster.workstations[0], session)

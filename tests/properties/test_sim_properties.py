@@ -38,13 +38,14 @@ def test_same_seed_identical_trajectory(seed, n_tasks):
         sim = Simulator(seed=seed)
         log = []
 
-        def body(name):
-            for _ in range(10):
-                yield sim.rand.randint(f"d{name}", 1, 1000)
-                log.append((sim.now, name))
+        def hop(name, left):
+            log.append((sim.now, name))
+            if left:
+                sim.schedule(sim.rand.randint(f"d{name}", 1, 1000),
+                             hop, name, left - 1)
 
         for i in range(n_tasks):
-            sim.spawn(body(i), name=f"t{i}")
+            sim.schedule(sim.rand.randint(f"d{i}", 1, 1000), hop, i, 9)
         sim.run()
         return log
 
@@ -90,13 +91,13 @@ def test_task_interleaving_is_deterministic_under_spawn_order(data):
         sim = Simulator()
         log = []
 
-        def body(tag, delays):
-            for d in delays:
-                yield d
-                log.append((sim.now, tag))
+        def hop(tag, delays, i):
+            log.append((sim.now, tag))
+            if i < len(delays):
+                sim.schedule(delays[i], hop, tag, delays, i + 1)
 
-        sim.spawn(body("a", delays_a))
-        sim.spawn(body("b", delays_b))
+        sim.schedule(delays_a[0], hop, "a", delays_a, 1)
+        sim.schedule(delays_b[0], hop, "b", delays_b, 1)
         sim.run()
         return log
 

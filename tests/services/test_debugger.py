@@ -7,7 +7,7 @@ change" -- including, here, a program that migrates mid-session.
 import pytest
 
 from repro.cluster import build_cluster
-from repro.execution import exec_program
+from repro.execution import ExecSpec, exec_program
 from repro.migration.migrateprog import migrate_program
 from repro.services.debugger import DebugError, DebugSession
 from repro.workloads import standard_registry
@@ -19,8 +19,8 @@ def make_world(where="ws1"):
     holder = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "longsim", where=where)
-        holder["pid"] = pid
+        handle = yield from exec_program(ctx, ExecSpec("longsim", where=where))
+        holder["pid"] = handle.pid
 
     cluster.spawn_session(cluster.workstations[0], session)
     while "pid" not in holder and cluster.sim.peek() is not None:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import build_cluster
-from repro.execution import exec_and_wait, exec_program
+from repro.execution import ExecSpec, exec_program, run_program, wait_program
 from repro.ipc.messages import Message
 from repro.kernel.process import Send
 from repro.services.program_manager import AcceptPolicy
@@ -51,7 +51,7 @@ class TestProgramRecords:
         cluster = make_cluster()
 
         def session(ctx):
-            yield from exec_and_wait(ctx, "tex")
+            yield from run_program(ctx, ExecSpec("tex"))
 
         cluster.spawn_session(cluster.workstations[0], session)
         cluster.run(until_us=60_000_000)
@@ -66,11 +66,9 @@ class TestProgramRecords:
         seen = {}
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "tex")
-            seen["pid"] = pid
-            from repro.execution import wait_for_program
-
-            yield from wait_for_program(pm, pid)
+            handle = yield from exec_program(ctx, ExecSpec("tex"))
+            seen["pid"] = handle.pid
+            yield from wait_program(ctx, handle)
 
         cluster.spawn_session(cluster.workstations[0], session)
         cluster.run(until_us=60_000_000)
@@ -83,7 +81,7 @@ class TestProgramRecords:
         free_before = ws.kernel.memory_free
 
         def session(ctx):
-            yield from exec_and_wait(ctx, "tex")
+            yield from run_program(ctx, ExecSpec("tex"))
 
         cluster.spawn_session(cluster.workstations[0], session)
         cluster.run(until_us=60_000_000)
@@ -97,8 +95,8 @@ class TestPmOps:
         rows_seen = []
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-            reply = yield Send(pm, Message("query-programs"))
+            handle = yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+            reply = yield Send(handle.origin_pm, Message("query-programs"))
             rows_seen.extend(reply["rows"])
 
         cluster.spawn_session(cluster.workstations[0], session)
@@ -110,22 +108,20 @@ class TestPmOps:
         outcome = {}
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-            outcome["pid"] = pid
+            handle = yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+            outcome["pid"] = handle.pid
             from repro.kernel.process import Delay
 
             yield Delay(1_000_000)  # let the waiter register first
-            yield Send(pm, Message("kill-program", pid=pid))
+            yield Send(handle.origin_pm, Message("kill-program", pid=handle.pid))
             outcome["killed"] = True
 
         def waiter(ctx):
-            from repro.execution import wait_for_program
-
             while "pid" not in outcome:
                 from repro.kernel.process import Delay
 
                 yield Delay(100_000)
-            code = yield from wait_for_program(None, outcome["pid"])
+            code = yield from wait_program(ctx, outcome["pid"])
             outcome["code"] = code
 
         cluster.spawn_session(cluster.workstations[0], session)
@@ -139,12 +135,12 @@ class TestPmOps:
         state = {}
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-            state["pid"] = pid
+            handle = yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+            state["pid"] = handle.pid
             from repro.kernel.process import Delay
 
             yield Delay(2_000_000)
-            yield Send(pm, Message("suspend-program", pid=pid))
+            yield Send(handle.origin_pm, Message("suspend-program", pid=handle.pid))
             state["suspended_at"] = ctx.sim.now
 
         cluster.spawn_session(cluster.workstations[0], session)
@@ -159,14 +155,14 @@ class TestPmOps:
         state = {}
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-            state["pid"] = pid
+            handle = yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+            state["pid"] = handle.pid
             from repro.kernel.process import Delay
 
             yield Delay(2_000_000)
-            yield Send(pm, Message("suspend-program", pid=pid))
+            yield Send(handle.origin_pm, Message("suspend-program", pid=handle.pid))
             yield Delay(2_000_000)
-            yield Send(pm, Message("resume-program", pid=pid))
+            yield Send(handle.origin_pm, Message("resume-program", pid=handle.pid))
 
         cluster.spawn_session(cluster.workstations[0], session)
         cluster.run(until_us=8_000_000)
@@ -223,8 +219,8 @@ class TestPmOps:
         state = {}
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-            state["pid"] = pid
+            handle = yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+            state["pid"] = handle.pid
 
         cluster.spawn_session(cluster.workstations[0], session)
         while "pid" not in state and cluster.sim.peek() is not None:

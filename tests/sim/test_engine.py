@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.sim import Simulator, TaskFailed
+from repro.errors import KernelError, SimulationError
+from repro.kernel import Compute
+from repro.sim import Simulator
 
 
 def test_clock_starts_at_zero():
@@ -150,20 +151,6 @@ def test_cancelled_instant_does_not_advance_clock():
     assert sim.now == 0
 
 
-def test_closure_free_steps_mirrored_into_metrics():
-    sim = Simulator()
-    sim.metrics.enable()
-
-    def body():
-        yield 1
-
-    sim.spawn(body())
-    sim.run()
-    assert sim.closure_free_steps >= 1
-    assert sim.metrics.aggregate("engine.closure_free_steps") == \
-        sim.closure_free_steps
-
-
 def test_peek_returns_next_live_event_time():
     sim = Simulator()
     timer = sim.schedule(10, lambda: None)
@@ -197,355 +184,176 @@ def test_event_count_increments():
 
 
 class TestTasks:
+    """Stepping contracts: a callback chain rescheduling itself through
+    the engine, and -- for the V process, which ``kernel/scheduler.py``
+    steps -- the generator check and the ``strict`` crash policy."""
+
     def test_simple_task_runs_to_completion(self):
         sim = Simulator()
         log = []
 
-        def body():
+        def step(left):
             log.append(sim.now)
-            yield 1000
-            log.append(sim.now)
+            if left:
+                sim.schedule(1000, step, left - 1)
 
-        task = sim.spawn(body())
-        sim.run()
+        sim.schedule(0, step, 1)
+        assert sim.run() == 1000
         assert log == [0, 1000]
-        assert task.finished
-        assert task.exception is None
-
-    def test_task_result_from_return_value(self):
-        sim = Simulator()
-
-        def body():
-            yield 10
-            return 42
-
-        task = sim.spawn(body())
-        sim.run()
-        assert task.result == 42
+        assert sim.alive_event_count == 0
 
     def test_task_yield_none_resumes_same_instant(self):
+        # A zero-delay reschedule yields the floor: same instant, but
+        # behind everything already queued for it.
         sim = Simulator()
-        times = []
+        log = []
 
-        def body():
-            yield 5
-            times.append(sim.now)
-            yield None
-            times.append(sim.now)
+        def step(tag):
+            log.append((sim.now, tag))
+            if tag == "a":
+                sim.schedule(0, step, "a-again")
 
-        sim.spawn(body())
+        sim.schedule(5, step, "a")
+        sim.schedule(5, step, "b")
         sim.run()
-        assert times == [5, 5]
-
-    def test_task_waits_on_event_and_receives_value(self):
-        sim = Simulator()
-        ev = sim.event("go")
-        got = []
-
-        def waiter():
-            value = yield ev
-            got.append((sim.now, value))
-
-        sim.spawn(waiter())
-        sim.schedule(300, ev.trigger, "payload")
-        sim.run()
-        assert got == [(300, "payload")]
-
-    def test_task_waiting_on_already_triggered_event(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.trigger("early")
-        got = []
-
-        def waiter():
-            got.append((yield ev))
-
-        sim.spawn(waiter())
-        sim.run()
-        assert got == ["early"]
-
-    def test_event_trigger_twice_raises(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.trigger()
-        with pytest.raises(SimulationError):
-            ev.trigger()
-
-    def test_task_waits_on_other_task(self):
-        sim = Simulator()
-
-        def child():
-            yield 100
-            return "done"
-
-        def parent():
-            result = yield sim.spawn(child())
-            return result
-
-        task = sim.spawn(parent())
-        sim.run()
-        assert task.result == "done"
-        assert sim.now == 100
-
-    def test_child_task_exception_propagates_to_waiter(self):
-        sim = Simulator()
-        sim.strict = False
-
-        def child():
-            yield 10
-            raise ValueError("boom")
-
-        def parent():
-            try:
-                yield sim.spawn(child())
-            except ValueError as exc:
-                return f"caught {exc}"
-
-        task = sim.spawn(parent())
-        sim.run()
-        assert task.result == "caught boom"
+        assert log == [(5, "a"), (5, "b"), (5, "a-again")]
 
     def test_unhandled_task_exception_raises_from_run(self):
         sim = Simulator()
+        seen = []
 
-        def body():
-            yield 10
+        def boom():
             raise RuntimeError("unhandled")
 
-        sim.spawn(body())
-        with pytest.raises(TaskFailed):
+        sim.schedule(10, boom)
+        sim.schedule(20, seen.append, "later")
+        with pytest.raises(RuntimeError):
             sim.run()
+        assert sim.now == 10
+        # The failed run released the simulator: it resumes where it
+        # stopped.
+        sim.run()
+        assert seen == ["later"]
 
     def test_non_strict_mode_collects_failures(self):
-        sim = Simulator()
-        sim.strict = False
+        from tests.helpers import BareCluster
 
         def body():
-            yield 10
+            yield Compute(10)
             raise RuntimeError("collected")
 
-        sim.spawn(body())
-        sim.run()
-        assert len(sim.failures) == 1
+        strict = BareCluster(n=1)
+        strict.spawn_program(strict.stations[0], body())
+        with pytest.raises(KernelError):
+            strict.run()
+
+        lax = BareCluster(n=1)
+        lax.sim.strict = False
+        _, pcb = lax.spawn_program(lax.stations[0], body())
+        lax.run()
+        assert lax.stations[0].kernel.faulted == [pcb]
+        assert pcb.exit_code == -1
 
     def test_spawn_requires_generator(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.spawn(lambda: None)
+        from tests.helpers import BareCluster
 
-    def test_float_delay_rejected(self):
-        sim = Simulator()
-
-        def body():
-            yield 1.5
-
-        sim.spawn(body())
-        with pytest.raises(TaskFailed):
-            sim.run()
+        cluster = BareCluster(n=1)
+        with pytest.raises(KernelError, match="generator"):
+            cluster.spawn_program(cluster.stations[0], lambda: None)
 
     def test_negative_delay_in_task_rejected(self):
         sim = Simulator()
-
-        def body():
-            yield -5
-
-        sim.spawn(body())
-        with pytest.raises((TaskFailed, SimulationError)):
+        sim.schedule(1, lambda: sim.schedule(-5, lambda: None))
+        with pytest.raises(SimulationError):
             sim.run()
 
 
 class TestInterrupts:
-    def test_interrupt_wakes_sleeping_task(self):
-        from repro.sim import Interrupted
-
-        sim = Simulator()
-        log = []
-
-        def body():
-            try:
-                yield 1_000_000
-            except Interrupted as intr:
-                log.append((sim.now, intr.cause))
-
-        task = sim.spawn(body())
-        sim.schedule(500, task.interrupt, "preempted")
-        sim.run()
-        assert log == [(500, "preempted")]
-
-    def test_uncaught_interrupt_cancels_task_quietly(self):
-        sim = Simulator()
-
-        def body():
-            yield 1_000_000
-
-        task = sim.spawn(body())
-        sim.schedule(10, task.interrupt)
-        sim.run()
-        assert task.finished
-        assert task.interrupted
-        assert task.exception is None
-        assert sim.failures == []
+    """Abandoning a pending wait is cancelling its timer."""
 
     def test_interrupt_finished_task_is_noop(self):
         sim = Simulator()
-
-        def body():
-            yield 10
-
-        task = sim.spawn(body())
+        seen = []
+        timer = sim.schedule(10, seen.append, "fired")
         sim.run()
-        task.interrupt()
+        timer.cancel()
         sim.run()
-        assert task.exception is None
+        assert seen == ["fired"]
+        assert sim.alive_event_count == 0
 
     def test_stale_timer_does_not_resume_after_interrupt(self):
-        from repro.sim import Interrupted
-
         sim = Simulator()
         resumes = []
+        pending = sim.schedule(100, resumes.append, "stale")
 
-        def body():
-            try:
-                yield 100
-            except Interrupted:
-                pass
-            yield 500
-            resumes.append(sim.now)
+        def interrupt():
+            pending.cancel()
+            sim.schedule(500, lambda: resumes.append(sim.now))
 
-        task = sim.spawn(body())
-        sim.schedule(50, task.interrupt)
+        sim.schedule(50, interrupt)
         sim.run()
-        # Interrupted at 50, then slept 500 more: resumes at 550, not 100.
+        # Cancelled at 50, then slept 500 more: resumes at 550, not 100.
         assert resumes == [550]
 
     def test_interrupt_cancels_abandoned_timer(self):
-        from repro.sim import Interrupted
-
         sim = Simulator()
-
-        def body():
-            try:
-                yield 10_000
-            except Interrupted:
-                pass
-
-        task = sim.spawn(body())
-        sim.schedule(50, task.interrupt)
+        pending = sim.schedule(10_000, lambda: None)
+        sim.schedule(50, pending.cancel)
         sim.run()
-        # The abandoned 10 ms timer is cancelled when the throw lands,
-        # so the run is quiescent at the interrupt instant instead of
-        # dragging on to fire a stale no-op.
-        assert task.finished
+        # The run is quiescent at the cancel instant instead of
+        # dragging on to the abandoned deadline.
         assert sim.now == 50
         assert sim.alive_event_count == 0
 
 
 class TestCombinators:
-    def test_anyof_first_event_wins(self):
-        from repro.sim import AnyOf
+    """First-to-fire races: the winning callback cancels its rivals
+    (the tie storm's and every retransmit timeout's pattern)."""
 
-        sim = Simulator()
-        a, b = sim.event("a"), sim.event("b")
+    @staticmethod
+    def _race(sim, entries):
         got = []
+        rivals = []
 
-        def body():
-            got.append((yield AnyOf([a, b])))
+        def won(index, value):
+            got.append((index, value))
+            for i, rival in enumerate(rivals):
+                if i != index:
+                    rival.cancel()
 
-        sim.spawn(body())
-        sim.schedule(10, b.trigger, "bee")
-        sim.schedule(20, a.trigger, "aye")
+        for index, (delay, value) in enumerate(entries):
+            rivals.append(sim.schedule(delay, won, index, value))
         sim.run()
-        assert got == [(1, "bee")]
+        return got
+
+    def test_anyof_first_event_wins(self):
+        sim = Simulator()
+        assert self._race(sim, [(20, "aye"), (10, "bee")]) == [(1, "bee")]
+        assert sim.now == 10
 
     def test_anyof_with_timeout_member(self):
-        from repro.sim import AnyOf
-
         sim = Simulator()
-        ev = sim.event()
-        got = []
-
-        def body():
-            got.append((yield AnyOf([ev, 250])))
-
-        sim.spawn(body())
-        sim.run()
-        assert got == [(1, None)]
+        assert self._race(sim, [(250, None)]) == [(0, None)]
         assert sim.now == 250
 
     def test_anyof_event_beats_timeout(self):
-        from repro.sim import AnyOf
-
         sim = Simulator()
-        ev = sim.event()
-        got = []
-
-        def body():
-            got.append((yield AnyOf([ev, 250])))
-
-        sim.spawn(body())
-        sim.schedule(100, ev.trigger, "fast")
-        sim.run()
-        assert got == [(0, "fast")]
+        assert self._race(sim, [(100, "fast"), (250, None)]) == [(0, "fast")]
 
     def test_anyof_losing_timer_is_cancelled_on_event_win(self):
-        # Regression: the losing int-delay branch used to sit live in
-        # the queue until its deadline, inflating alive_event_count and
-        # dragging run() out to the stale timeout.
-        from repro.sim import AnyOf
-
         sim = Simulator()
-        ev = sim.event()
-        got = []
-
-        def body():
-            got.append((yield AnyOf([ev, 10_000])))
-
-        sim.spawn(body())
-        sim.schedule(100, ev.trigger, "fast")
-        sim.run()
-        assert got == [(0, "fast")]
+        assert self._race(sim, [(100, "fast"), (10_000, None)]) == [(0, "fast")]
         assert sim.now == 100  # not 10_000: the loser never fires
         assert sim.alive_event_count == 0
 
     def test_anyof_losing_timer_is_cancelled_on_timer_win(self):
-        from repro.sim import AnyOf
-
         sim = Simulator()
-        got = []
-
-        def body():
-            got.append((yield AnyOf([5, 10_000])))
-
-        sim.spawn(body())
-        sim.run()
+        # Equal delays: the loser is cancelled at the very instant it
+        # was due, after being queued behind the winner.
+        got = self._race(sim, [(5, None), (5, None), (10_000, None)])
         assert got == [(0, None)]
         assert sim.now == 5
         assert sim.alive_event_count == 0
-
-    def test_allof_waits_for_every_member(self):
-        from repro.sim import AllOf
-
-        sim = Simulator()
-        a, b = sim.event(), sim.event()
-        got = []
-
-        def body():
-            got.append((yield AllOf([a, b])))
-
-        sim.spawn(body())
-        sim.schedule(10, a.trigger, 1)
-        sim.schedule(30, b.trigger, 2)
-        sim.run()
-        assert got == [[1, 2]]
-        assert sim.now == 30
-
-    def test_empty_combinator_rejected(self):
-        from repro.sim import AllOf, AnyOf
-
-        with pytest.raises(SimulationError):
-            AnyOf([])
-        with pytest.raises(SimulationError):
-            AllOf([])
 
 
 class TestDeterminism:
@@ -554,35 +362,20 @@ class TestDeterminism:
             sim = Simulator(seed=seed)
             log = []
 
-            def body(name):
-                for _ in range(20):
+            def hop(name, left):
+                log.append((sim.now, name))
+                if left:
                     delay = sim.rand.randint("jitter", 1, 100)
-                    yield delay
-                    log.append((sim.now, name))
+                    sim.schedule(delay, hop, name, left - 1)
 
-            sim.spawn(body("x"))
-            sim.spawn(body("y"))
+            for name in ("x", "y"):
+                sim.schedule(sim.rand.randint("jitter", 1, 100), hop, name, 19)
             sim.run()
             return log
 
+        assert len(trajectory(7)) == 40
         assert trajectory(7) == trajectory(7)
         assert trajectory(7) != trajectory(8)
-
-
-def test_event_remove_callback():
-    sim = Simulator()
-    ev = sim.event()
-    fired = []
-
-    def cb(event):
-        fired.append(event.value)
-
-    ev.on_trigger(cb)
-    ev.remove_callback(cb)
-    ev.remove_callback(cb)  # absent: no-op
-    ev.trigger("x")
-    sim.run()
-    assert fired == []
 
 
 class TestRunForPeekInteraction:

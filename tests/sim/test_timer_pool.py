@@ -107,13 +107,14 @@ class TestCompaction:
             sim = Simulator(seed=5)
             log = []
 
-            def body(name):
-                for _ in range(10):
-                    yield sim.rand.randint("jitter", 1, 50)
-                    log.append((sim.now, name))
+            def hop(name, left):
+                log.append((sim.now, name))
+                if left:
+                    sim.schedule(sim.rand.randint("jitter", 1, 50),
+                                 hop, name, left - 1)
 
-            sim.spawn(body("x"))
-            sim.spawn(body("y"))
+            for name in ("x", "y"):
+                sim.schedule(sim.rand.randint("jitter", 1, 50), hop, name, 9)
             if cancel_storm:
                 storm = [sim.schedule(10_000 + i, lambda: None)
                          for i in range(4 * _COMPACT_MIN_CANCELLED)]
@@ -159,13 +160,14 @@ class TestTracerFastPath:
             sim = Simulator(seed=seed)
             sim.trace.enable("*")
 
-            def body(name):
-                for _ in range(15):
-                    yield sim.rand.randint("d", 1, 30)
-                    sim.trace.record("task", "step", name=name, at=sim.now)
+            def hop(name, left):
+                sim.trace.record("task", "step", name=name, at=sim.now)
+                if left:
+                    sim.schedule(sim.rand.randint("d", 1, 30),
+                                 hop, name, left - 1)
 
-            sim.spawn(body("p"))
-            sim.spawn(body("q"))
+            for name in ("p", "q"):
+                sim.schedule(sim.rand.randint("d", 1, 30), hop, name, 14)
             sim.run()
             return repr(sim.trace.records)
 

@@ -8,7 +8,7 @@ builds produce bit-identical histories, different seeds diverge."""
 import pytest
 
 from repro.cluster import build_cluster
-from repro.execution import exec_program, wait_for_program
+from repro.execution import ExecSpec, exec_program, wait_program
 from repro.migration.migrateprog import migrate_program
 from repro.workloads import standard_registry
 
@@ -20,9 +20,9 @@ def run_world(seed):
     job = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-        job["pid"] = pid
-        code = yield from wait_for_program(pm, pid)
+        handle = yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+        job["pid"] = handle.pid
+        code = yield from wait_program(ctx, handle)
         job["code"] = code
         job["done_at"] = ctx.sim.now
 

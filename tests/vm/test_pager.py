@@ -116,7 +116,8 @@ class TestVmFlushMigration:
     def _setup(self):
         """A cluster where ws1 runs a paged churner program to migrate."""
         from repro.cluster import build_cluster
-        from repro.execution import ProgramImage, ProgramRegistry, exec_program
+        from repro.execution import (
+            ExecSpec, ProgramImage, ProgramRegistry, exec_program)
 
         registry = ProgramRegistry()
 
@@ -134,8 +135,8 @@ class TestVmFlushMigration:
         holder = {}
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "paged", where="ws1")
-            holder["pid"] = pid
+            handle = yield from exec_program(ctx, ExecSpec("paged", where="ws1"))
+            holder["pid"] = handle.pid
 
         cluster.spawn_session(cluster.workstations[0], session)
         cluster.run(until_us=2_000_000)

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.cluster import build_cluster
-from repro.execution import ProgramImage, ProgramRegistry, exec_program
+from repro.execution import (
+    ExecSpec,
+    ProgramImage,
+    ProgramRegistry,
+    exec_program,
+    wait_program,
+)
 from repro.workloads.base import dirty_workload_body, measure_dirty_kb
 from repro.workloads.dirty_model import TwoPoolDirtyModel
 
@@ -27,12 +33,10 @@ def test_body_runs_for_requested_duration():
     holder = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "wl")
-        holder["pid"] = pid
+        handle = yield from exec_program(ctx, ExecSpec("wl"))
+        holder["pid"] = handle.pid
         holder["start"] = ctx.sim.now
-        from repro.execution import wait_for_program
-
-        code = yield from wait_for_program(pm, pid)
+        code = yield from wait_program(ctx, handle)
         holder["done"] = ctx.sim.now
         holder["code"] = code
 
@@ -51,8 +55,8 @@ def test_body_dirties_only_above_base_page():
     holder = {}
 
     def session(ctx):
-        pid, pm = yield from exec_program(ctx, "wl")
-        holder["pid"] = pid
+        handle = yield from exec_program(ctx, ExecSpec("wl"))
+        holder["pid"] = handle.pid
 
     cluster.spawn_session(cluster.workstations[0], session)
     while "pid" not in holder and cluster.sim.peek() is not None:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import build_cluster
-from repro.execution import exec_and_wait, exec_program, wait_for_program
+from repro.execution import ExecSpec, exec_program, run_program, wait_program
 from repro.workloads import standard_registry
 from repro.workloads.programs import ALL_SPECS, CC68_PHASES
 
@@ -39,7 +39,7 @@ class TestRunningWorkloads:
         results = []
 
         def session(ctx):
-            code = yield from exec_and_wait(ctx, "tex")
+            code = yield from run_program(ctx, ExecSpec("tex"))
             results.append(code)
 
         cluster.spawn_session(cluster.workstations[0], session)
@@ -54,8 +54,8 @@ class TestRunningWorkloads:
         holder = {}
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "tex")
-            holder["pid"] = pid
+            handle = yield from exec_program(ctx, ExecSpec("tex"))
+            holder["pid"] = handle.pid
 
         cluster.spawn_session(cluster.workstations[0], session)
         cluster.run(until_us=3_000_000)  # tex is mid-run locally
@@ -78,7 +78,7 @@ class TestRunningWorkloads:
         results = []
 
         def session(ctx):
-            code = yield from exec_and_wait(ctx, "cc68", args=("prog.c",))
+            code = yield from run_program(ctx, ExecSpec("cc68", args=("prog.c",)))
             results.append(code)
 
         cluster.spawn_session(cluster.workstations[0], session)
@@ -95,7 +95,7 @@ class TestRunningWorkloads:
         results = []
 
         def session(ctx):
-            code = yield from exec_and_wait(ctx, "make")
+            code = yield from run_program(ctx, ExecSpec("make"))
             results.append(code)
 
         cluster.spawn_session(cluster.workstations[0], session)
@@ -113,7 +113,7 @@ class TestRunningWorkloads:
         results = []
 
         def session(ctx):
-            code = yield from exec_and_wait(ctx, "cc68", args=("x.c",), where="*")
+            code = yield from run_program(ctx, ExecSpec("cc68", args=("x.c",), where="*"))
             results.append(code)
 
         cluster.spawn_session(cluster.workstations[0], session)
@@ -129,9 +129,9 @@ class TestRunningWorkloads:
         holder = {}
 
         def session(ctx):
-            pid, pm = yield from exec_program(ctx, "longsim", where="ws1")
-            holder["pid"] = pid
-            code = yield from wait_for_program(pm, pid)
+            handle = yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+            holder["pid"] = handle.pid
+            code = yield from wait_program(ctx, handle)
             holder["code"] = code
 
         cluster.spawn_session(cluster.workstations[0], session)
@@ -155,7 +155,7 @@ def test_make_with_multiple_targets():
     results = []
 
     def session(ctx):
-        code = yield from exec_and_wait(ctx, "make", args=("a.c", "b.c"))
+        code = yield from run_program(ctx, ExecSpec("make", args=("a.c", "b.c")))
         results.append(code)
 
     cluster.spawn_session(cluster.workstations[0], session)
