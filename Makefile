@@ -1,6 +1,6 @@
 # Convenience targets for the V-System reproduction.
 
-.PHONY: install test bench bench-smoke bench-test bench-sweep bench-placement chaos-smoke report-smoke verify-smoke examples demo trace-demo all
+.PHONY: install test bench bench-smoke bench-test bench-pair bench-sweep bench-placement chaos-smoke report-smoke verify-smoke examples demo trace-demo all
 
 install:
 	pip install -e . || python setup.py develop
@@ -20,6 +20,28 @@ bench-smoke:
 # runner, child and compare.py on short workloads, outside tier-1.
 bench-test:
 	python -m pytest bench -q -p no:cacheprovider
+
+# Parent-vs-change pairs of the outside-in benchmark (bench/README.md,
+# "Claiming a gain", steps 2 and 4): PAIRS alternating runs of
+# bench/run.py at PARENT, checked out in a temporary git worktree, and
+# at this checkout, into bench-pair/parent/ and bench-pair/change/, then
+# bench/compare.py on the two.  Commit first: compare.py refuses a
+# record whose src/ differs from its commit.
+PARENT ?= HEAD~1
+PAIRS ?= 10
+bench-pair:
+	set -e; rm -rf bench-pair; mkdir -p bench-pair/parent bench-pair/change; \
+	tmp=$$(mktemp -d); trap 'git worktree remove --force "$$tmp/parent"; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tmp/parent" $(PARENT); \
+	for i in $$(seq 1 $(PAIRS)); do \
+	  if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
+	  for side in $$order; do \
+	    if [ $$side = parent ]; then dir="$$tmp/parent"; else dir=.; fi; \
+	    echo "== pair $$i: $$side"; \
+	    (cd "$$dir" && python3 bench/run.py --out "$(CURDIR)/bench-pair/$$side/$$i.json" > /dev/null); \
+	  done; \
+	done; \
+	python3 bench/compare.py bench-pair/parent bench-pair/change
 
 # Placement-plane policy comparison on the open-loop job storm: the
 # paper's first-responder multicast vs cached RandomK probing vs

@@ -69,6 +69,8 @@ class CopyEngine:
         #: Cached bound ``sim.schedule`` for the pacing loops.
         self._sched = self.sim.schedule
         self.model = transport.model
+        #: The per-page pace, computed once (the model is frozen).
+        self._page_us = self.model.bulk_copy_us(PAGE_SIZE)
         self.nic = transport.nic
         #: Pages per packet blast; 1 = the per-page stream (one frame and
         #: one pacing timer per page).  Read once at construction, like
@@ -123,7 +125,8 @@ class CopyEngine:
             self._send_end(record, address)
             return
         page = pages[i]
-        snapshot = PageSnapshot(page.index, page.version)
+        index = page.index
+        snapshot = PageSnapshot(index, page.space.versions[index])
         if self.metrics.active:
             self._m_pages.inc()
             self._m_bytes.inc(PAGE_SIZE)
@@ -134,10 +137,8 @@ class CopyEngine:
             PAGE_SIZE,
         )
         self.pacing_events += 1
-        self._sched(
-            self.model.bulk_copy_us(PAGE_SIZE),
-            self._send_page, record, address, pages, i + 1,
-        )
+        self._sched(self._page_us, self._send_page, record, address, pages,
+                    i + 1)
 
     def _send_burst(self, record, address, pages, i: int) -> None:
         """One K-page packet blast: a single frame carrying the burst's
@@ -168,7 +169,7 @@ class CopyEngine:
         )
         self.pacing_events += 1
         self._sched(
-            k * self.model.bulk_copy_us(PAGE_SIZE),
+            k * self._page_us,
             self._send_burst, record, address, pages, i + k,
         )
 
@@ -198,11 +199,6 @@ class CopyEngine:
         pages = [by_index[i] for i in payload["missing"] if i in by_index]
         if pages:
             self._send_page(record, packet.src, pages, 0)
-
-    def on_copy_data(self, packet: Packet) -> None:
-        payload = packet.payload
-        key = (payload["src"], payload["seq"])
-        self.inbound.setdefault(key, []).append(payload["snapshot"])
 
     def on_copy_burst(self, packet: Packet) -> None:
         payload = packet.payload
@@ -322,7 +318,7 @@ class CopyEngine:
             )
             self.pacing_events += 1
             self._sched(
-                self.model.bulk_copy_us(PAGE_SIZE),
+                self._page_us,
                 self._stream_reply, src, seq, snapshots, address, i + 1,
             )
             return
@@ -345,7 +341,7 @@ class CopyEngine:
             )
             self.pacing_events += 1
             self._sched(
-                k * self.model.bulk_copy_us(PAGE_SIZE),
+                k * self._page_us,
                 self._stream_reply_burst, src, seq, snapshots, address, i + k,
             )
             return

@@ -921,7 +921,10 @@ class Transport:
         return self.copies.find_copy_target(dst)
 
     def _on_copy_data(self, packet: Packet) -> None:
-        self.copies.on_copy_data(packet)
+        # One hop per copied page: buffer the snapshot for copy-end.
+        payload = packet.payload
+        key = (payload["src"], payload["seq"])
+        self.copies.inbound.setdefault(key, []).append(payload["snapshot"])
 
     def _on_copy_burst(self, packet: Packet) -> None:
         self.copies.on_copy_burst(packet)

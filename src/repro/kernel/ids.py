@@ -44,6 +44,15 @@ class Pid:
             raise ValueError(f"logical_host_id {self.logical_host_id:#x} outside 16 bits")
         if not 0 <= self.local_index <= _MAX16:
             raise ValueError(f"local_index {self.local_index:#x} outside 16 bits")
+        # Hashed once, not per lookup.  Ints hash unsalted, so this is a
+        # pure function of the two fields in every process: a pickled
+        # pid hashes alike in every parallel sweep worker.
+        object.__setattr__(
+            self, "_hash", hash((self.logical_host_id, self.local_index))
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_group(self) -> bool:

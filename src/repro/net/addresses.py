@@ -28,7 +28,9 @@ class HostAddress:
         return isinstance(other, HostAddress) and other.value == self.value
 
     def __hash__(self) -> int:
-        return hash(("HostAddress", self.value))
+        # The value alone: unsalted by PYTHONHASHSEED, so every process
+        # (and every parallel sweep worker) hashes an address alike.
+        return self.value
 
     def __repr__(self) -> str:
         octets = [(self.value >> shift) & 0xFF for shift in range(40, -8, -8)]

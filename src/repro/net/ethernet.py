@@ -29,6 +29,13 @@ protocol-processing delay first (``rx_delay_us``, see
   delay -- one item for a whole cluster of kernels.  Segments with a
   fault plane deliver per NIC instead, so duplicate and delay timers
   keep their place in the schedule.
+* **Lossless unicast in one hop.**  On a segment with no fault plane
+  and :class:`NoLoss`, :meth:`Ethernet._deliver` counts a unicast frame
+  and hands it to the rx batch itself; every copied page takes this
+  path.  Lossy and fault-plane segments deliver through
+  ``_deliver_one``/``_arrive``, so loss draws and duplicate/delay
+  timers stay where they were.  The NIC table is keyed by the
+  address's int value and wire times are cached per frame size.
 """
 
 from __future__ import annotations
@@ -62,11 +69,15 @@ class Ethernet:
         self.faults = faults
         if faults is not None:
             faults.bind_metrics(sim.metrics)
-        self._nics: Dict[HostAddress, "Nic"] = {}
-        #: source address -> the NICs its broadcasts reach, in
+        #: address value -> NIC: an int key, so a lookup runs no Python
+        #: ``__hash__``.
+        self._nics: Dict[int, "Nic"] = {}
+        #: source address value -> the NICs its broadcasts reach, in
         #: deterministic (address-sorted) delivery order; built lazily
         #: and dropped wholesale on attach/detach.
-        self._receivers: Dict[HostAddress, List["Nic"]] = {}
+        self._receivers: Dict[int, List["Nic"]] = {}
+        #: frame size -> wire time (the model is frozen, so never stale).
+        self._wire_us: Dict[int, int] = {}
         #: Earliest time the bus is free for the next transmission.
         self._busy_until = 0
         #: Counters for experiment reports.
@@ -88,41 +99,40 @@ class Ethernet:
 
     def attach(self, nic: "Nic") -> None:
         """Connect a NIC to the segment; its address must be unique."""
-        if nic.address in self._nics:
+        if nic.address.value in self._nics:
             raise SimulationError(f"duplicate host address {nic.address}")
         if nic.address.is_broadcast:
             raise SimulationError("cannot attach a NIC at the broadcast address")
-        self._nics[nic.address] = nic
+        self._nics[nic.address.value] = nic
         self._receivers.clear()
         nic.ethernet = self
 
     def detach(self, nic: "Nic") -> None:
         """Disconnect a NIC (host crash/power-off); in-flight frames to it
         are lost."""
-        self._nics.pop(nic.address, None)
+        self._nics.pop(nic.address.value, None)
         self._receivers.clear()
         nic.ethernet = None
 
     def _receivers_of(self, src: HostAddress) -> List["Nic"]:
         """The NICs a broadcast from ``src`` reaches, address-sorted;
         cached until the next attach/detach."""
-        receivers = self._receivers.get(src)
+        receivers = self._receivers.get(src.value)
         if receivers is None:
-            receivers = self._receivers[src] = [
-                nic for address, nic in
-                sorted(self._nics.items(), key=lambda kv: kv[0].value)
-                if address != src
+            receivers = self._receivers[src.value] = [
+                self._nics[value] for value in sorted(self._nics)
+                if value != src.value
             ]
         return receivers
 
     def nic_at(self, address: HostAddress) -> Optional["Nic"]:
         """The NIC currently attached at ``address``, if any."""
-        return self._nics.get(address)
+        return self._nics.get(address.value)
 
     @property
     def addresses(self) -> List[HostAddress]:
         """Addresses of all attached NICs (sorted for determinism)."""
-        return sorted(self._nics, key=lambda address: address.value)
+        return [self._nics[value].address for value in sorted(self._nics)]
 
     # ----------------------------------------------------------- transmission
 
@@ -133,8 +143,10 @@ class Ethernet:
         is next free; receivers see it at the end of that interval.
         """
         size = packet.size_bytes
-        wire_us = self.model.packet_wire_us(size)
-        now = self.sim.now
+        wire_us = self._wire_us.get(size)
+        if wire_us is None:
+            wire_us = self._wire_us[size] = self.model.packet_wire_us(size)
+        now = self.sim._now
         start = self._busy_until
         if start < now:
             start = now
@@ -171,10 +183,24 @@ class Ethernet:
             else:
                 for nic in receivers:
                     self._deliver_one(nic, packet)
-        else:
-            nic = self._nics.get(packet.dst)
-            if nic is not None:
-                self._deliver_one(nic, packet)
+            return
+        nic = self._nics.get(packet.dst.value)
+        if nic is None:
+            return
+        if self.faults is not None or type(self.loss) is not NoLoss:
+            self._deliver_one(nic, packet)
+            return
+        # The lossless unicast: _arrive, inline.
+        rx = nic.rx
+        if rx is None:
+            nic.dropped_no_handler += 1
+            if self.metrics.active:
+                nic._m_rx_dropped.inc()
+            return
+        nic.received += 1
+        if self.metrics.active:
+            nic._m_rx.inc()
+        self.schedule_rx(rx[1], rx[0], packet, (rx[2],))
 
     def _deliver_broadcast(self, packet: Packet, receivers: List["Nic"]) -> None:
         """One pass over a broadcast's receivers: loss draws and

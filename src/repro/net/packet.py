@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Any
 
-from repro.net.addresses import HostAddress
+from repro.net.addresses import _MAX_ADDRESS, HostAddress
 
 _packet_ids = itertools.count(1)
 
@@ -42,7 +42,7 @@ class Packet:
         self.payload = payload
         self.size_bytes = size_bytes
         self.packet_id = next(_packet_ids)
-        self.is_broadcast = dst.is_broadcast
+        self.is_broadcast = dst.value == _MAX_ADDRESS
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

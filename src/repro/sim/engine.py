@@ -290,6 +290,8 @@ class Simulator:
         try:
             budget = max_events if max_events is not None else -1
             heap = self._heap
+            pool = self._timer_pool
+            heappop = heapq.heappop
             while heap:
                 time, _seq, timer = heap[0]
                 if timer.cancelled:
@@ -300,7 +302,7 @@ class Simulator:
                     continue
                 if until_us is not None and time > until_us:
                     break
-                heapq.heappop(heap)
+                heappop(heap)
                 if time < self._now:
                     raise SimulationError("event heap produced time travel")
                 self._now = time
@@ -324,7 +326,14 @@ class Simulator:
                 # stale local here would keep draining the old one while
                 # new schedules land in the new one.
                 heap = self._heap
-                self._recycle(timer)
+                # Recycle the timer unless a handle survives (the test
+                # of _recycle; here the only references are our local
+                # and getrefcount's argument).
+                if len(pool) < _TIMER_POOL_MAX and getrefcount(timer) <= 2:
+                    timer.fn = None
+                    timer.args = ()
+                    timer.cancelled = False
+                    pool.append(timer)
                 if budget > 0:
                     budget -= 1
                     if budget == 0:

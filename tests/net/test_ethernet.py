@@ -60,6 +60,33 @@ class TestAddresses:
     def test_repr_is_colon_hex(self):
         assert repr(workstation_address(0)) == "08:00:20:00:00:01"
 
+    def test_hash_is_the_same_under_any_hash_seed(self):
+        """An address hashes by its value alone, so parallel sweep
+        workers (each with its own PYTHONHASHSEED) agree on it."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = ("from repro.net import BROADCAST\n"
+                "from repro.net.addresses import workstation_address as w\n"
+                "print(hash(w(0)), hash(w(4095)), hash(BROADCAST))")
+        hashes = [
+            subprocess.run(
+                [sys.executable, "-c", code], check=True, capture_output=True,
+                text=True, env=dict(os.environ, PYTHONPATH=src,
+                                    PYTHONHASHSEED=seed),
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert hashes[0] == hashes[1]
+        assert hashes[0].split() == [
+            str(hash(w.value)) for w in
+            (workstation_address(0), workstation_address(4095), BROADCAST)
+        ]
+
 
 class TestPacket:
     def test_packet_ids_increment(self):
@@ -315,3 +342,92 @@ class TestCalibration:
     def test_bulk_copy_partial_packet(self):
         one = DEFAULT_MODEL.bulk_copy_us(100)
         assert one == DEFAULT_MODEL.packet_cost_us(100)
+
+
+# ------------------------------------------------ unicast receive accounting
+
+
+def _unicast_run(case):
+    """Twelve back-to-back unicasts from NIC 0 to NICs 3, 2, 1 in turn,
+    then two 1 KB frames from NIC 1 to NIC 2.  NIC 3's processing delay
+    is one wire time longer than NIC 2's, so a frame to NIC 3 and the
+    next one to NIC 2 are processed at the same instant (one coalesced
+    rx event).  Returns the net, its NICs, the simulator and every
+    handler call as ``(nic, frame number, time)``."""
+    from repro.faults import DuplicateFault, FaultPlane, ReorderFault
+
+    loss = BernoulliLoss(0.3) if case == "bernoulli" else None
+    faults = None
+    if case == "faults":
+        faults = FaultPlane([DuplicateFault(0.3, delay_us=40),
+                             ReorderFault(0.3, max_delay_us=300)])
+    sim = Simulator(seed=11)
+    net = Ethernet(sim, DEFAULT_MODEL, loss=loss, faults=faults)
+    nics = [Nic(sim, workstation_address(i)) for i in range(4)]
+    for nic in nics:
+        net.attach(nic)
+    wire = DEFAULT_MODEL.packet_wire_us(64)
+    calls = []
+    for i, delay in ((1, 0), (2, 25), (3, 25 + wire)):
+        if case == "no-receiver" and i == 3:
+            continue
+        install(nics[i], lambda p, i=i: calls.append((i, p.payload, sim.now)),
+                delay)
+    if case == "detached":
+        sim.schedule(1, net.detach, nics[2])
+    for n in range(12):
+        nics[0].emit(nics[3 - n % 3].address, "u", n)
+    sim.schedule(5_000, nics[1].emit, nics[2].address, "u", 12, 1024)
+    sim.schedule(5_000, nics[1].emit, nics[2].address, "u", 13, 1024)
+    sim.run()
+    return sim, net, nics, calls
+
+
+#: Recorded with one ``_deliver_one``/``_arrive`` hop per unicast frame:
+#: per-NIC ``received`` and ``dropped_no_handler``, the segment's
+#: ``packets_dropped`` and ``rx_coalesced``, events, and handler calls.
+UNICAST_RECORDED = {
+    "lossless": dict(
+        received=[0, 4, 6, 4], no_handler=[0, 0, 0, 0],
+        dropped=0, rx_coalesced=4, events=30,
+        calls=[(3, 0, 429), (2, 1, 429), (1, 2, 606), (3, 3, 1035),
+               (2, 4, 1035), (1, 5, 1212), (3, 6, 1641), (2, 7, 1641),
+               (1, 8, 1818), (3, 9, 2247), (2, 10, 2247), (1, 11, 2424),
+               (2, 12, 5995), (2, 13, 6965)]),
+    "bernoulli": dict(
+        received=[0, 2, 3, 3], no_handler=[0, 0, 0, 0],
+        dropped=6, rx_coalesced=1, events=24,
+        calls=[(1, 2, 606), (3, 3, 1035), (2, 4, 1035), (3, 6, 1641),
+               (3, 9, 2247), (1, 11, 2424), (2, 12, 5995), (2, 13, 6965)]),
+    "faults": dict(
+        received=[0, 6, 8, 5], no_handler=[0, 0, 0, 0],
+        dropped=0, rx_coalesced=0, events=46,
+        calls=[(3, 0, 429), (2, 1, 429), (3, 0, 469), (1, 2, 606),
+               (1, 2, 646), (3, 3, 1035), (1, 5, 1212), (2, 4, 1223),
+               (3, 6, 1656), (2, 7, 1683), (2, 7, 1723), (1, 8, 1818),
+               (1, 8, 1858), (2, 10, 2329), (2, 10, 2369), (1, 11, 2424),
+               (3, 9, 2530), (2, 12, 6274), (2, 13, 6965)]),
+    "no-receiver": dict(
+        received=[0, 4, 6, 0], no_handler=[0, 0, 0, 4],
+        dropped=0, rx_coalesced=0, events=26,
+        calls=[(2, 1, 429), (1, 2, 606), (2, 4, 1035), (1, 5, 1212),
+               (2, 7, 1641), (1, 8, 1818), (2, 10, 2247), (1, 11, 2424),
+               (2, 12, 5995), (2, 13, 6965)]),
+    "detached": dict(
+        received=[0, 4, 0, 4], no_handler=[0, 0, 0, 0],
+        dropped=0, rx_coalesced=0, events=25,
+        calls=[(3, 0, 429), (1, 2, 606), (3, 3, 1035), (1, 5, 1212),
+               (3, 6, 1641), (1, 8, 1818), (3, 9, 2247), (1, 11, 2424)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNICAST_RECORDED))
+def test_unicast_accounting_matches_recorded(case):
+    sim, net, nics, calls = _unicast_run(case)
+    expected = UNICAST_RECORDED[case]
+    assert [nic.received for nic in nics] == expected["received"]
+    assert [nic.dropped_no_handler for nic in nics] == expected["no_handler"]
+    assert net.packets_dropped == expected["dropped"]
+    assert net.rx_coalesced == expected["rx_coalesced"]
+    assert sim.event_count == expected["events"]
+    assert calls == expected["calls"]
