@@ -23,20 +23,21 @@ bench-test:
 
 # Parent-vs-change pairs of the outside-in benchmark (bench/README.md,
 # "Claiming a gain", steps 2 and 4): PAIRS alternating runs of
-# bench/run.py at PARENT, checked out in a temporary git worktree, and
-# at this checkout, into bench-pair/parent/ and bench-pair/change/, then
-# bench/compare.py on the two.  Commit first: compare.py refuses a
-# record whose src/ differs from its commit.
+# bench/run.py at PARENT, checked out in a temporary git worktree
+# (bench-pair/worktree), and at this checkout, into bench-pair/parent/
+# and bench-pair/change/, then bench/compare.py on the two.  Commit
+# first: compare.py refuses a record whose src/ differs from its commit.
 PARENT ?= HEAD~1
 PAIRS ?= 10
 bench-pair:
-	set -e; rm -rf bench-pair; mkdir -p bench-pair/parent bench-pair/change; \
-	tmp=$$(mktemp -d); trap 'git worktree remove --force "$$tmp/parent"; rm -rf "$$tmp"' EXIT; \
-	git worktree add --detach "$$tmp/parent" $(PARENT); \
+	set -e; rm -rf bench-pair; git worktree prune; \
+	mkdir -p bench-pair/parent bench-pair/change; \
+	trap 'git worktree remove --force bench-pair/worktree' EXIT; \
+	git worktree add --detach bench-pair/worktree $(PARENT); \
 	for i in $$(seq 1 $(PAIRS)); do \
 	  if [ $$((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi; \
 	  for side in $$order; do \
-	    if [ $$side = parent ]; then dir="$$tmp/parent"; else dir=.; fi; \
+	    if [ $$side = parent ]; then dir=bench-pair/worktree; else dir=.; fi; \
 	    echo "== pair $$i: $$side"; \
 	    (cd "$$dir" && python3 bench/run.py --out "$(CURDIR)/bench-pair/$$side/$$i.json" > /dev/null); \
 	  done; \

@@ -5,6 +5,7 @@ import pytest
 
 from repro.config import DEFAULT_MODEL
 from repro.errors import SimulationError
+from repro.faults import DuplicateFault, FaultPlane, ReorderFault
 from repro.net import (
     BROADCAST,
     BernoulliLoss,
@@ -354,8 +355,6 @@ def _unicast_run(case):
     next one to NIC 2 are processed at the same instant (one coalesced
     rx event).  Returns the net, its NICs, the simulator and every
     handler call as ``(nic, frame number, time)``."""
-    from repro.faults import DuplicateFault, FaultPlane, ReorderFault
-
     loss = BernoulliLoss(0.3) if case == "bernoulli" else None
     faults = None
     if case == "faults":
