@@ -1,6 +1,6 @@
 # Convenience targets for the V-System reproduction.
 
-.PHONY: install test bench bench-smoke bench-test bench-pair bench-sweep bench-placement chaos-smoke report-smoke verify-smoke examples demo trace-demo all
+.PHONY: install test bench bench-test bench-pair chaos-smoke report-smoke verify-smoke examples demo trace-demo all
 
 install:
 	pip install -e . || python setup.py develop
@@ -10,11 +10,6 @@ test:
 
 bench:
 	python -m pytest benchmarks/ --benchmark-only
-
-# Quick regression gate: re-measures the simulator-core fast paths and
-# fails on a >2x slowdown against the recorded BENCH_simcore.json.
-bench-smoke:
-	python -m pytest benchmarks/bench_simcore.py -m smoke -p no:cacheprovider
 
 # The outside-in benchmark's own tests (bench/test_bench.py, ~20 s):
 # runner, child and compare.py on short workloads, outside tier-1.
@@ -43,13 +38,6 @@ bench-pair:
 	  done; \
 	done; \
 	python3 bench/compare.py bench-pair/parent bench-pair/change
-
-# Placement-plane policy comparison on the open-loop job storm: the
-# paper's first-responder multicast vs cached RandomK probing vs
-# zero-probe best-fit, at 8/32/128 hosts (selection messages per exec
-# and exec-to-start latency percentiles; see docs/ARCHITECTURE.md).
-bench-placement:
-	PYTHONPATH=src:benchmarks python -c "import json, bench_simcore; print(json.dumps(bench_simcore._measure_placement(), indent=2))"
 
 # Fixed-seed fault-injection campaign: every fault schedule x 10 seeds
 # with the invariant harness watching every event (see docs/FAULTS.md).
@@ -82,11 +70,6 @@ verify-smoke:
 report-smoke:
 	python -m repro report --seed 0 --out run_report.json
 	python -m repro diff BASELINE_report.json run_report.json
-
-# Serial vs 4-worker wall clock for the same migration sweep, plus the
-# byte-identity check on the merged payloads (see docs/PARALLEL.md).
-bench-sweep:
-	PYTHONPATH=src:benchmarks python -c "import json, bench_simcore; print(json.dumps(bench_simcore._measure_parallel_sweep(), indent=2))"
 
 examples:
 	for e in examples/*.py; do echo "== $$e"; python $$e; done

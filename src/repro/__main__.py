@@ -566,7 +566,7 @@ def main(argv=None) -> int:
                        help="export only events at or after this sim time")
     trace.add_argument("--until-us", type=int, default=None,
                        help="export only events before this sim time "
-                            "(half-open window, like the traffic reports)")
+                            "(half-open window)")
     sweep = sub.add_parser(
         "sweep", help="process-parallel scenario sweep"
     )

@@ -59,8 +59,9 @@ class CopyPlaneFlags:
     trajectory, so they default off; with every switch off the data
     plane is byte-identical to the per-page implementation.  Delivered
     page versions, invariant cleanliness and ``freeze_us`` accounting
-    are preserved either way -- ``benchmarks/bench_simcore.py`` and the
-    chaos campaign gate both positions.
+    are preserved either way -- ``tests/ipc/test_copy_plane.py``,
+    ``tests/migration/test_adaptive_precopy.py`` and the chaos campaign
+    gate both positions.
     """
 
     __slots__ = (

@@ -35,19 +35,19 @@ properties the paper's correctness argument rests on:
 
 Cost discipline: a simulator with no checker installed pays one
 attribute load + branch per event (like ``Tracer.active``); the
-``invariant_overhead`` case in ``benchmarks/bench_simcore.py`` holds
-the disabled path to <=1.05x on the migration storm.  An installed
-checker still sees every event (``events_checked``), but rescans the
-machines only when a logical host may have become runnable since the
-last clean scan.  Three kernel transitions can do that, and each calls
+``bench/`` workloads run that dormant path inside the ``wall_s`` bound
+of ``BENCHMARK.json``.  An installed checker still sees every event
+(``events_checked``), but rescans the machines only when a logical
+host may have become runnable since the last clean scan.  Three kernel
+transitions can do that, and each calls
 :meth:`~InvariantChecker.note_runnable`: a process joining a logical
 host (``LogicalHost.add_process``), an unfreeze, and an lhid change.
 Every other transition -- freeze, process exit or destroy, logical-host
 destroy, crash -- can only end runnability, so it cannot create a
 second runnable copy.  A scan that finds a violation leaves the scan
 armed, so a violation that persists is reported on every event.  The
-enabled checker costs O(1) per event between transitions (the same
-bench case holds it to <=3x on the storm).
+enabled checker costs O(1) per event between transitions (the
+``chaos_campaign`` bench workload runs it on every event).
 
 ``strict=True`` (the default, for tests) raises
 :class:`~repro.errors.InvariantViolation` at the first breach;

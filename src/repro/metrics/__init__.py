@@ -1,4 +1,4 @@
-"""Measurement and reporting helpers for the experiment harness."""
+"""Paper-vs-measured experiment reports for the E-series benchmarks."""
 
 from repro.metrics.report import (
     REGISTRY,
@@ -7,8 +7,6 @@ from repro.metrics.report import (
     register,
     render_all,
 )
-from repro.metrics.stats import mean, percentile, stddev
-from repro.metrics.trace_report import TrafficReport
 
 __all__ = [
     "ExperimentReport",
@@ -16,8 +14,4 @@ __all__ = [
     "REGISTRY",
     "register",
     "render_all",
-    "mean",
-    "percentile",
-    "stddev",
-    "TrafficReport",
 ]

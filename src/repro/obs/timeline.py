@@ -10,10 +10,9 @@ Spans become complete events (``ph: "X"`` with ``ts``/``dur``); still
 open spans are emitted as zero-duration instants so a truncated run
 stays loadable.  Instant records become ``ph: "i"`` events.
 
-Exports can be windowed with ``since_us``/``until_us`` -- the same
-half-open ``[since_us, until_us)`` convention as
-:meth:`TrafficReport.from_tracer`, keyed on a span's *start* time (a
-span straddling the window edge belongs to the window it started in).
+Exports can be windowed with ``since_us``/``until_us``: a half-open
+``[since_us, until_us)`` window keyed on a span's *start* time (a span
+straddling the window edge belongs to the window it started in).
 """
 
 from __future__ import annotations

@@ -141,7 +141,7 @@ class Simulator:
         #: Cancelled timers still sitting in the heap awaiting removal.
         self._cancelled_alive = 0
         self._timer_pool: List[Timer] = []
-        #: Heap compactions performed (perf counters for bench_simcore).
+        #: Heap compactions performed (perf counter).
         self.compactions = 0
         #: Timer objects served from the free pool instead of allocated.
         self.timers_reused = 0

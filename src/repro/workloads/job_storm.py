@@ -8,8 +8,9 @@ Poisson process (precomputed from a named random stream, so replayable
 and coordinate-pure), each submitter execs one small ``job`` program
 under a configurable placement policy and waits for it, and the payload
 reports exec-to-start latency percentiles, scheduling throughput and
-the cluster-wide selection message cost per exec -- the metrics the
-``placement`` bench case compares policies on (8/32/128 hosts).
+the cluster-wide selection message cost per exec -- the metrics
+``tests/properties/test_placement.py`` gates the policies on at 128
+hosts.
 
 Placement toggles are set for the duration of the run and restored (the
 chaos campaign's copy_plane pattern), so the scenario composes with the

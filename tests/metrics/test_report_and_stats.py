@@ -1,15 +1,8 @@
-"""Unit tests for experiment reporting and statistics helpers."""
+"""Unit tests for the experiment reporting helpers."""
 
 import pytest
 
-from repro.metrics import (
-    ExperimentReport,
-    mean,
-    percentile,
-    register,
-    render_all,
-    stddev,
-)
+from repro.metrics import ExperimentReport, register, render_all
 from repro.metrics.report import REGISTRY, ReportRow
 
 
@@ -19,50 +12,6 @@ def clean_registry():
     REGISTRY.clear()
     yield
     REGISTRY[:] = saved
-
-
-class TestStats:
-    def test_mean(self):
-        assert mean([1, 2, 3]) == 2.0
-        assert mean([]) == 0.0
-
-    def test_stddev(self):
-        assert stddev([5, 5, 5]) == 0.0
-        assert stddev([1]) == 0.0
-        assert stddev([0, 2]) == 1.0
-
-    def test_percentile(self):
-        values = list(range(1, 101))
-        assert percentile(values, 0) == 1
-        assert percentile(values, 100) == 100
-        assert percentile(values, 50) in (50, 51)  # nearest-rank median
-        assert percentile([], 50) == 0.0
-        with pytest.raises(ValueError):
-            percentile([1], 150)
-
-    def test_percentile_edge_ranks(self):
-        # A single observation answers every percentile.
-        for pct in (0, 50, 100):
-            assert percentile([42], pct) == 42
-        # Two values: the rank rounds to the nearer endpoint.
-        assert percentile([10, 20], 0) == 10
-        assert percentile([10, 20], 100) == 20
-        assert percentile([10, 20], 49) == 10
-        assert percentile([10, 20], 51) == 20
-        # Input order must not matter.
-        assert percentile([30, 10, 20], 100) == 30
-        with pytest.raises(ValueError):
-            percentile([1], -1)
-
-    def test_stddev_degenerate_inputs(self):
-        # Fewer than two observations have no spread, not an error.
-        assert stddev([]) == 0.0
-        assert stddev([123.4]) == 0.0
-        # Population (not sample) stddev: n in the denominator.
-        assert stddev([2, 4, 4, 4, 5, 5, 7, 9]) == 2.0
-
-    def test_mean_single_value(self):
-        assert mean([7]) == 7.0
 
 
 class TestReportRow:

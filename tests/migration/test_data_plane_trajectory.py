@@ -6,7 +6,9 @@ CopyTo that recovers through a NAK -- each checked against constants
 recorded before the per-frame hot path was tightened.  A host-side
 speed-up of the copy engine, the segment or the event core must leave
 every one of them unchanged: the number and order of simulated events
-is the trajectory, not an implementation detail.
+is the trajectory, not an implementation detail.  The two migrations
+are also pinned with a strict invariant checker installed: the checker
+only observes, so the same constants must hold with it.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 from repro.cluster import build_cluster
 from repro.config import PAGE_SIZE
 from repro.execution import ExecSpec, ProgramImage, ProgramRegistry, exec_program
+from repro.faults import InvariantChecker
 from repro.kernel import CopyToInstr, Delay
 from repro.kernel.process import Compute, Priority, TouchPages
 from repro.migration.manager import run_migration
@@ -36,15 +39,18 @@ def _hog(pages=96, hot=6, iterations=600):
     return body
 
 
-def _migrate(migrate, *, cap=None, seed=0):
+def _migrate(migrate, *, cap=None, seed=0, checked=False):
     """Start a hog on ws1, optionally cap it under a pager, migrate it to
-    ws2 with ``migrate`` and return (cluster, stats)."""
+    ws2 with ``migrate`` and return (cluster, stats).  ``checked``
+    installs a strict invariant checker before the hog starts."""
     registry = ProgramRegistry()
     registry.register(ProgramImage(
         name="hog", image_bytes=64 * 1024, space_bytes=96 * PAGE_SIZE,
         code_bytes=48 * 1024, body_factory=_hog(),
     ))
     cluster = build_cluster(n_workstations=3, seed=seed, registry=registry)
+    if checked:
+        checker = InvariantChecker(cluster, strict=True).install(cluster.sim)
     holder = {}
 
     def session(ctx):
@@ -79,6 +85,8 @@ def _migrate(migrate, *, cap=None, seed=0):
     cluster.run(until_us=cluster.sim.now + 1_000_000)
     stats = results[0]
     assert stats.success, stats.error
+    if checked:
+        assert checker.events_checked > 0
     return cluster, stats
 
 
@@ -94,19 +102,22 @@ def _trajectory(cluster, stats):
 
 
 def test_precopy_migration_trajectory():
-    cluster, stats = _migrate(run_migration)
-    assert _trajectory(cluster, stats) == dict(
-        events=1101, packets=215, bytes=367424, rounds=[96, 34],
-        freeze_us=131741, residual_pages=16,
-    )
+    for checked in (False, True):
+        cluster, stats = _migrate(run_migration, checked=checked)
+        assert _trajectory(cluster, stats) == dict(
+            events=1101, packets=215, bytes=367424, rounds=[96, 34],
+            freeze_us=131741, residual_pages=16,
+        ), f"checked={checked}"
 
 
 def test_vm_flush_migration_of_a_capped_hog_trajectory():
-    cluster, stats = _migrate(run_vm_flush_migration, cap=16)
-    assert _trajectory(cluster, stats) == dict(
-        events=583, packets=63, bytes=68032, rounds=[16],
-        freeze_us=135661, residual_pages=14,
-    )
+    for checked in (False, True):
+        cluster, stats = _migrate(run_vm_flush_migration, cap=16,
+                                  checked=checked)
+        assert _trajectory(cluster, stats) == dict(
+            events=583, packets=63, bytes=68032, rounds=[16],
+            freeze_us=135661, residual_pages=14,
+        ), f"checked={checked}"
 
 
 class _Tally(BernoulliLoss):

@@ -1,11 +1,13 @@
 """Placement-plane properties.
 
-Two contracts: probing the *whole* fresh candidate set is equivalent to
-trusting the cached view on a quiesced cluster (RandomK's ``k = n``
+Three contracts: probing the *whole* fresh candidate set is equivalent
+to trusting the cached view on a quiesced cluster (RandomK's ``k = n``
 degenerate case collapses onto CachedBestFit -- the ``_fit_key`` total
-order makes both pick the same host), and every policy is coordinate-
-pure under the sweep pool (serial and parallel ``job_storm`` runs are
-byte-identical, per policy)."""
+order makes both pick the same host), every policy is coordinate-pure
+under the sweep pool (serial and parallel ``job_storm`` runs are
+byte-identical, per policy), and at 128 hosts RandomK probing costs a
+fraction of the paper's multicast in selection messages while staying
+near best-fit on tail exec-to-start latency."""
 
 import dataclasses
 
@@ -14,6 +16,7 @@ import pytest
 from repro.cluster.placement import CachedBestFit, RandomK
 from repro.execution import ExecSpec, exec_program
 from repro.parallel import SweepSpec, run_sweep
+from repro.parallel.scenarios import get_scenario
 from repro.workloads import standard_registry
 
 from tests.helpers import make_cluster
@@ -77,3 +80,37 @@ def test_job_storm_serial_parallel_byte_identity(policy):
     serial = run_sweep(spec)
     parallel = run_sweep(dataclasses.replace(spec, workers=2))
     assert parallel.to_json() == serial.to_json()
+
+
+#: The placement plane's scale point: one job per host on 128 hosts,
+#: where the multicast candidate query costs one message per host.
+STORM_HOSTS = 128
+
+
+@pytest.fixture(scope="module")
+def storm_at_scale():
+    """One seed-42 ``job_storm`` per policy at 128 hosts and 128 jobs."""
+    config = {"workstations": STORM_HOSTS, "jobs": STORM_HOSTS}
+    return {policy: get_scenario("job_storm")(dict(config, policy=policy), 42)
+            for policy in POLICIES}
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_job_storm_at_scale_completes_every_job(storm_at_scale, policy):
+    result = storm_at_scale[policy]
+    assert result["failed"] == 0, result["failure_kinds"]
+    assert result["completed"] == STORM_HOSTS
+
+
+def test_randomk_cuts_selection_messages_at_least_5x(storm_at_scale):
+    """Measured 127 -> 13.9 messages per exec (9.2x) at seed 42."""
+    multicast = storm_at_scale["first_responder"]["selection_msgs_per_exec"]
+    probing = storm_at_scale["random_k"]["selection_msgs_per_exec"]
+    assert multicast >= 5 * probing, (multicast, probing)
+
+
+def test_randomk_p99_exec_to_start_within_1_2x_of_best_fit(storm_at_scale):
+    """Measured 4.76 s against 4.18 s (1.14x) at seed 42."""
+    probing = storm_at_scale["random_k"]["latency_us"]["p99"]
+    best_fit = storm_at_scale["best_fit"]["latency_us"]["p99"]
+    assert probing <= 1.2 * best_fit, (probing, best_fit)
