@@ -42,22 +42,20 @@ bench-pair:
 # Fixed-seed fault-injection campaign: every fault schedule x 10 seeds
 # with the invariant harness watching every event (see docs/FAULTS.md).
 # Exits non-zero if any of the four invariants is ever violated.  The
-# second pass repeats the campaign with the COPY_PLANE data-plane
-# toggles on, so burst framing and adaptive pre-copy face the same
-# abuse (loss, duplication, reordering, corruption, crashes) in CI;
-# the third does the same for the PLACEMENT plane (host-state caches
-# + probing placement under crashing, lossy hosts).
+# second pass repeats the campaign on clusters built with burst pacing
+# and adaptive pre-copy, so both face the same abuse (loss,
+# duplication, reordering, corruption, crashes) in CI; the third builds
+# them with host-state caches, under crashing, lossy hosts.
 chaos-smoke:
 	python -m repro chaos --seeds 10 --seed 7 --workers 2 --messages 20
 	python -m repro chaos --seeds 10 --seed 7 --workers 2 --messages 20 --copy-plane
 	python -m repro chaos --seeds 10 --seed 7 --workers 2 --messages 20 --placement
 
 # Differential verification smoke: a sampled 10-cell toggle matrix
-# (including the placement-plane strata) must pass clean, and the
+# (including the host-state-cache stratum) must pass clean, and the
 # planted burst-pacing mutation must be caught (a harness that has never
-# failed proves nothing).  REPRO_VERIFY_BUDGET=N caps the cell count;
-# the weekly CI job raises it and widens the matrix (see
-# docs/TESTING.md).
+# failed proves nothing).  The weekly CI job widens the matrix to the
+# full toggle product (see docs/TESTING.md).
 verify-smoke:
 	python -m repro verify --matrix sample:10 --seed 7 --workers 2
 	python -m repro verify --matrix sample:10 --seed 7 --workers 2 --mutate burst-skip-copy-end --expect-fail

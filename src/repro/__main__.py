@@ -60,20 +60,23 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _migrate_scenario(program: str, seed: int, setup=None):
-    """The instrumented-migration scenario shared by ``migrate`` and
-    ``trace``: run ``program`` remotely on ws1, then migrate it off
-    mid-run.  ``setup(cluster)`` runs right after the cluster is built --
-    before any traffic -- so enabling tracing/metrics there captures the
-    whole run.  Returns ``(cluster, stats)``."""
+def _migrate_scenario(program: str, seed: int, setup=None, model=None):
+    """The instrumented-migration scenario shared by ``migrate``,
+    ``trace`` and ``report``: run ``program`` remotely on ws1, then
+    migrate it off mid-run.  ``setup(cluster)`` runs right after the
+    cluster is built -- before any traffic -- so enabling tracing/metrics
+    there captures the whole run.  ``model`` defaults to the calibrated
+    one.  Returns ``(cluster, stats)``."""
     from repro.cluster import build_cluster
+    from repro.config import DEFAULT_MODEL
     from repro.execution import ExecSpec, exec_program
     from repro.kernel.process import Priority
     from repro.migration.manager import run_migration
     from repro.workloads import standard_registry
 
     cluster = build_cluster(
-        n_workstations=3, registry=standard_registry(scale=3.0), seed=seed
+        n_workstations=3, registry=standard_registry(scale=3.0), seed=seed,
+        model=model or DEFAULT_MODEL,
     )
     if setup is not None:
         setup(cluster)
@@ -158,7 +161,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from repro._fastpath import COPY_PLANE
+    from repro.config import DEFAULT_MODEL
     from repro.obs import SelfProfiler, build_migration_report, render_report
     from repro.obs.report import write_report
 
@@ -170,17 +173,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         sim.metrics.enable()
         state["profiler"] = SelfProfiler(sim)
 
-    if args.copy_plane:
-        COPY_PLANE.set_all(True)
-    try:
-        cluster, stats = _migrate_scenario(args.program, args.seed, setup)
-        report = build_migration_report(
-            cluster, stats, seed=args.seed, program=args.program,
-            profiler=state["profiler"],
-        )
-    finally:
-        if args.copy_plane:
-            COPY_PLANE.set_all(False)
+    model = DEFAULT_MODEL.with_copy_plane(
+        burst_pacing=args.copy_plane, adaptive_precopy=args.copy_plane)
+    cluster, stats = _migrate_scenario(args.program, args.seed, setup, model)
+    report = build_migration_report(
+        cluster, stats, seed=args.seed, program=args.program,
+        profiler=state["profiler"],
+    )
     if args.out:
         write_report(report, args.out)
         print(f"wrote {args.out}")
@@ -212,15 +211,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
     else:
         print(render_diff(diff, max_rows=args.max_rows))
     return EXIT_OK if diff["ok"] else EXIT_DIFFERENT
-
-
-#: Toggle vectors the ``verify --copy-plane`` shorthand expands to.
-_COPY_PLANE_MODES = {
-    "off": {},
-    "burst": {"burst_pacing": True},
-    "adaptive": {"adaptive_precopy": True},
-    "both": {"burst_pacing": True, "adaptive_precopy": True},
-}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -264,11 +254,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"verify: unknown mutation {args.mutate!r}; "
               f"known: {', '.join(mutation_names())}", file=sys.stderr)
         return EXIT_USAGE
-    if args.copy_plane not in _COPY_PLANE_MODES:
-        print(f"verify: bad --copy-plane {args.copy_plane!r} "
-              f"(want {', '.join(sorted(_COPY_PLANE_MODES))})",
-              file=sys.stderr)
-        return EXIT_USAGE
 
     extra_toggles = {}
     for item in args.toggle or []:
@@ -283,8 +268,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         cells = build_matrix(args.matrix, seed=args.seed)
         if extra_toggles:
             cells.append(make_cell(extra_toggles))
-        if args.copy_plane != "off":
-            cells.append(make_cell(_COPY_PLANE_MODES[args.copy_plane]))
     except SimulationError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -346,11 +329,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         print(f"wrote {args.out}")
     if args.report:
-        from repro.obs.report import new_report, write_report
+        from repro.obs.report import copy_plane_of, new_report, write_report
 
         report = new_report("verify", seed=args.seed,
                             config={"matrix": args.matrix,
-                                    "mutation": args.mutate})
+                                    "mutation": args.mutate},
+                            copy_plane=copy_plane_of(result.cells))
         report["kpis"] = {
             "cells": len(result.cells),
             "failures": len(result.failures),
@@ -606,11 +590,10 @@ def main(argv=None) -> int:
                        help="intentionally disable lazy rebinding (the "
                             "campaign must then FAIL no-residual-dependency)")
     chaos.add_argument("--copy-plane", action="store_true",
-                       help="run with the COPY_PLANE data-plane toggles on "
-                            "(burst pacing + adaptive pre-copy)")
+                       help="build every cluster with burst pacing and "
+                            "adaptive pre-copy on")
     chaos.add_argument("--placement", action="store_true",
-                       help="run with the PLACEMENT toggles on (host-state "
-                            "caches + probing placement)")
+                       help="build every cluster with host-state caches")
     chaos.add_argument("--out", default=None,
                        help="write the merged JSON payload here")
     chaos.add_argument("--report", default=None, metavar="PATH",
@@ -629,8 +612,8 @@ def main(argv=None) -> int:
     report.add_argument("--out", default=None,
                         help="write the RunReport JSON here")
     report.add_argument("--copy-plane", action="store_true",
-                        help="run with the COPY_PLANE data-plane toggles on "
-                             "(burst pacing + adaptive pre-copy)")
+                        help="build the cluster with burst pacing and "
+                             "adaptive pre-copy on")
     diff = sub.add_parser(
         "diff", help="compare two RunReports (subsystem attribution)"
     )
@@ -666,9 +649,6 @@ def main(argv=None) -> int:
     verify.add_argument("--toggle", action="append", metavar="NAME=on|off",
                         help="add one extra cell with these toggle deltas "
                              "(repeatable; unknown names exit 2)")
-    verify.add_argument("--copy-plane", default="off",
-                        metavar="off|burst|adaptive|both",
-                        help="add one extra cell with this copy-plane mode")
     verify.add_argument("--mutate", default=None, metavar="NAME",
                         help="plant a named mutation in every cell "
                              "(mutation smoke; see repro.verify.mutation)")

@@ -144,15 +144,14 @@ def build_cluster(
     loss: Optional[LossModel] = None,
     faults=None,
     accept_policy: Optional[AcceptPolicy] = None,
-    placement: Optional[bool] = None,
+    placement: bool = False,
 ) -> Cluster:
     """Assemble a cluster: ``n_workstations`` user machines plus
     ``n_file_servers`` dedicated server machines, all booted with their
     standard per-host services.  ``faults`` installs a
     :class:`repro.faults.FaultPlane` on the Ethernet (the composable
     superset of ``loss``).  ``placement`` installs per-host load caches
-    (:mod:`repro.cluster.placement`); None defers to the
-    ``PLACEMENT.load_cache`` toggle."""
+    (:mod:`repro.cluster.placement`)."""
     if n_workstations < 1 or n_file_servers < 1:
         raise SimulationError("need at least one workstation and one file server")
     Workstation.reset_world()
@@ -190,10 +189,6 @@ def build_cluster(
         machine.kernel.file_server_pid = fs_pid
     cluster.server_machines.extend(server_machines)
 
-    if placement is None:
-        from repro._fastpath import PLACEMENT
-
-        placement = PLACEMENT.load_cache
     if placement:
         from repro.cluster.placement import install_host_state_cache
 

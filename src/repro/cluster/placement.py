@@ -11,7 +11,7 @@ alternative on top of the same public facilities:
   that program managers attach to the replies they already send
   (weightless on the simulated wire, so always on), and periodic
   *anti-entropy* ``probe-load`` refreshes of the stalest entries (real
-  messages, so gated behind ``PLACEMENT.load_cache``).
+  messages, so installed only by ``build_cluster(placement=True)``).
 
 * Pluggable placement policies for ``@ *`` execution:
   :class:`FirstResponder` (the paper's multicast, byte-identical default),
@@ -421,8 +421,11 @@ POLICIES = {
 
 
 def make_policy(spec) -> PlacementPolicy:
-    """Coerce a policy spec -- an instance, a class, or a name from
-    :data:`POLICIES` -- into a policy instance."""
+    """Coerce a policy spec -- an instance, a class, a name from
+    :data:`POLICIES`, or None for the paper's :class:`FirstResponder` --
+    into a policy instance."""
+    if spec is None:
+        return FirstResponder()
     if isinstance(spec, PlacementPolicy):
         return spec
     if isinstance(spec, type) and issubclass(spec, PlacementPolicy):

@@ -34,6 +34,12 @@ US_PER_SEC = 1_000_000
 #: Microseconds per millisecond.
 US_PER_MS = 1_000
 
+#: Pages per blast in burst mode.  16 x 2 KB pages = the 32 KB "runs" V
+#: blasted between acknowledgements; at that size
+#: ``bulk_copy_us(16 * PAGE_SIZE)`` is exactly 16x the per-page pace, so
+#: bursts keep the calibrated 3 s/MB stream rate.
+BURST_PAGES = 16
+
 
 @dataclass(frozen=True)
 class HardwareModel:
@@ -125,12 +131,10 @@ class HardwareModel:
     #: The 68010 moved memory at roughly 2 MB/s.
     local_copy_us_per_page: int = 1_000
 
-    #: Pages per burst when the copy engine streams packet blasts
-    #: (``COPY_PLANE.burst_pacing``).  16 x 2 KB pages = the 32 KB "runs"
-    #: V blasted between acknowledgements; at that size
-    #: ``bulk_copy_us(16 * PAGE_SIZE)`` is exactly 16x the per-page pace,
-    #: so burst pacing preserves the calibrated 3 s/MB stream rate.
-    copy_burst_pages: int = 16
+    #: Pages per packet blast the copy engine streams.  1 (the default)
+    #: is the per-page stream: one frame and one pacing timer per page.
+    #: Burst mode (:meth:`with_copy_plane`) uses :data:`BURST_PAGES`.
+    copy_burst_pages: int = 1
 
     # ----------------------------------------------------- program execution
     #: Time to select a remote host: multicast query handling on the
@@ -168,6 +172,12 @@ class HardwareModel:
 
     #: ...or after this many rounds, whichever comes first.
     precopy_max_rounds: int = 5
+
+    #: Replace the static stop rule with the dirty-rate projection of
+    #: :class:`repro.migration.precopy.AdaptivePrecopy`: keep copying
+    #: "until no significant reduction in the number of modified pages
+    #: is achieved" (§3.1.2), in pre-copy and VM-flush migrations alike.
+    precopy_adaptive: bool = False
 
     # ------------------------------------------------------------------- VM
     #: Cost to service a page fault from the file server (request + one
@@ -223,6 +233,23 @@ class HardwareModel:
     def with_loss(self, rate: float) -> "HardwareModel":
         """A copy of this model with the given packet-loss rate."""
         return replace(self, packet_loss_rate=rate)
+
+    def with_copy_plane(self, burst_pacing: bool = False,
+                        adaptive_precopy: bool = False) -> "HardwareModel":
+        """A copy of this model with the named copy-plane modes on."""
+        changes = {}
+        if burst_pacing:
+            changes["copy_burst_pages"] = BURST_PAGES
+        if adaptive_precopy:
+            changes["precopy_adaptive"] = True
+        return replace(self, **changes)
+
+    def copy_plane_modes(self) -> dict:
+        """Which copy-plane modes this model runs (RunReport toggles)."""
+        return {
+            "adaptive_precopy": self.precopy_adaptive,
+            "burst_pacing": self.copy_burst_pages > 1,
+        }
 
 
 #: The default model, calibrated to the paper's SUN + 10 Mb Ethernet numbers.

@@ -61,8 +61,8 @@ class ExecSpec:
     #: workstation name (the shell's ``@ machine``).
     where: str = "local"
     #: Placement policy for ``where="*"``: an instance/class/name from
-    #: :mod:`repro.cluster.placement`, or None for the default
-    #: (FirstResponder, or RandomK under ``PLACEMENT.probe_placement``).
+    #: :mod:`repro.cluster.placement`, or None for the paper's
+    #: FirstResponder.
     policy: Any = None
     #: Run inside an existing logical host (sub-programs "typically
     #: execute within a single logical host", §3).
@@ -166,20 +166,6 @@ def query_host_by_name(hostname: str):
     return reply["pm"]
 
 
-def _resolve_policy(ctx: ProgramContext, spec: ExecSpec):
-    """The placement policy an ``@ *`` exec runs under: the spec's own
-    choice, else RandomK when ``PLACEMENT.probe_placement`` is on and a
-    cache exists, else the paper's FirstResponder."""
-    from repro._fastpath import PLACEMENT
-    from repro.cluster.placement import FirstResponder, RandomK, make_policy
-
-    if spec.policy is not None:
-        return make_policy(spec.policy)
-    if PLACEMENT.probe_placement and ctx.host_cache is not None:
-        return RandomK()
-    return FirstResponder()
-
-
 def exec_program(ctx: ProgramContext, spec: ExecSpec):
     """Execute a program described by an :class:`ExecSpec` and return an
     :class:`ExecHandle` (generator helper)::
@@ -210,7 +196,11 @@ def _exec_spec(ctx: ProgramContext, spec: ExecSpec):
     remote = spec.where != "local" or ctx.remote
     sim = ctx.sim
     placed = spec.where == "*"
-    policy = _resolve_policy(ctx, spec) if placed else None
+    policy = None
+    if placed:
+        from repro.cluster.placement import make_policy
+
+        policy = make_policy(spec.policy)
     attempts = spec.retry_budget if placed else 1
     cache = ctx.host_cache
     trace = sim.trace if sim is not None else None

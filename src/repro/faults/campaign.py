@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.config import DEFAULT_MODEL
 from repro.errors import SimulationError
 from repro.faults.invariants import INVARIANTS, InvariantChecker
 from repro.faults.models import (
@@ -89,11 +90,10 @@ def chaos_scenario(
     "drop"), ``messages`` (default 30), ``workstations`` (4),
     ``migrate_at_ms`` (400), ``break_rebinding`` (False -- the
     intentionally-broken mode that must trip no-residual-dependency),
-    ``copy_plane`` (False -- run with every ``COPY_PLANE`` data-plane
-    toggle on, so burst framing and adaptive pre-copy face the same
-    abuse as the per-page stream), ``placement`` (False -- run with
-    every ``PLACEMENT`` toggle on, so the host-state caches and probing
-    placement face crashing, lossy hosts), ``postmortem_dir`` (None -- arm a
+    ``copy_plane`` (False -- build the cluster with burst pacing and
+    adaptive pre-copy on, so both face the same abuse as the per-page
+    stream), ``placement`` (False -- build it with host-state caches, so
+    they face crashing, lossy hosts), ``postmortem_dir`` (None -- arm a
     flight recorder: tracing + metrics on, and the first invariant
     violation dumps a postmortem bundle there.  Used by the replay
     path, not by campaign sweeps, so the verdict payload stays
@@ -125,43 +125,16 @@ def chaos_scenario(
     migrate_at_us = int(config.get("migrate_at_ms", 400)) * 1000
     break_rebinding = bool(config.get("break_rebinding", False))
 
-    if config.get("copy_plane"):
-        # Flip the data-plane toggles for this run only (components read
-        # them at construction, so they must be set before the cluster is
-        # built -- and restored even if the scenario raises, because the
-        # serial sweep path runs in-process).
-        from repro._fastpath import COPY_PLANE
-
-        COPY_PLANE.set_all(True)
-        try:
-            result = chaos_scenario(
-                {**config, "copy_plane": False}, seed,
-                collect_metrics=collect_metrics, warm=warm,
-            )
-        finally:
-            COPY_PLANE.set_all(False)
-        result["copy_plane"] = True
-        return result
-
-    if config.get("placement"):
-        # Same pattern for the placement plane: cache daemons are
-        # installed at cluster build time, so the toggles must be up
-        # before construction and restored on every exit path.
-        from repro._fastpath import PLACEMENT
-
-        PLACEMENT.set_all(True)
-        try:
-            result = chaos_scenario(
-                {**config, "placement": False}, seed,
-                collect_metrics=collect_metrics, warm=warm,
-            )
-        finally:
-            PLACEMENT.set_all(False)
-        result["placement"] = True
-        return result
+    copy_plane = bool(config.get("copy_plane"))
+    placement = bool(config.get("placement"))
 
     plane = build_fault_plane(recipe)
-    cluster = build_cluster(n_workstations=n_ws, seed=seed, faults=plane)
+    cluster = build_cluster(
+        n_workstations=n_ws, seed=seed, faults=plane,
+        model=DEFAULT_MODEL.with_copy_plane(
+            burst_pacing=copy_plane, adaptive_precopy=copy_plane),
+        placement=placement,
+    )
     sim = cluster.sim
     if collect_metrics:
         sim.metrics.enable()
@@ -310,6 +283,10 @@ def chaos_scenario(
         result["metrics"] = sim.metrics.snapshot()
     if recorder is not None:
         result["postmortem"] = recorder.dumped
+    if placement:
+        result["placement"] = True
+    if copy_plane:
+        result["copy_plane"] = True
     return result
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro._fastpath import COPY_PLANE
 from repro.config import PAGE_SIZE
 from repro.errors import NoSuchProcessError
 from repro.kernel.ids import Pid
@@ -73,11 +72,8 @@ class CopyEngine:
         self._page_us = self.model.bulk_copy_us(PAGE_SIZE)
         self.nic = transport.nic
         #: Pages per packet blast; 1 = the per-page stream (one frame and
-        #: one pacing timer per page).  Read once at construction, like
-        #: every other toggle.
-        self._burst_pages = (
-            self.model.copy_burst_pages if COPY_PLANE.burst_pacing else 1
-        )
+        #: one pacing timer per page).
+        self._burst_pages = self.model.copy_burst_pages
         # ---- plain-int data-plane counters (benchmark A/B payloads)
         #: Pacing timers scheduled for outbound copy streams.
         self.pacing_events = 0

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro._fastpath import COPY_PLANE
 from repro.config import PAGE_SIZE, HardwareModel
 from repro.kernel.address_space import AddressSpace, Page
 from repro.kernel.ids import Pid
@@ -38,9 +37,11 @@ class PrecopyPolicy:
     min_reduction: float = 0.5
     #: Hard cap on rounds (the initial full copy counts as round 0).
     max_rounds: int = 5
-    #: Adaptive mode (``COPY_PLANE.adaptive_precopy``): keep iterating
-    #: while the projected next-round residual is below this fraction of
-    #: the current dirty set -- i.e. freeze only when another round is
+    #: Stop on the observed dirty rate (:class:`AdaptivePrecopy`) instead
+    #: of the three static rules above.
+    adaptive: bool = False
+    #: Adaptive mode: keep iterating while the projected next-round
+    #: residual is below this fraction of the current dirty set -- i.e. freeze only when another round is
     #: projected to buy no significant reduction.
     adaptive_margin: float = 0.95
     #: Adaptive mode round cap; looser than :attr:`max_rounds` because a
@@ -55,6 +56,7 @@ class PrecopyPolicy:
             residual_threshold_bytes=model.precopy_residual_threshold_bytes,
             min_reduction=model.precopy_min_reduction,
             max_rounds=model.precopy_max_rounds,
+            adaptive=model.precopy_adaptive,
         )
 
     def should_stop(self, dirty_pages: int, previous_pages: int, rounds_done: int) -> bool:
@@ -146,7 +148,7 @@ def precopy_space(
     trace = sim.trace
     invariants = sim.invariants
     adaptive = None
-    if COPY_PLANE.adaptive_precopy:
+    if policy.adaptive:
         adaptive = AdaptivePrecopy(policy)
         stats.adaptive = True
     space.collect_dirty()

@@ -52,7 +52,7 @@ class MigrationStats:
     #: + rolled-back tries when a retry budget is configured).
     attempts: int = 0
     #: Whether dirty-rate-adaptive termination governed the pre-copy
-    #: loop (COPY_PLANE.adaptive_precopy).
+    #: loop (``HardwareModel.precopy_adaptive``).
     adaptive: bool = False
     #: Last projected next-round residual (pages) the adaptive
     #: controller computed before deciding to freeze (0 = never ran).

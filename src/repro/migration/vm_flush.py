@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro._fastpath import COPY_PLANE
 from repro.errors import CopyFailedError, NotMigratableError, SendTimeoutError
 from repro.ipc.messages import Message
 from repro.kernel.ids import PROGRAM_MANAGER_GROUP, Pid, local_kernel_server_group
@@ -102,11 +101,11 @@ def run_vm_flush_migration(
 
     # -- step 3: repeated flushes while the program runs ----------------------
     for ordinal, pager in pagers.items():
-        # Under COPY_PLANE.adaptive_precopy the flush loop uses the same
+        # An adaptive policy drives the flush loop with the same
         # dirty-rate projection as pre-copying: keep flushing while the
         # projected residual of another round still shrinks meaningfully.
         adaptive = None
-        if COPY_PLANE.adaptive_precopy:
+        if policy.adaptive:
             adaptive = AdaptivePrecopy(policy)
             stats.adaptive = True
         previous = 0

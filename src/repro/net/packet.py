@@ -4,10 +4,10 @@ A packet carries an opaque ``payload`` (constructed by the IPC transport)
 plus the addressing and size information the bus needs.  ``size_bytes``
 counts payload data only; framing overhead is added by the wire-time
 model in :class:`repro.config.HardwareModel`.  A frame may carry more
-than one logical page: under ``COPY_PLANE.burst_pacing`` the copy engine
-emits ``copy-burst`` / ``copyfrom-burst`` frames whose payload is a list
-of page snapshots and whose ``size_bytes`` is the whole burst, modelling
-V's multi-packet blasts as one scheduled unit.
+than one logical page: when the model's ``copy_burst_pages`` exceeds 1
+the copy engine emits ``copy-burst`` / ``copyfrom-burst`` frames whose
+payload is a list of page snapshots and whose ``size_bytes`` is the
+whole burst, modelling V's multi-packet blasts as one scheduled unit.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ attached to an :class:`~repro.faults.invariants.InvariantChecker`
 freezes that state the instant the *first* violation is recorded:
 
 * ``manifest.json`` -- bundle version, the reason, sim time, the
-  copy-plane toggle positions and the caller-supplied context
+  cluster model's copy-plane modes and the caller-supplied context
   (scenario name, schedule, seed, config) -- everything needed to
   re-run the exact failing unit offline;
 * ``trace.json`` -- the tail of the span/record ring in Chrome
@@ -31,6 +31,7 @@ import os
 from types import SimpleNamespace
 from typing import Any, Dict, Optional
 
+from repro.config import DEFAULT_MODEL
 from repro.errors import SimulationError
 
 #: Bumped whenever the bundle layout changes incompatibly.
@@ -63,6 +64,9 @@ class FlightRecorder:
         self.sim = sim if sim is not None else (
             cluster.sim if cluster is not None else None
         )
+        #: The hardware model the run was built with (its copy-plane
+        #: modes go into the manifest).
+        self.model = cluster.model if cluster is not None else DEFAULT_MODEL
         #: Arbitrary JSON-able context (scenario, schedule, seed, config)
         #: copied verbatim into the manifest for offline replay.
         self.context = dict(context or {})
@@ -86,7 +90,6 @@ class FlightRecorder:
     def dump(self, reason: str, checker=None) -> str:
         """Write the bundle now (also usable for manual snapshots);
         returns the bundle directory."""
-        from repro._fastpath import COPY_PLANE
         from repro.verify.mutation import planted
 
         os.makedirs(self.out_dir, exist_ok=True)
@@ -98,7 +101,7 @@ class FlightRecorder:
             "context": self.context,
             "sim_time_us": sim.now if sim is not None else None,
             "toggles": {
-                "copy_plane": COPY_PLANE.snapshot(),
+                "copy_plane": self.model.copy_plane_modes(),
             },
             # Planted engine mutations (repro.verify.mutation) active at
             # dump time: a bundle produced by a mutation-smoke run must

@@ -5,8 +5,7 @@ do, and under which knobs?" -- the artifact :mod:`repro.obs.diff`
 consumes to attribute regressions.  One dict (written as JSON) captures:
 
 * the **envelope**: schema version, run kind, seed, scenario config and
-  the :mod:`repro._fastpath` ``COPY_PLANE`` switch positions at run
-  time;
+  the copy-plane modes the run's clusters were built with;
 * the **metrics snapshot** (:meth:`MetricsRegistry.snapshot` or the
   sweep engine's cross-worker merge);
 * the **span profile** and **phase breakdowns**
@@ -30,7 +29,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, Optional, Union
 
-from repro.config import PAGE_SIZE
+from repro.config import DEFAULT_MODEL, PAGE_SIZE
 from repro.errors import SimulationError
 from repro.obs.critical_path import critical_path, phase_breakdown, span_profile
 
@@ -38,21 +37,32 @@ from repro.obs.critical_path import critical_path, phase_breakdown, span_profile
 RUN_REPORT_VERSION = 1
 
 
-def new_report(kind: str, *, seed: int, config: Optional[Dict[str, Any]] = None
-               ) -> Dict[str, Any]:
+def new_report(kind: str, *, seed: int, config: Optional[Dict[str, Any]] = None,
+               copy_plane: Optional[Dict[str, bool]] = None) -> Dict[str, Any]:
     """The common envelope every report starts from: version, kind,
-    seed, config and the copy-plane switch positions."""
-    from repro._fastpath import COPY_PLANE
-
+    seed, config and the run's copy-plane modes (default: all off)."""
     return {
         "run_report_version": RUN_REPORT_VERSION,
         "kind": kind,
         "seed": seed,
         "config": dict(config or {}),
         "toggles": {
-            "copy_plane": COPY_PLANE.snapshot(),
+            "copy_plane": copy_plane or DEFAULT_MODEL.copy_plane_modes(),
         },
     }
+
+
+def copy_plane_of(configs) -> Dict[str, bool]:
+    """The copy-plane modes any of a sweep's configs builds its clusters
+    with: a chaos config's ``copy_plane`` turns both on, a verify cell
+    names its own in ``toggles``."""
+    modes = DEFAULT_MODEL.copy_plane_modes()
+    for config in configs:
+        named = config.get("toggles") or {}
+        for name in modes:
+            if config.get("copy_plane") or named.get(name):
+                modes[name] = True
+    return modes
 
 
 def build_migration_report(
@@ -73,7 +83,8 @@ def build_migration_report(
     """
     sim = cluster.sim
     tracer = sim.trace
-    report = new_report("migration", seed=seed, config={"program": program})
+    report = new_report("migration", seed=seed, config={"program": program},
+                        copy_plane=cluster.model.copy_plane_modes())
 
     roots = tracer.find_spans("migration", "migrate")
     root = roots[-1] if roots else None
@@ -153,7 +164,7 @@ def sweep_run_report(result, kind: str = "sweep") -> Dict[str, Any]:
         "scenario": spec.scenario,
         "configs": [dict(c) for c in spec.configs],
         "replications": spec.replications,
-    })
+    }, copy_plane=copy_plane_of(spec.configs))
     runs = [r for row in result.rows for r in row]
     kpis: Dict[str, Any] = {
         "runs": len(runs),

@@ -1,11 +1,14 @@
 """Differential verification: toggle matrices, schedule perturbation,
 failure minimization.
 
-The repository carries switchable protocol modes
-(:data:`repro._fastpath.COPY_PLANE`, :data:`repro._fastpath.PLACEMENT`)
-that change which messages exist but must never change an outcome, and
-one event core whose same-instant ordering the paper's protocol must not
-lean on.  This package *checks* those promises instead of assuming them:
+The simulator has protocol modes that change which messages exist but
+must never change an outcome -- burst pacing and adaptive pre-copy in
+the :class:`~repro.config.HardwareModel`, host-state caches via
+``build_cluster(placement=True)`` -- and one event core whose
+same-instant ordering the paper's protocol must not lean on.  Each
+matrix cell builds its own cluster from its toggle vector
+(:data:`repro.verify.scenario.KNOBS`), so no cell leaves process state
+behind.  This package *checks* those promises instead of assuming them:
 
 * :mod:`repro.verify.matrix` -- run one scenario across a matrix of
   toggle vectors, fault schedules and schedule perturbations, and

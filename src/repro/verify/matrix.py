@@ -26,24 +26,19 @@ Cells ride the :mod:`repro.parallel` sweep pool (one cell = one sweep
 config, one replication), so exploration parallelizes and inherits the
 serial ≡ parallel byte-identity guarantee.  Every cell carries the same
 ``base_seed``; the sweep's per-unit seeds are deliberately ignored.
-
-``REPRO_VERIFY_BUDGET`` (an integer cell cap) bounds any matrix for
-time-boxed CI runs; the slice is a deterministic prefix and the dropped
-count is reported, never silent.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro._fastpath import knob_domains
 from repro.errors import SimulationError
 from repro.obs.diff import _entry
 from repro.sim.random import derive_seed
+from repro.verify.scenario import KNOBS
 
 #: Default relative tolerance for ``tolerant``-class KPI comparison.
 DEFAULT_TOLERANCE = 0.75
@@ -73,12 +68,11 @@ def make_cell(
     """One matrix cell.  ``toggles`` holds only deltas from the shipped
     defaults (unknown names raise); the equivalence class is derived
     from the knobs, never guessed by callers."""
-    domains = knob_domains()
     deltas: Dict[str, bool] = {}
     for name, value in sorted((toggles or {}).items()):
-        if name not in domains:
+        if name not in KNOBS:
             raise SimulationError(
-                f"unknown toggle {name!r}; known: {', '.join(sorted(domains))}"
+                f"unknown toggle {name!r}; known: {', '.join(KNOBS)}"
             )
         if value:
             deltas[name] = True
@@ -102,10 +96,10 @@ def make_cell(
 
 def sample_matrix(n: int, seed: int = 0) -> List[Dict[str, Any]]:
     """A stratified sample of ``n`` cells (first is always the
-    baseline).  The first five cover every equivalence class, cells six
-    and seven the placement plane; beyond that,
-    deterministic random toggle vectors fill the budget (seeded from
-    ``seed``, so the same matrix replays)."""
+    baseline).  The first five cover every equivalence class, cell six
+    the host-state caches; beyond that, deterministic random toggle
+    vectors fill the budget (seeded from ``seed``, so the same matrix
+    replays)."""
     if n < 2:
         raise SimulationError("a differential matrix needs >= 2 cells")
     strata = [
@@ -116,16 +110,14 @@ def sample_matrix(n: int, seed: int = 0) -> List[Dict[str, Any]]:
                            "rate": 0.25}),
         make_cell(schedule=_SAMPLE_SCHEDULE),
         make_cell({"load_cache": True}),
-        make_cell({"load_cache": True, "probe_placement": True}),
     ]
     cells = strata[:n]
     rng = random.Random(f"verify-matrix:{seed}")
-    names = sorted(knob_domains())
     seen = {json.dumps(_cell_key(c), sort_keys=True) for c in cells}
     attempts = 0
     while len(cells) < n and attempts < 64 * n:
         attempts += 1
-        toggles = {name: rng.random() < 0.5 for name in names}
+        toggles = {name: rng.random() < 0.5 for name in KNOBS}
         perturb = None
         if rng.random() < 0.25:
             perturb = {"seed": rng.randrange(1 << 30), "rate": 0.25}
@@ -145,12 +137,11 @@ def full_matrix(seed: int = 0,
     one cell per fault schedule and ``perturb_seeds`` perturbed cells."""
     from repro.faults import FAULT_SCHEDULES
 
-    names = sorted(knob_domains())
     cells = [make_cell()]
     seen = {json.dumps(_cell_key(cells[0]), sort_keys=True)}
-    for bits in range(1 << len(names)):
+    for bits in range(1 << len(KNOBS)):
         toggles = {
-            name: bool(bits >> i & 1) for i, name in enumerate(names)
+            name: bool(bits >> i & 1) for i, name in enumerate(KNOBS)
         }
         cell = make_cell(toggles)
         key = json.dumps(_cell_key(cell), sort_keys=True)
@@ -172,34 +163,20 @@ def _cell_key(cell: Dict[str, Any]):
 
 
 def build_matrix(mode: str, seed: int = 0) -> List[Dict[str, Any]]:
-    """Parse a ``--matrix`` argument: ``sample:N`` or ``full``.  The
-    ``REPRO_VERIFY_BUDGET`` environment variable (an integer) caps the
-    cell count afterwards with a deterministic prefix slice."""
+    """Parse a ``--matrix`` argument: ``sample:N`` or ``full``."""
     if mode == "full":
-        cells = full_matrix(seed=seed)
-    elif mode.startswith("sample:"):
+        return full_matrix(seed=seed)
+    if mode.startswith("sample:"):
         try:
             n = int(mode.split(":", 1)[1])
         except ValueError:
             raise SimulationError(
                 f"malformed matrix spec {mode!r}; want sample:N or full"
             ) from None
-        cells = sample_matrix(n, seed=seed)
-    else:
-        raise SimulationError(
-            f"malformed matrix spec {mode!r}; want sample:N or full"
-        )
-    budget = os.environ.get("REPRO_VERIFY_BUDGET")
-    if budget:
-        try:
-            cap = int(budget)
-        except ValueError:
-            raise SimulationError(
-                f"REPRO_VERIFY_BUDGET must be an integer, got {budget!r}"
-            ) from None
-        if 2 <= cap < len(cells):
-            cells = cells[:cap]
-    return cells
+        return sample_matrix(n, seed=seed)
+    raise SimulationError(
+        f"malformed matrix spec {mode!r}; want sample:N or full"
+    )
 
 
 # --------------------------------------------------------------- exploration

@@ -9,11 +9,12 @@ over).  It returns a plain JSON-able payload with no wall-clock values,
 so two runs of the same cell must produce *byte-identical* payloads
 (:func:`canonical_digest`).
 
-``verify_cell`` wraps any registered scenario in one matrix cell: apply
-a toggle vector, optionally plant a mutation and/or arm a schedule
-perturber, run, restore everything, and report the payload plus its
-digest, the invariant verdict, the stable outcome fields and the KPI
-scalars the classifier needs.  Cells ride the :mod:`repro.parallel`
+``verify_cell`` wraps any registered scenario in one matrix cell: hand
+the scenario a toggle vector (which it turns into the inputs of the
+cluster it builds, :func:`cluster_inputs`), optionally plant a mutation
+and/or arm a schedule perturber, run, disarm, and report the payload
+plus its digest, the invariant verdict, the stable outcome fields and
+the KPI scalars the classifier needs.  Cells ride the :mod:`repro.parallel`
 sweep pool unchanged -- a cell is just a sweep config -- and crashes are
 returned as data (``crash``) rather than poisoning the whole chunk.
 
@@ -29,6 +30,7 @@ import hashlib
 import json
 from typing import Any, Dict, List, Optional
 
+from repro.config import DEFAULT_MODEL, HardwareModel
 from repro.errors import SimulationError
 from repro.parallel.scenarios import get_scenario, register_scenario
 
@@ -36,11 +38,36 @@ from repro.parallel.scenarios import get_scenario, register_scenario
 #: tolerance-class cells (exact equality is asserted via ``stable``).
 KPI_FIELDS = ("events", "packets")
 
+#: The protocol modes a cell can switch on, each an input of the
+#: cluster the scenario builds.  All default off.
+KNOBS = ("adaptive_precopy", "burst_pacing", "load_cache")
+
 #: Outcome fields that must match the baseline *exactly* in every
 #: non-crashed, non-faulted cell: losing a request or a migration to a
 #: toggle flip is a bug no tolerance should hide.
 STABLE_FIELDS = ("completed", "served", "migration_success",
                  "invariants_ok")
+
+
+def cluster_inputs(toggles: Optional[Dict[str, bool]],
+                   model: Optional[HardwareModel] = None) -> Dict[str, Any]:
+    """The ``build_cluster`` keyword arguments for a toggle vector:
+    burst pacing and adaptive pre-copy go into ``model`` (default: the
+    calibrated one), the host-state caches are the ``placement``
+    argument.  Unknown names raise."""
+    toggles = toggles or {}
+    for name in toggles:
+        if name not in KNOBS:
+            raise SimulationError(
+                f"unknown toggle {name!r}; known: {', '.join(KNOBS)}"
+            )
+    return {
+        "model": (model or DEFAULT_MODEL).with_copy_plane(
+            burst_pacing=bool(toggles.get("burst_pacing")),
+            adaptive_precopy=bool(toggles.get("adaptive_precopy")),
+        ),
+        "placement": bool(toggles.get("load_cache")),
+    }
 
 
 def canonical_digest(payload: Any) -> str:
@@ -59,7 +86,8 @@ def ordering_scenario(
 ) -> Dict[str, Any]:
     """Echo stream + mid-run migration + same-instant tie storm.
 
-    Config: ``messages`` (default 10), ``workstations`` (3),
+    Config: ``toggles`` (knob -> bool, see :func:`cluster_inputs`),
+    ``messages`` (default 10), ``workstations`` (3),
     ``migrate_at_ms`` (300), ``schedule`` (None -- a
     :data:`repro.faults.FAULT_SCHEDULES` name to run under faults),
     ``storm_rounds`` (32), ``tie_delay_us`` (1000), ``postmortem_dir`` /
@@ -99,7 +127,8 @@ def ordering_scenario(
             )
         plane = build_fault_plane(recipe)
 
-    cluster = build_cluster(n_workstations=n_ws, seed=seed, faults=plane)
+    cluster = build_cluster(n_workstations=n_ws, seed=seed, faults=plane,
+                            **cluster_inputs(config.get("toggles")))
     sim = cluster.sim
     if collect_metrics:
         sim.metrics.enable()
@@ -242,25 +271,6 @@ def ordering_scenario(
 
 # --------------------------------------------------------------- cell wrapper
 
-def _apply_toggles(toggles: Dict[str, bool]) -> None:
-    """Pin every knob to off, then switch on the cell's deltas.
-
-    Resetting *all* knobs first (not just the deltas) makes the cell's
-    effective toggle vector a pure function of the cell -- inherited
-    process state must not leak into the baseline."""
-    from repro._fastpath import knob_block, knob_domains
-
-    domains = knob_domains()
-    for name in sorted(toggles):
-        if name not in domains:
-            raise SimulationError(
-                f"unknown toggle {name!r}; "
-                f"known: {', '.join(sorted(domains))}"
-            )
-    for name, domain in domains.items():
-        setattr(knob_block(domain), name, bool(toggles.get(name, False)))
-
-
 def run_cell_config(config: Dict[str, Any]) -> Dict[str, Any]:
     """Run one matrix cell in-process (the minimizer's probe path and
     the bundle-replay path call this directly; sweeps go through the
@@ -280,13 +290,13 @@ def verify_cell(
     ``seed`` is deliberately ignored -- every cell must replay the same
     scenario seed for the comparison to mean anything).
 
-    Config: ``toggles`` (knob -> bool, only the deltas), ``base_seed``,
+    Config: ``toggles`` (knob -> bool, only the deltas; forwarded to the
+    scenario, which builds its cluster from them), ``base_seed``,
     ``scenario`` ("ordering"), ``scenario_config`` (forwarded),
     ``perturb`` (None or ``{"seed", "rate", "replay"}``), ``mutation``
     (None or a :mod:`repro.verify.mutation` name), plus the
     ``postmortem_*`` passthroughs.
     """
-    from repro._fastpath import COPY_PLANE, PLACEMENT
     from repro.sim.engine import arm_perturber
     from repro.verify import mutation as mutation_mod
     from repro.verify.perturb import TiePerturber
@@ -295,19 +305,17 @@ def verify_cell(
     base_seed = int(config.get("base_seed", 0))
     inner_name = config.get("scenario", "ordering")
     inner_cfg = dict(config.get("scenario_config") or {})
+    inner_cfg["toggles"] = toggles
     for key in ("postmortem_dir", "postmortem_context", "postmortem_reason"):
         if config.get(key):
             inner_cfg[key] = config[key]
     perturb_cfg = config.get("perturb")
     mutation_name = config.get("mutation")
 
-    cp_before = COPY_PLANE.snapshot()
-    pl_before = PLACEMENT.snapshot()
     perturber = None
     crash: Optional[str] = None
     payload: Optional[Dict[str, Any]] = None
     try:
-        _apply_toggles(toggles)
         if mutation_name:
             mutation_mod.plant(mutation_name)
         if perturb_cfg:
@@ -327,10 +335,6 @@ def verify_cell(
         arm_perturber(None)
         if mutation_name:
             mutation_mod.clear_all()
-        for name, value in cp_before.items():
-            setattr(COPY_PLANE, name, value)
-        for name, value in pl_before.items():
-            setattr(PLACEMENT, name, value)
 
     result: Dict[str, Any] = {
         "toggles": {k: bool(v) for k, v in sorted(toggles.items())},

@@ -9,10 +9,11 @@ from repro.execution import ExecSpec, exec_program, wait_program
 from repro.workloads import standard_registry
 
 
-def make_loaded_cluster(n=4, jobs=3, seed=0, scale=1.0):
+def make_loaded_cluster(n=4, jobs=3, seed=0, scale=1.0, placement=False):
     """All jobs piled onto ws1 (pinned), the rest of the cluster idle."""
     cluster = build_cluster(n_workstations=n, seed=seed,
-                            registry=standard_registry(scale=scale))
+                            registry=standard_registry(scale=scale),
+                            placement=placement)
     holders = []
 
     def session(ctx, holder):
@@ -117,10 +118,7 @@ def test_survey_answers_from_placement_cache():
     """With the placement plane on, fresh cached digests answer the
     remote-count question without a query message, and the balancer
     still spreads the pile from that view."""
-    from repro._fastpath import PLACEMENT
-
-    PLACEMENT.load_cache = True  # conftest hygiene fixture restores
-    cluster, holders = make_loaded_cluster(jobs=3)
+    cluster, holders = make_loaded_cluster(jobs=3, placement=True)
     balancer = install_load_balancer(
         cluster, "ws0",
         BalancerPolicy(interval_us=1_000_000, overload_threshold=1,

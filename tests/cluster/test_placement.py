@@ -111,6 +111,7 @@ def test_stalest_orders_unknown_then_oldest_then_name():
 
 
 def test_make_policy_coercions():
+    assert isinstance(make_policy(None), FirstResponder)
     assert isinstance(make_policy("random_k"), RandomK)
     assert isinstance(make_policy(CachedBestFit), CachedBestFit)
     policy = FirstResponder()
@@ -125,7 +126,7 @@ def test_make_policy_coercions():
 
 def test_candidate_reply_carries_piggybacked_digest():
     """Digests ride on the replies the manager already sends -- with the
-    placement toggles off (the default) as much as on."""
+    host-state caches off (the default) as much as on."""
     cluster = make_cluster(3, full=True, registry=standard_registry(scale=0.3))
     replies = []
 
@@ -300,34 +301,6 @@ def test_randomk_cold_cache_falls_back_and_warms_whole_view():
     assert done == [0]
     # Every willing host answered the one multicast; all were folded in.
     assert len(cache.entries) >= 3
-
-
-def test_probe_placement_toggle_selects_randomk_by_default():
-    """With ``PLACEMENT.probe_placement`` on and no explicit policy, a
-    plain ``@ *`` spec resolves to cached RandomK probing."""
-    cluster = make_cluster(
-        3, full=True,
-        toggles={"load_cache": True, "probe_placement": True},
-        registry=standard_registry(scale=0.3))
-    # Warm the view so the policy probes rather than falling back.
-    cluster.run(until_us=3_000_000)
-    before = sum(pm.selection_queries
-                 for pm in cluster.program_managers.values())
-    done = []
-
-    def session(ctx):
-        handle = yield from exec_program(ctx, ExecSpec("cc68", args=("x.c",),
-                                                       where="*"))
-        code = yield from wait_program(ctx, handle)
-        done.append((handle, code))
-
-    cluster.spawn_session(cluster.workstations[0], session)
-    cluster.run(until_us=cluster.sim.now + 120_000_000)
-    assert done and done[0][1] == 0
-    probes = sum(pm.selection_queries
-                 for pm in cluster.program_managers.values()) - before
-    # k=3 capped at the fresh-idle candidate count; never a multicast.
-    assert 1 <= probes <= 3
 
 
 # ------------------------------------------------------------- anti-entropy

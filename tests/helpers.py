@@ -3,11 +3,9 @@
 
 :func:`make_cluster` is the one factory tests should reach for: bare or
 full-service clusters, optional loss/fault planes, and a ``toggles``
-vector applied *before* construction (components read the switch blocks
-at build time).  Toggles set here are NOT restored by the factory -- the
-autouse hygiene fixture in ``tests/conftest.py`` snapshots and restores
-both switch blocks around every test, so factories and tests can flip
-knobs freely without try/finally boilerplate.
+vector that becomes the inputs of the cluster it builds (the hardware
+model's copy-plane modes and the placement caches), so no toggle
+outlives its cluster.
 
 Every cluster the factory builds carries a strict
 :class:`~repro.faults.invariants.InvariantChecker` unless the caller
@@ -24,6 +22,7 @@ from repro.config import DEFAULT_MODEL, HardwareModel
 from repro.kernel import Priority, Workstation
 from repro.net import Ethernet
 from repro.sim import Simulator
+from repro.verify.scenario import cluster_inputs
 
 
 class BareCluster:
@@ -69,23 +68,6 @@ class BareCluster:
         return self.sim.run(until_us=until_us)
 
 
-def apply_toggles(toggles: Optional[Dict[str, bool]]) -> None:
-    """Set COPY_PLANE/PLACEMENT knobs by name (unknown names
-    raise).  No restore here -- the conftest hygiene fixture owns that."""
-    if not toggles:
-        return
-    from repro._fastpath import knob_block, knob_domains
-
-    domains = knob_domains()
-    for name, value in sorted(toggles.items()):
-        domain = domains.get(name)
-        if domain is None:
-            raise ValueError(
-                f"unknown toggle {name!r}; known: {', '.join(sorted(domains))}"
-            )
-        setattr(knob_block(domain), name, bool(value))
-
-
 def make_cluster(
     n: int = 2,
     *,
@@ -103,23 +85,26 @@ def make_cluster(
     ``full=False`` (default) returns a :class:`BareCluster` of ``n``
     bare workstations; ``full=True`` returns a service-booted
     :func:`repro.cluster.build_cluster` with ``n`` workstations (plus
-    its file server).  ``toggles`` (knob name -> bool) is applied before
-    construction so components see the requested switch positions.
+    its file server).  ``toggles`` (a :data:`repro.verify.scenario.KNOBS`
+    name -> bool) switches protocol modes on: burst pacing and adaptive
+    pre-copy on top of ``model``, host-state caches via ``placement``.
     ``invariants`` (default True) installs a strict invariant checker
     on the cluster's simulator.
     """
-    apply_toggles(toggles)
+    inputs = cluster_inputs(toggles, model)
     if full:
         from repro.cluster import build_cluster
 
         cluster = build_cluster(
-            n_workstations=n, seed=seed, model=model,
-            registry=registry, loss=loss, faults=faults,
+            n_workstations=n, seed=seed, registry=registry, loss=loss,
+            faults=faults, **inputs,
         )
-    elif faults is not None or registry is not None:
-        raise ValueError("faults/registry need a full cluster (full=True)")
+    elif faults is not None or registry is not None or inputs["placement"]:
+        raise ValueError(
+            "faults/registry/load_cache need a full cluster (full=True)")
     else:
-        cluster = BareCluster(n=n, seed=seed, model=model, loss=loss)
+        cluster = BareCluster(n=n, seed=seed, model=inputs["model"],
+                              loss=loss)
     if invariants:
         from repro.faults import InvariantChecker
 

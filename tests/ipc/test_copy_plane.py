@@ -1,27 +1,22 @@
 """Tests for the bulk-transfer data plane overhaul: burst pacing and
 page-granular selective retransmission under bursts.
 
-``COPY_PLANE.burst_pacing`` makes the copy engine emit one K-page blast
-frame per pacing timer instead of K per-page frames.  The stream must
+A model with ``copy_burst_pages`` > 1 (burst mode) makes the copy engine
+emit one K-page blast frame per pacing timer instead of K per-page
+frames.  The stream must
 keep the calibrated 3 s/MB rate, deliver the same page versions, and --
 critically -- recover a frame lost mid-burst by re-sending only the
 missing pages, not the whole blast.
 """
 
-import pytest
-
 from repro.config import PAGE_SIZE
 from repro.kernel import CopyFromInstr, CopyToInstr, Delay
 from repro.net.loss import LossModel
 
-from tests.helpers import apply_toggles, make_cluster
+from tests.helpers import make_cluster
 
-
-@pytest.fixture
-def burst_pacing():
-    """Enable burst pacing for the test (the conftest hygiene fixture
-    restores the default after)."""
-    apply_toggles({"burst_pacing": True})
+#: The toggle vector that builds clusters in burst mode.
+BURST = {"burst_pacing": True}
 
 
 class DropNthOfKind(LossModel):
@@ -71,8 +66,8 @@ def _copy_pages(cluster, n_pages, collect_time=False):
     return src_space, dst_pcb.space, took[0]
 
 
-def test_burst_stream_delivers_identical_pages(burst_pacing):
-    cluster = make_cluster(2)
+def test_burst_stream_delivers_identical_pages():
+    cluster = make_cluster(2, toggles=BURST)
     src_space, dst_space, _ = _copy_pages(cluster, 48)
     assert dst_space.identical_to(src_space)
     copies = cluster.stations[0].kernel.ipc.copies
@@ -80,8 +75,8 @@ def test_burst_stream_delivers_identical_pages(burst_pacing):
     assert copies.pacing_events == 3
 
 
-def test_burst_pacing_preserves_the_3s_per_mb_rate(burst_pacing):
-    cluster = make_cluster(2)
+def test_burst_pacing_preserves_the_3s_per_mb_rate():
+    cluster = make_cluster(2, toggles=BURST)
     mb_pages = (1024 * 1024) // PAGE_SIZE
     _, dst_space, took = _copy_pages(cluster, mb_pages)
     assert 2_700_000 < took < 3_400_000
@@ -92,7 +87,7 @@ def test_burst_and_per_page_streams_agree():
     per_page = make_cluster(2)
     src_off, dst_off, t_off = _copy_pages(per_page, 48)
 
-    bursty = make_cluster(2, toggles={"burst_pacing": True})
+    bursty = make_cluster(2, toggles=BURST)
     src_on, dst_on, t_on = _copy_pages(bursty, 48)
 
     assert dst_off.version_vector() == dst_on.version_vector()
@@ -101,14 +96,14 @@ def test_burst_and_per_page_streams_agree():
         per_page.stations[0].kernel.ipc.copies.pacing_events / 3
 
 
-def test_lost_mid_burst_frame_retransmits_only_its_pages(burst_pacing):
+def test_lost_mid_burst_frame_retransmits_only_its_pages():
     """Satellite: a frame lost mid-burst NAKs at page granularity.
 
     48 pages go out as 3 blasts; the 2nd is dropped.  Recovery must
     re-send exactly those 16 pages as per-page ``copy-data`` frames --
     never a 4th burst -- and the destination must still converge."""
     loss = DropNthOfKind("copy-burst", 2)
-    cluster = make_cluster(2, loss=loss)
+    cluster = make_cluster(2, loss=loss, toggles=BURST)
     src_space, dst_space, _ = _copy_pages(cluster, 48)
 
     assert loss.seen >= 2, "the targeted burst frame never crossed the wire"
@@ -121,8 +116,8 @@ def test_lost_mid_burst_frame_retransmits_only_its_pages(burst_pacing):
     assert loss.counts.get("copy-end", 0) >= 2
 
 
-def test_copyfrom_burst_reply_matches_per_page(burst_pacing):
-    cluster = make_cluster(2)
+def test_copyfrom_burst_reply_matches_per_page():
+    cluster = make_cluster(2, toggles=BURST)
     a, b = cluster.stations
 
     def idle():

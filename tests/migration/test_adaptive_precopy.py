@@ -1,4 +1,4 @@
-"""Adaptive pre-copy termination (``COPY_PLANE.adaptive_precopy``).
+"""Adaptive pre-copy termination (``HardwareModel.precopy_adaptive``).
 
 The static policy freezes as soon as one round fails to halve the dirty
 set.  On a *phased* workload -- a heavy write phase that ends during the

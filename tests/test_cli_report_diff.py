@@ -22,7 +22,7 @@ def baseline_report(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def copy_plane_report(tmp_path_factory):
-    """The same scenario with the COPY_PLANE toggles on."""
+    """The same scenario with burst pacing and adaptive pre-copy on."""
     path = tmp_path_factory.mktemp("reports") / "plane.json"
     rc = main(["report", "--program", "tex", "--seed", "0",
                "--copy-plane", "--out", str(path)])

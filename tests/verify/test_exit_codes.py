@@ -64,7 +64,7 @@ def test_verify_usage_errors_exit_2(tmp_path, capsys):
         ["verify", "--matrix", "sample:x"],
         ["verify", "--toggle", "warp_drive=on"],
         ["verify", "--toggle", "burst_pacing"],
-        ["verify", "--copy-plane", "sideways"],
+        ["verify", "--toggle", "burst_pacing=sideways"],
         ["verify", "--mutate", "no-such-bug"],
         ["verify", "--replay", str(tmp_path / "not-a-bundle")],
     ]

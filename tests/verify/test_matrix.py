@@ -1,5 +1,5 @@
 """The toggle-matrix explorer: cell construction, equivalence-class
-derivation, budget capping, and end-to-end classification."""
+derivation, and end-to-end classification."""
 
 import pytest
 
@@ -45,24 +45,15 @@ def test_sample_matrix_is_stratified_and_deterministic():
 
 
 def test_full_matrix_covers_the_whole_toggle_product():
-    from repro._fastpath import knob_domains
+    from repro.verify.scenario import KNOBS
 
     cells = full_matrix(seed=0)
     # Every toggle vector survives as its delta set (the all-defaults
     # vector collapses into the baseline), + schedules + perturb seeds.
     vectors = {tuple(sorted(c["toggles"].items())) for c in cells
                if c["schedule"] is None and c["perturb"] is None}
-    assert len(vectors) == 2 ** len(knob_domains())
-
-
-def test_budget_env_caps_the_matrix(monkeypatch):
-    monkeypatch.setenv("REPRO_VERIFY_BUDGET", "4")
-    cells = build_matrix("sample:8", seed=7)
-    assert len(cells) == 4
-    assert cells == sample_matrix(8, seed=7)[:4]  # deterministic prefix
-    monkeypatch.setenv("REPRO_VERIFY_BUDGET", "not-a-number")
-    with pytest.raises(SimulationError):
-        build_matrix("sample:8", seed=7)
+    assert len(KNOBS) == 3
+    assert len(vectors) == 2 ** len(KNOBS) == 8
 
 
 def test_malformed_matrix_spec_raises():

@@ -74,16 +74,14 @@ def test_explorer_flags_exactly_the_burst_pacing_cells():
 def test_minimizer_shrinks_to_a_single_knob():
     _, result = _mutated_matrix()
     # Widen a caught cell with every other knob; at the default
-    # tolerance the minimizer must strip all three bystanders.
+    # tolerance the minimizer must strip both bystanders.
     cell = make_cell({"burst_pacing": True, "adaptive_precopy": True,
-                      "load_cache": True, "probe_placement": True})
+                      "load_cache": True})
     minimal = minimize_failure(cell, dict(BASE_CONFIG), result.results[0])
     assert minimal.cell["toggles"] == {"burst_pacing": True}
     trace = (minimal.cell["perturb"] or {}).get("replay") or []
     assert len(trace) <= 5
-    assert minimal.dropped_toggles == [
-        "adaptive_precopy", "load_cache", "probe_placement",
-    ]
+    assert minimal.dropped_toggles == ["adaptive_precopy", "load_cache"]
 
 
 def test_minimal_repro_round_trips_through_a_bundle(tmp_path):
