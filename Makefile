@@ -42,23 +42,21 @@ bench-pair:
 # Fixed-seed fault-injection campaign: every fault schedule x 10 seeds
 # with the invariant harness watching every event (see docs/FAULTS.md).
 # Exits non-zero if any of the four invariants is ever violated.  The
-# second pass repeats the campaign on clusters built with burst pacing
-# and adaptive pre-copy, so both face the same abuse (loss,
-# duplication, reordering, corruption, crashes) in CI; the third builds
-# them with host-state caches, under crashing, lossy hosts.
+# second pass builds the clusters with host-state caches, so they face
+# the same abuse (loss, duplication, reordering, corruption, crashes)
+# under crashing, lossy hosts.
 chaos-smoke:
 	python -m repro chaos --seeds 10 --seed 7 --workers 2 --messages 20
-	python -m repro chaos --seeds 10 --seed 7 --workers 2 --messages 20 --copy-plane
 	python -m repro chaos --seeds 10 --seed 7 --workers 2 --messages 20 --placement
 
 # Differential verification smoke: a sampled 10-cell toggle matrix
 # (including the host-state-cache stratum) must pass clean, and the
-# planted burst-pacing mutation must be caught (a harness that has never
-# failed proves nothing).  The weekly CI job widens the matrix to the
+# planted break-rebinding mutation must be caught in every cell (a
+# harness that has never failed proves nothing).  The weekly CI job widens the matrix to the
 # full toggle product (see docs/TESTING.md).
 verify-smoke:
 	python -m repro verify --matrix sample:10 --seed 7 --workers 2
-	python -m repro verify --matrix sample:10 --seed 7 --workers 2 --mutate burst-skip-copy-end --expect-fail
+	python -m repro verify --matrix sample:10 --seed 7 --workers 2 --mutate break-rebinding --expect-fail
 
 # Regenerate the canonical migration RunReport and diff it against the
 # checked-in BASELINE_report.json within a 1% tolerance: simulated

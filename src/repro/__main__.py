@@ -161,6 +161,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from repro.config import DEFAULT_MODEL
     from repro.obs import SelfProfiler, build_migration_report, render_report
     from repro.obs.report import write_report
@@ -173,8 +175,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         sim.metrics.enable()
         state["profiler"] = SelfProfiler(sim)
 
-    model = DEFAULT_MODEL.with_copy_plane(
-        burst_pacing=args.copy_plane, adaptive_precopy=args.copy_plane)
+    model = replace(DEFAULT_MODEL, precopy_adaptive=args.copy_plane)
     cluster, stats = _migrate_scenario(args.program, args.seed, setup, model)
     report = build_migration_report(
         cluster, stats, seed=args.seed, program=args.program,
@@ -329,12 +330,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_USAGE
         print(f"wrote {args.out}")
     if args.report:
-        from repro.obs.report import copy_plane_of, new_report, write_report
+        from repro.obs.report import new_report, write_report
 
         report = new_report("verify", seed=args.seed,
                             config={"matrix": args.matrix,
-                                    "mutation": args.mutate},
-                            copy_plane=copy_plane_of(result.cells))
+                                    "mutation": args.mutate})
         report["kpis"] = {
             "cells": len(result.cells),
             "failures": len(result.failures),
@@ -467,7 +467,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             workers=args.workers,
             messages=args.messages,
             break_rebinding=args.break_rebinding,
-            copy_plane=args.copy_plane,
             placement=args.placement,
         )
     except SimulationError as exc:
@@ -589,9 +588,6 @@ def main(argv=None) -> int:
     chaos.add_argument("--break-rebinding", action="store_true",
                        help="intentionally disable lazy rebinding (the "
                             "campaign must then FAIL no-residual-dependency)")
-    chaos.add_argument("--copy-plane", action="store_true",
-                       help="build every cluster with burst pacing and "
-                            "adaptive pre-copy on")
     chaos.add_argument("--placement", action="store_true",
                        help="build every cluster with host-state caches")
     chaos.add_argument("--out", default=None,
@@ -612,8 +608,7 @@ def main(argv=None) -> int:
     report.add_argument("--out", default=None,
                         help="write the RunReport JSON here")
     report.add_argument("--copy-plane", action="store_true",
-                        help="build the cluster with burst pacing and "
-                             "adaptive pre-copy on")
+                        help="build the cluster with adaptive pre-copy on")
     diff = sub.add_parser(
         "diff", help="compare two RunReports (subsystem attribution)"
     )
@@ -644,8 +639,8 @@ def main(argv=None) -> int:
     verify.add_argument("--tolerance", type=float, default=75.0,
                         metavar="PCT",
                         help="relative KPI tolerance for tolerant-class "
-                             "cells, percent (default 75: copy-plane "
-                             "coalescing legitimately halves packet counts)")
+                             "cells, percent (default 75: load-cache "
+                             "daemons legitimately double event counts)")
     verify.add_argument("--toggle", action="append", metavar="NAME=on|off",
                         help="add one extra cell with these toggle deltas "
                              "(repeatable; unknown names exit 2)")

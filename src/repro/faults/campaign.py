@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.config import DEFAULT_MODEL
 from repro.errors import SimulationError
 from repro.faults.invariants import INVARIANTS, InvariantChecker
 from repro.faults.models import (
@@ -29,7 +28,7 @@ from repro.faults.models import (
     FaultPlane,
     ReorderFault,
 )
-from repro.faults.schedule import CrashEvent, CrashSchedule
+from repro.faults.schedule import CrashEvent, CrashSchedule, break_rebinding
 from repro.parallel.scenarios import register_scenario
 from repro.parallel.spec import SweepSpec
 
@@ -88,11 +87,10 @@ def chaos_scenario(
 
     Config: ``schedule`` (a :data:`FAULT_SCHEDULES` name, default
     "drop"), ``messages`` (default 30), ``workstations`` (4),
-    ``migrate_at_ms`` (400), ``break_rebinding`` (False -- the
-    intentionally-broken mode that must trip no-residual-dependency),
-    ``copy_plane`` (False -- build the cluster with burst pacing and
-    adaptive pre-copy on, so both face the same abuse as the per-page
-    stream), ``placement`` (False -- build it with host-state caches, so
+    ``migrate_at_ms`` (400), ``break_rebinding`` (False -- apply
+    :func:`repro.faults.schedule.break_rebinding`, which must trip
+    no-residual-dependency),
+    ``placement`` (False -- build the cluster with host-state caches, so
     they face crashing, lossy hosts), ``postmortem_dir`` (None -- arm a
     flight recorder: tracing + metrics on, and the first invariant
     violation dumps a postmortem bundle there.  Used by the replay
@@ -123,17 +121,12 @@ def chaos_scenario(
     messages = int(config.get("messages", 30))
     n_ws = int(config.get("workstations", 4))
     migrate_at_us = int(config.get("migrate_at_ms", 400)) * 1000
-    break_rebinding = bool(config.get("break_rebinding", False))
-
-    copy_plane = bool(config.get("copy_plane"))
+    rebinding_broken = bool(config.get("break_rebinding", False))
     placement = bool(config.get("placement"))
 
     plane = build_fault_plane(recipe)
     cluster = build_cluster(
-        n_workstations=n_ws, seed=seed, faults=plane,
-        model=DEFAULT_MODEL.with_copy_plane(
-            burst_pacing=copy_plane, adaptive_precopy=copy_plane),
-        placement=placement,
+        n_workstations=n_ws, seed=seed, faults=plane, placement=placement,
     )
     sim = cluster.sim
     if collect_metrics:
@@ -172,13 +165,8 @@ def chaos_scenario(
                 down_us=recipe["crash_down_ms"] * 1000,
             )
         ]).install(cluster)
-    if break_rebinding:
-        # Disable every lazy-rebinding path: NAK-moved handling, the
-        # retry-exhausted broadcast re-resolution, and refreshes of
-        # already-cached bindings from incoming traffic.
-        for station in cluster.workstations + cluster.server_machines:
-            station.kernel.ipc.rebind_enabled = False
-            station.kernel.binding_cache.refresh_enabled = False
+    if rebinding_broken:
+        break_rebinding(cluster)
 
     # -- workload: server on ws1, client on ws0, migration mid-stream ----
     server_kernel = cluster.workstations[1].kernel
@@ -260,8 +248,7 @@ def chaos_scenario(
         }
     result: Dict[str, Any] = {
         "schedule": schedule,
-        "break_rebinding": break_rebinding,
-        "copy_plane": False,
+        "break_rebinding": rebinding_broken,
         "placement": False,
         "messages": messages,
         "completed": len(completed),
@@ -285,8 +272,6 @@ def chaos_scenario(
         result["postmortem"] = recorder.dumped
     if placement:
         result["placement"] = True
-    if copy_plane:
-        result["copy_plane"] = True
     return result
 
 
@@ -299,7 +284,6 @@ def campaign_spec(
     workers: int = 1,
     messages: int = 30,
     break_rebinding: bool = False,
-    copy_plane: bool = False,
     placement: bool = False,
     collect_metrics: bool = False,
 ) -> SweepSpec:
@@ -318,7 +302,6 @@ def campaign_spec(
             "schedule": name,
             "messages": messages,
             "break_rebinding": break_rebinding,
-            "copy_plane": copy_plane,
             "placement": placement,
         }
         for name in names

@@ -16,6 +16,10 @@ Both schedules drive existing cluster mechanisms:
   failure (§3.3) holds;
 * outages detach the NIC from the Ethernet, so frames in both
   directions vanish like a dead transceiver, then reattach it.
+
+:func:`break_rebinding` is the one untimed perturbation: it switches
+lazy rebinding off for the whole run (``chaos --break-rebinding`` and
+the verify ``break-rebinding`` mutation).
 """
 
 from __future__ import annotations
@@ -112,3 +116,13 @@ class OutageSchedule:
         self.log.append((cluster.sim.now, event.host, "nic-up"))
         if cluster.sim.trace.active:
             cluster.sim.trace.record("faults", "nic-up", host=event.host)
+
+
+def break_rebinding(cluster) -> None:
+    """Disable every lazy-rebinding path of ``cluster``: NAK-moved
+    handling, the retry-exhausted broadcast re-resolution, and refreshes
+    of already-cached bindings from incoming traffic.  The intentionally
+    broken mode that must trip no-residual-dependency."""
+    for station in cluster.workstations + cluster.server_machines:
+        station.kernel.ipc.rebind_enabled = False
+        station.kernel.binding_cache.refresh_enabled = False

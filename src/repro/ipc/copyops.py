@@ -23,23 +23,6 @@ from repro.kernel.ids import Pid
 from repro.net.packet import Packet
 
 
-class _PlantedFlags:
-    """Deliberate, named bugs for the differential verification harness
-    (:mod:`repro.verify.mutation`).  Every flag defaults False and the
-    shipped engine never sets one; the mutation-smoke tests plant one,
-    prove the toggle-matrix explorer catches it, and clear it again.
-    """
-
-    __slots__ = ("burst_skip_copy_end",)
-
-    def __init__(self) -> None:
-        self.burst_skip_copy_end = False
-
-
-#: Process-wide planted-bug switch block (see :class:`_PlantedFlags`).
-_PLANTED = _PlantedFlags()
-
-
 class PageSnapshot:
     """An (index, version) capture of one page at its send instant."""
 
@@ -71,21 +54,15 @@ class CopyEngine:
         #: The per-page pace, computed once (the model is frozen).
         self._page_us = self.model.bulk_copy_us(PAGE_SIZE)
         self.nic = transport.nic
-        #: Pages per packet blast; 1 = the per-page stream (one frame and
-        #: one pacing timer per page).
-        self._burst_pages = self.model.copy_burst_pages
         # ---- plain-int data-plane counters (benchmark A/B payloads)
         #: Pacing timers scheduled for outbound copy streams.
         self.pacing_events = 0
-        #: Burst frames emitted (0 unless burst pacing is on).
-        self.bursts = 0
         # Pages/bytes this host pushed out via copy ops (repro.obs).
         m = self.sim.metrics
         self.metrics = m
         host = transport.kernel.name
         self._m_pages = m.counter("ipc.copy_pages", host)
         self._m_bytes = m.counter("ipc.copy_bytes", host)
-        self._m_bursts = m.counter("copy.bursts", host)
         #: In-progress inbound copies: (src, seq) -> buffered snapshots.
         self.inbound: Dict[Tuple[Pid, int], list] = {}
         #: CopyFrom requests we served: (src, seq) -> source pid, kept for
@@ -108,11 +85,7 @@ class CopyEngine:
 
     def start_stream(self, record, address) -> None:
         """Begin (or restart, after a retransmission) a paced CopyTo."""
-        pages = record.pages
-        if self._burst_pages > 1:
-            self._send_burst(record, address, pages, 0)
-        else:
-            self._send_page(record, address, pages, 0)
+        self._send_page(record, address, record.pages, 0)
 
     def _send_page(self, record, address, pages, i: int) -> None:
         if record.completed:
@@ -136,39 +109,6 @@ class CopyEngine:
         self._sched(self._page_us, self._send_page, record, address, pages,
                     i + 1)
 
-    def _send_burst(self, record, address, pages, i: int) -> None:
-        """One K-page packet blast: a single frame carrying the burst's
-        snapshots, a single pacing timer for the whole burst.  The next
-        burst goes out where the K-th per-page packet would have -- the
-        intra-burst send times are advanced arithmetically instead of
-        through the heap -- so the stream holds the calibrated 3 s/MB
-        with ~K x fewer simulator events."""
-        if record.completed:
-            return
-        n = len(pages)
-        if i >= n:
-            if not _PLANTED.burst_skip_copy_end:
-                self._send_end(record, address)
-            return
-        snapshots = _snapshot_pages(pages[i:i + self._burst_pages])
-        k = len(snapshots)
-        self.bursts += 1
-        if self.metrics.active:
-            self._m_bursts.inc()
-            self._m_pages.inc(k)
-            self._m_bytes.inc(PAGE_SIZE * k)
-        self.nic.emit(
-            address, "copy-burst",
-            {"src": record.src_pid, "dst": record.dst, "seq": record.seq,
-             "snapshots": snapshots},
-            PAGE_SIZE * k,
-        )
-        self.pacing_events += 1
-        self._sched(
-            k * self._page_us,
-            self._send_burst, record, address, pages, i + k,
-        )
-
     def _send_end(self, record, address) -> None:
         indexes = record.page_indexes
         if indexes is None:
@@ -184,9 +124,7 @@ class CopyEngine:
 
     def on_copy_nak(self, packet: Packet) -> None:
         """The receiver is missing specific pages: re-stream just those
-        (selective retransmission), then re-announce the end of the run.
-        Page-granular even when the stream went out as bursts -- a NAK
-        for pages lost mid-burst must not re-send the whole blast."""
+        (selective retransmission), then re-announce the end of the run."""
         payload = packet.payload
         record = self._client(payload)
         if record is None or record.completed or record.op != "copyto":
@@ -195,11 +133,6 @@ class CopyEngine:
         pages = [by_index[i] for i in payload["missing"] if i in by_index]
         if pages:
             self._send_page(record, packet.src, pages, 0)
-
-    def on_copy_burst(self, packet: Packet) -> None:
-        payload = packet.payload
-        key = (payload["src"], payload["seq"])
-        self.inbound.setdefault(key, []).extend(payload["snapshots"])
 
     def on_copy_end(self, packet: Packet) -> None:
         payload = packet.payload
@@ -291,10 +224,7 @@ class CopyEngine:
                 )
             return
         self.served_copyfrom.setdefault((src, seq), pcb.pid)
-        if self._burst_pages > 1:
-            self._stream_reply_burst(src, seq, snapshots, origin_addr, 0)
-        else:
-            self._stream_reply(src, seq, snapshots, origin_addr, 0)
+        self._stream_reply(src, seq, snapshots, origin_addr, 0)
 
     @staticmethod
     def _snapshot(pcb, indexes):
@@ -316,29 +246,6 @@ class CopyEngine:
             self._sched(
                 self._page_us,
                 self._stream_reply, src, seq, snapshots, address, i + 1,
-            )
-            return
-        self._end_reply(src, seq, snapshots, address)
-
-    def _stream_reply_burst(self, src, seq, snapshots, address, i) -> None:
-        """Burst-paced CopyFrom reply (mirror of :meth:`_send_burst`)."""
-        if i < len(snapshots):
-            chunk = snapshots[i:i + self._burst_pages]
-            k = len(chunk)
-            self.bursts += 1
-            if self.metrics.active:
-                self._m_bursts.inc()
-                self._m_pages.inc(k)
-                self._m_bytes.inc(PAGE_SIZE * k)
-            self.nic.emit(
-                address, "copyfrom-burst",
-                {"src": src, "seq": seq, "snapshots": chunk},
-                PAGE_SIZE * k,
-            )
-            self.pacing_events += 1
-            self._sched(
-                k * self._page_us,
-                self._stream_reply_burst, src, seq, snapshots, address, i + k,
             )
             return
         self._end_reply(src, seq, snapshots, address)
@@ -369,11 +276,6 @@ class CopyEngine:
         record = self._client(packet.payload)
         if record is not None and not record.completed:
             record.received_snapshots.append(packet.payload["snapshot"])
-
-    def on_copyfrom_burst(self, packet: Packet) -> None:
-        record = self._client(packet.payload)
-        if record is not None and not record.completed:
-            record.received_snapshots.extend(packet.payload["snapshots"])
 
     def on_copyfrom_end(self, packet: Packet) -> None:
         payload = packet.payload

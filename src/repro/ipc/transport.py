@@ -926,9 +926,6 @@ class Transport:
         key = (payload["src"], payload["seq"])
         self.copies.inbound.setdefault(key, []).append(payload["snapshot"])
 
-    def _on_copy_burst(self, packet: Packet) -> None:
-        self.copies.on_copy_burst(packet)
-
     def _on_copy_nak(self, packet: Packet) -> None:
         self.copies.on_copy_nak(packet)
 
@@ -940,9 +937,6 @@ class Transport:
 
     def _on_copyfrom_data(self, packet: Packet) -> None:
         self.copies.on_copyfrom_data(packet)
-
-    def _on_copyfrom_burst(self, packet: Packet) -> None:
-        self.copies.on_copyfrom_burst(packet)
 
     def _on_copyfrom_nak(self, packet: Packet) -> None:
         self.copies.on_copyfrom_nak(packet)
@@ -1071,12 +1065,10 @@ _HANDLERS = {
     "ghq-reply": Transport._on_ghq_reply,
     "binding": Transport._on_binding,
     "copy-data": Transport._on_copy_data,
-    "copy-burst": Transport._on_copy_burst,
     "copy-nak": Transport._on_copy_nak,
     "copy-end": Transport._on_copy_end,
     "copy-ack": Transport._on_copy_ack,
     "copyfrom-data": Transport._on_copyfrom_data,
-    "copyfrom-burst": Transport._on_copyfrom_burst,
     "copyfrom-nak": Transport._on_copyfrom_nak,
     "copyfrom-end": Transport._on_copyfrom_end,
 }

@@ -3,11 +3,9 @@
 A packet carries an opaque ``payload`` (constructed by the IPC transport)
 plus the addressing and size information the bus needs.  ``size_bytes``
 counts payload data only; framing overhead is added by the wire-time
-model in :class:`repro.config.HardwareModel`.  A frame may carry more
-than one logical page: when the model's ``copy_burst_pages`` exceeds 1
-the copy engine emits ``copy-burst`` / ``copyfrom-burst`` frames whose
-payload is a list of page snapshots and whose ``size_bytes`` is the
-whole burst, modelling V's multi-packet blasts as one scheduled unit.
+model in :class:`repro.config.HardwareModel`.  A copy-data frame
+carries exactly one page, so a bulk copy costs one frame (and one
+pacing timer) per page.
 """
 
 from __future__ import annotations

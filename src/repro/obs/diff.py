@@ -10,10 +10,10 @@ this module answers the two questions a regression hunt starts with:
   ``name.max``) and compared under a tolerance: a delta is *within*
   tolerance when ``|delta| <= max(abs_tol, rel_tol * max(|a|, |b|))``.
 * **which subsystem ate the time?**  Metric names are bucketed by
-  prefix (``ipc.`` -> ipc, ``copy.`` -> copy, ``mig.``/``precopy.`` ->
-  migration, ...) and every ``*_us`` time metric's delta is accumulated
-  per subsystem, ranking subsystems by their contribution to the total
-  simulated-time delta -- the Table 4-1 attribution loop, automated.
+  prefix (``ipc.`` -> ipc, ``mig.``/``precopy.`` -> migration, ...)
+  and every ``*_us`` time metric's delta is accumulated per subsystem,
+  ranking subsystems by their contribution to the total simulated-time
+  delta -- the Table 4-1 attribution loop, automated.
 
 KPIs and the freeze-phase accounting are diffed too; the ``wall``
 section (wall-clock throughput) is deliberately ignored -- it measures
@@ -46,7 +46,6 @@ SUBSYSTEMS = {
     "kernel": "kernel",
     "sched": "scheduler",
     "ipc": "ipc",
-    "copy": "copy",
     "precopy": "migration",
     "mig": "migration",
     "net": "network",

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from types import SimpleNamespace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from repro.config import DEFAULT_MODEL
 from repro.errors import SimulationError
@@ -58,6 +58,7 @@ class FlightRecorder:
         sim=None,
         cluster=None,
         context: Optional[Dict[str, Any]] = None,
+        mutations: Sequence[str] = (),
         max_trace_events: int = 4096,
     ):
         self.out_dir = out_dir
@@ -70,6 +71,10 @@ class FlightRecorder:
         #: Arbitrary JSON-able context (scenario, schedule, seed, config)
         #: copied verbatim into the manifest for offline replay.
         self.context = dict(context or {})
+        #: Planted mutations (repro.verify.mutation) the run's cluster
+        #: was built with: a bundle produced by a mutation-smoke run must
+        #: say so, or its trajectory looks like a real engine bug.
+        self.mutations = list(mutations)
         self.max_trace_events = max_trace_events
         #: Path of the bundle written by the first violation, if any.
         self.dumped: Optional[str] = None
@@ -90,8 +95,6 @@ class FlightRecorder:
     def dump(self, reason: str, checker=None) -> str:
         """Write the bundle now (also usable for manual snapshots);
         returns the bundle directory."""
-        from repro.verify.mutation import planted
-
         os.makedirs(self.out_dir, exist_ok=True)
         sim = self.sim
 
@@ -103,10 +106,7 @@ class FlightRecorder:
             "toggles": {
                 "copy_plane": self.model.copy_plane_modes(),
             },
-            # Planted engine mutations (repro.verify.mutation) active at
-            # dump time: a bundle produced by a mutation-smoke run must
-            # say so, or its trajectory looks like a real engine bug.
-            "mutations": planted(),
+            "mutations": self.mutations,
             "files": list(BUNDLE_FILES),
         }
         self._write("manifest.json", manifest)

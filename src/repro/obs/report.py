@@ -52,19 +52,6 @@ def new_report(kind: str, *, seed: int, config: Optional[Dict[str, Any]] = None,
     }
 
 
-def copy_plane_of(configs) -> Dict[str, bool]:
-    """The copy-plane modes any of a sweep's configs builds its clusters
-    with: a chaos config's ``copy_plane`` turns both on, a verify cell
-    names its own in ``toggles``."""
-    modes = DEFAULT_MODEL.copy_plane_modes()
-    for config in configs:
-        named = config.get("toggles") or {}
-        for name in modes:
-            if config.get("copy_plane") or named.get(name):
-                modes[name] = True
-    return modes
-
-
 def build_migration_report(
     cluster,
     stats,
@@ -164,7 +151,7 @@ def sweep_run_report(result, kind: str = "sweep") -> Dict[str, Any]:
         "scenario": spec.scenario,
         "configs": [dict(c) for c in spec.configs],
         "replications": spec.replications,
-    }, copy_plane=copy_plane_of(spec.configs))
+    })
     runs = [r for row in result.rows for r in row]
     kpis: Dict[str, Any] = {
         "runs": len(runs),

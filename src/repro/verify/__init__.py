@@ -1,14 +1,14 @@
 """Differential verification: toggle matrices, schedule perturbation,
 failure minimization.
 
-The simulator has protocol modes that change which messages exist but
-must never change an outcome -- burst pacing and adaptive pre-copy in
-the :class:`~repro.config.HardwareModel`, host-state caches via
+The simulator has a protocol mode that changes which messages exist but
+must never change an outcome -- host-state caches via
 ``build_cluster(placement=True)`` -- and one event core whose
 same-instant ordering the paper's protocol must not lean on.  Each
 matrix cell builds its own cluster from its toggle vector
-(:data:`repro.verify.scenario.KNOBS`), so no cell leaves process state
-behind.  This package *checks* those promises instead of assuming them:
+(:data:`repro.verify.scenario.KNOBS`) and its mutation, so no cell
+leaves process state behind.  This package *checks* those promises
+instead of assuming them:
 
 * :mod:`repro.verify.matrix` -- run one scenario across a matrix of
   toggle vectors, fault schedules and schedule perturbations, and
@@ -20,9 +20,9 @@ behind.  This package *checks* those promises instead of assuming them:
 * :mod:`repro.verify.minimize` -- shrink a failing cell to a minimal
   (toggle delta, seed, swap trace) triple and dump it as a
   flight-recorder bundle for offline replay;
-* :mod:`repro.verify.mutation` -- planted bugs proving the
-  harness actually catches what it claims to catch
-  (``make verify-smoke`` runs one end to end);
+* :mod:`repro.verify.mutation` -- planted bugs (functions that break
+  a cell's cluster) proving the harness actually catches what it
+  claims to catch (``make verify-smoke`` runs one end to end);
 * :mod:`repro.verify.scenario` -- the ordering-heavy workload the
   matrix replays, and the ``verify_cell`` wrapper that lets cells ride
   the :mod:`repro.parallel` sweep pool.
@@ -51,9 +51,8 @@ from repro.verify.minimize import (
 )
 from repro.verify.mutation import (
     MUTATIONS,
+    get_mutation,
     mutation_names,
-    planted,
-    planted_mutation,
 )
 from repro.verify.perturb import TiePerturber
 
@@ -68,11 +67,10 @@ __all__ = [
     "classify",
     "dump_repro",
     "full_matrix",
+    "get_mutation",
     "make_cell",
     "minimize_failure",
     "mutation_names",
-    "planted",
-    "planted_mutation",
     "replay_bundle",
     "run_matrix",
     "sample_matrix",

@@ -10,10 +10,12 @@ baseline cell (all defaults, same seed):
     Toggle deltas only (every knob changes which packets exist): the
     four stable outcome fields must match exactly, invariants must
     hold, and the KPI scalars must agree within the ``repro diff``
-    tolerance formula (generous by default -- burst coalescing roughly
-    halves packet counts by design; the tolerance trips on
-    order-of-magnitude regressions, not protocol-mode differences).
-    The baseline cell itself falls in this class.
+    tolerance formula (generous by default -- the host-state caches'
+    anti-entropy daemons roughly double the event count by design; the
+    tolerance trips on order-of-magnitude regressions, not
+    protocol-mode differences).  The baseline cell itself falls in this
+    class: it is classified against itself, so only its invariants can
+    fail.
 ``perturb``
     Same toggles, fuzzed same-instant ordering: outcomes and invariants
     must survive any tie permutation, but event counts may wiggle.
@@ -41,6 +43,9 @@ from repro.sim.random import derive_seed
 from repro.verify.scenario import KNOBS
 
 #: Default relative tolerance for ``tolerant``-class KPI comparison.
+#: Load-cache daemon traffic is the widest legitimate gap: the small
+#: ordering config at seed 11 runs 309 events without the caches and
+#: 652 with them (|delta| 343 <= 0.75 x 652).
 DEFAULT_TOLERANCE = 0.75
 
 #: Equivalence classes, weakest guarantee last.
@@ -96,16 +101,14 @@ def make_cell(
 
 def sample_matrix(n: int, seed: int = 0) -> List[Dict[str, Any]]:
     """A stratified sample of ``n`` cells (first is always the
-    baseline).  The first five cover every equivalence class, cell six
+    baseline).  The first three cover every equivalence class, cell four
     the host-state caches; beyond that, deterministic random toggle
-    vectors fill the budget (seeded from ``seed``, so the same matrix
-    replays)."""
+    vectors and perturbations fill the budget (seeded from ``seed``, so
+    the same matrix replays)."""
     if n < 2:
         raise SimulationError("a differential matrix needs >= 2 cells")
     strata = [
         make_cell(),
-        make_cell({"burst_pacing": True}),
-        make_cell({"burst_pacing": True, "adaptive_precopy": True}),
         make_cell(perturb={"seed": derive_seed(seed, "verify:perturb:0"),
                            "rate": 0.25}),
         make_cell(schedule=_SAMPLE_SCHEDULE),
@@ -302,7 +305,8 @@ def run_matrix(
     mutation: Optional[str] = None,
 ) -> VerifyResult:
     """Run every cell (through the sweep pool when ``workers > 1``) and
-    classify each against cell 0, which must be the baseline."""
+    classify each against cell 0, which must be the baseline (and is
+    itself classified, so a baseline that breaks an invariant fails)."""
     from repro.parallel import run_sweep
     from repro.parallel.spec import SweepSpec
 
@@ -337,7 +341,7 @@ def run_matrix(
             ],
         })
         return out
-    for i, cell in enumerate(cells[1:], start=1):
+    for i, cell in enumerate(cells):
         reasons = classify(cell, results[i], baseline, tolerance=tolerance)
         if reasons:
             out.failures.append({

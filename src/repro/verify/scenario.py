@@ -11,8 +11,9 @@ so two runs of the same cell must produce *byte-identical* payloads
 
 ``verify_cell`` wraps any registered scenario in one matrix cell: hand
 the scenario a toggle vector (which it turns into the inputs of the
-cluster it builds, :func:`cluster_inputs`), optionally plant a mutation
-and/or arm a schedule perturber, run, disarm, and report the payload
+cluster it builds, :func:`cluster_inputs`) and optionally a mutation
+(which it applies to that cluster), optionally arm a schedule perturber,
+run, disarm, and report the payload
 plus its digest, the invariant verdict, the stable outcome fields and
 the KPI scalars the classifier needs.  Cells ride the :mod:`repro.parallel`
 sweep pool unchanged -- a cell is just a sweep config -- and crashes are
@@ -40,7 +41,7 @@ KPI_FIELDS = ("events", "packets")
 
 #: The protocol modes a cell can switch on, each an input of the
 #: cluster the scenario builds.  All default off.
-KNOBS = ("adaptive_precopy", "burst_pacing", "load_cache")
+KNOBS = ("load_cache",)
 
 #: Outcome fields that must match the baseline *exactly* in every
 #: non-crashed, non-faulted cell: losing a request or a migration to a
@@ -52,9 +53,8 @@ STABLE_FIELDS = ("completed", "served", "migration_success",
 def cluster_inputs(toggles: Optional[Dict[str, bool]],
                    model: Optional[HardwareModel] = None) -> Dict[str, Any]:
     """The ``build_cluster`` keyword arguments for a toggle vector:
-    burst pacing and adaptive pre-copy go into ``model`` (default: the
-    calibrated one), the host-state caches are the ``placement``
-    argument.  Unknown names raise."""
+    ``model`` (default: the calibrated one) plus the host-state caches
+    as the ``placement`` argument.  Unknown names raise."""
     toggles = toggles or {}
     for name in toggles:
         if name not in KNOBS:
@@ -62,10 +62,7 @@ def cluster_inputs(toggles: Optional[Dict[str, bool]],
                 f"unknown toggle {name!r}; known: {', '.join(KNOBS)}"
             )
     return {
-        "model": (model or DEFAULT_MODEL).with_copy_plane(
-            burst_pacing=bool(toggles.get("burst_pacing")),
-            adaptive_precopy=bool(toggles.get("adaptive_precopy")),
-        ),
+        "model": model or DEFAULT_MODEL,
         "placement": bool(toggles.get("load_cache")),
     }
 
@@ -87,7 +84,8 @@ def ordering_scenario(
     """Echo stream + mid-run migration + same-instant tie storm.
 
     Config: ``toggles`` (knob -> bool, see :func:`cluster_inputs`),
-    ``messages`` (default 10), ``workstations`` (3),
+    ``mutation`` (None -- a :data:`repro.verify.mutation.MUTATIONS` name
+    applied to the cluster), ``messages`` (default 10), ``workstations`` (3),
     ``migrate_at_ms`` (300), ``schedule`` (None -- a
     :data:`repro.faults.FAULT_SCHEDULES` name to run under faults),
     ``storm_rounds`` (32), ``tie_delay_us`` (1000), ``postmortem_dir`` /
@@ -109,6 +107,7 @@ def ordering_scenario(
         Touch,
     )
     from repro.migration.manager import run_migration
+    from repro.verify.mutation import get_mutation
 
     messages = int(config.get("messages", 10))
     n_ws = int(config.get("workstations", 3))
@@ -129,6 +128,9 @@ def ordering_scenario(
 
     cluster = build_cluster(n_workstations=n_ws, seed=seed, faults=plane,
                             **cluster_inputs(config.get("toggles")))
+    mutation = config.get("mutation")
+    if mutation:
+        get_mutation(mutation)(cluster)
     sim = cluster.sim
     if collect_metrics:
         sim.metrics.enable()
@@ -144,6 +146,7 @@ def ordering_scenario(
         recorder = FlightRecorder(
             postmortem_dir, cluster=cluster,
             context=dict(config.get("postmortem_context") or {}),
+            mutations=[mutation] if mutation else [],
         ).attach(checker)
 
     # -- server: echo loop on ws1, touching pages so pre-copy is real --
@@ -294,11 +297,12 @@ def verify_cell(
     scenario, which builds its cluster from them), ``base_seed``,
     ``scenario`` ("ordering"), ``scenario_config`` (forwarded),
     ``perturb`` (None or ``{"seed", "rate", "replay"}``), ``mutation``
-    (None or a :mod:`repro.verify.mutation` name), plus the
-    ``postmortem_*`` passthroughs.
+    (None or a :mod:`repro.verify.mutation` name, forwarded: the
+    scenario applies it to its cluster), plus the ``postmortem_*``
+    passthroughs.
     """
     from repro.sim.engine import arm_perturber
-    from repro.verify import mutation as mutation_mod
+    from repro.verify.mutation import get_mutation
     from repro.verify.perturb import TiePerturber
 
     toggles = dict(config.get("toggles") or {})
@@ -311,13 +315,14 @@ def verify_cell(
             inner_cfg[key] = config[key]
     perturb_cfg = config.get("perturb")
     mutation_name = config.get("mutation")
+    if mutation_name:
+        get_mutation(mutation_name)  # unknown names raise, not crash
+        inner_cfg["mutation"] = mutation_name
 
     perturber = None
     crash: Optional[str] = None
     payload: Optional[Dict[str, Any]] = None
     try:
-        if mutation_name:
-            mutation_mod.plant(mutation_name)
         if perturb_cfg:
             perturber = TiePerturber(
                 seed=int(perturb_cfg.get("seed", 0)),
@@ -333,8 +338,6 @@ def verify_cell(
             crash = f"{type(exc).__name__}: {exc}"
     finally:
         arm_perturber(None)
-        if mutation_name:
-            mutation_mod.clear_all()
 
     result: Dict[str, Any] = {
         "toggles": {k: bool(v) for k, v in sorted(toggles.items())},

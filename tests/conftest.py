@@ -1,12 +1,12 @@
 """Global test hygiene.
 
-Protocol modes are inputs of the cluster a test builds (the hardware
-model and ``build_cluster(placement=...)``), so they need no cleanup.
-Two pieces of test machinery are still process-global: the planted
-mutations of the differential harness and the armed-perturber slot
-consumed by the next ``Simulator``.  A test that sets either and dies
-mid-way must not poison its neighbours, so one autouse fixture clears
-both after every test.
+Protocol modes and planted mutations are inputs of the cluster a test
+builds (the hardware model, ``build_cluster(placement=...)`` and the
+scenario's ``mutation``), so they need no cleanup.  One piece of test
+machinery is still process-global: the armed-perturber slot consumed
+by the next ``Simulator``.  A test that arms it and dies mid-way must
+not poison its neighbours, so one autouse fixture clears it after
+every test.
 """
 
 from __future__ import annotations
@@ -15,10 +15,8 @@ import pytest
 
 
 @pytest.fixture(autouse=True)
-def _mutation_hygiene():
+def _perturber_hygiene():
     from repro.sim.engine import arm_perturber
-    from repro.verify.mutation import clear_all
 
     yield
-    clear_all()
     arm_perturber(None)

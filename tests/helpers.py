@@ -3,9 +3,8 @@
 
 :func:`make_cluster` is the one factory tests should reach for: bare or
 full-service clusters, optional loss/fault planes, and a ``toggles``
-vector that becomes the inputs of the cluster it builds (the hardware
-model's copy-plane modes and the placement caches), so no toggle
-outlives its cluster.
+vector that becomes the inputs of the cluster it builds (the placement
+caches), so no toggle outlives its cluster.
 
 Every cluster the factory builds carries a strict
 :class:`~repro.faults.invariants.InvariantChecker` unless the caller
@@ -86,8 +85,9 @@ def make_cluster(
     bare workstations; ``full=True`` returns a service-booted
     :func:`repro.cluster.build_cluster` with ``n`` workstations (plus
     its file server).  ``toggles`` (a :data:`repro.verify.scenario.KNOBS`
-    name -> bool) switches protocol modes on: burst pacing and adaptive
-    pre-copy on top of ``model``, host-state caches via ``placement``.
+    name -> bool) switches protocol modes on: host-state caches via
+    ``placement``.  Hardware-model modes such as adaptive pre-copy come
+    in through ``model``.
     ``invariants`` (default True) installs a strict invariant checker
     on the cluster's simulator.
     """

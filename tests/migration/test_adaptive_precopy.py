@@ -9,9 +9,11 @@ the projection shrinks, so it rides out the phase change and freezes a
 tiny residual at nearly the same total cost.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.config import PAGE_SIZE
+from repro.config import DEFAULT_MODEL, PAGE_SIZE
 from repro.kernel import Compute, Delay, Priority, TouchPages
 from repro.migration.manager import run_migration
 from repro.migration.precopy import AdaptivePrecopy, PrecopyPolicy
@@ -52,9 +54,9 @@ HEAVY_PAGES = 160  # distinct pages the heavy phase keeps re-dirtying
 HOT = tuple(range(200, 204))  # steady-state hot set, under the threshold
 
 
-def _migrate_phased_hog(toggles=None):
+def _migrate_phased_hog(model=DEFAULT_MODEL):
     """Migrate a phased hog; returns its MigrationStats."""
-    cluster = make_cluster(3, seed=5, full=True, toggles=toggles)
+    cluster = make_cluster(3, seed=5, full=True, model=model)
     sim = cluster.sim
     kernel = cluster.workstations[1].kernel
     lh = kernel.create_logical_host()
@@ -94,7 +96,8 @@ def _migrate_phased_hog(toggles=None):
 
 def test_adaptive_rides_out_the_phase_change():
     static = _migrate_phased_hog()
-    adaptive = _migrate_phased_hog(toggles={"adaptive_precopy": True})
+    adaptive = _migrate_phased_hog(
+        replace(DEFAULT_MODEL, precopy_adaptive=True))
 
     # The static policy froze right after the phase change with the
     # heavy-phase residue still dirty; adaptive copied one more round

@@ -1,21 +1,23 @@
 """Protocol modes are inputs of the cluster they run in.
 
-Burst pacing and adaptive pre-copy live in the cluster's hardware
-model, so two clusters in one process can run different modes side by
-side: nothing one builds or runs leaks into the other.
+Adaptive pre-copy lives in the cluster's hardware model, so two
+clusters in one process can run different modes side by side: nothing
+one builds or runs leaks into the other.
 """
 
-from repro.config import PAGE_SIZE
+from dataclasses import replace
+
+from repro.config import DEFAULT_MODEL, PAGE_SIZE
 from repro.kernel import Compute, Delay, Priority, TouchPages
 from repro.migration.manager import run_migration
 
 from tests.helpers import make_cluster
 
 
-def _migrating_cluster(toggles):
+def _migrating_cluster(model):
     """A cluster whose ws1 hog is migrated 0.2 s in; returns the
     cluster and the list its MigrationStats lands in."""
-    cluster = make_cluster(3, seed=5, full=True, toggles=toggles)
+    cluster = make_cluster(3, seed=5, full=True, model=model)
     kernel = cluster.workstations[1].kernel
     lh = kernel.create_logical_host()
     kernel.allocate_space(lh, 64 * PAGE_SIZE, name="hog")
@@ -40,14 +42,10 @@ def _migrating_cluster(toggles):
     return cluster, done
 
 
-def _bursts(cluster):
-    return sum(ws.kernel.ipc.copies.bursts for ws in cluster.workstations)
-
-
 def test_two_clusters_in_one_process_keep_their_own_modes():
     modal, modal_done = _migrating_cluster(
-        {"burst_pacing": True, "adaptive_precopy": True})
-    plain, plain_done = _migrating_cluster(None)
+        replace(DEFAULT_MODEL, precopy_adaptive=True))
+    plain, plain_done = _migrating_cluster(DEFAULT_MODEL)
     # Interleave the two simulations in small steps until both migrated.
     while not (modal_done and plain_done):
         for cluster in (modal, plain):
@@ -55,7 +53,5 @@ def test_two_clusters_in_one_process_keep_their_own_modes():
             cluster.sim.run(until_us=cluster.sim.now + 100_000)
 
     assert modal_done[0].success and plain_done[0].success
-    assert _bursts(modal) > 0
-    assert _bursts(plain) == 0
     assert modal_done[0].adaptive
     assert not plain_done[0].adaptive

@@ -68,7 +68,6 @@ class TestEnvelope:
 class TestSubsystems:
     def test_prefix_buckets(self):
         assert subsystem_of("ipc.sends") == "ipc"
-        assert subsystem_of("copy.bursts") == "copy"
         assert subsystem_of("mig.freeze_us") == "migration"
         assert subsystem_of("precopy.projected_residual") == "migration"
         assert subsystem_of("sched.cpu_us.remote") == "scheduler"
@@ -125,12 +124,12 @@ class TestDiff:
 
     def test_metric_on_one_side_compared_against_zero(self):
         a = report_with({})
-        b = report_with({"copy.bursts": 59})
+        b = report_with({"ipc.naks": 59})
         diff = diff_reports(a, b)
-        entry = diff["metrics"]["copy.bursts"]
+        entry = diff["metrics"]["ipc.naks"]
         assert entry["a"] == 0 and entry["b"] == 59
         assert not entry["within"]
-        assert "copy.bursts" in diff["subsystems"]["copy"]["metrics"]
+        assert "ipc.naks" in diff["subsystems"]["ipc"]["metrics"]
 
     def test_kpi_non_numeric_compared_by_equality(self):
         a = report_with({}, kpis={"success": True, "stop": "rounds"})

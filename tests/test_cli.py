@@ -58,3 +58,20 @@ def test_default_is_demo(capsys):
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("module", ["repro.faults", "repro.verify",
+                                    "repro.parallel"])
+def test_package_imports_first_in_a_fresh_interpreter(module):
+    """``python -m repro chaos`` imports ``repro.faults`` first and
+    ``verify`` imports ``repro.verify`` first; the faults -> parallel ->
+    verify -> faults import cycle must resolve from either end."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    subprocess.run([sys.executable, "-c", f"import {module}"], check=True,
+                   env=dict(os.environ, PYTHONPATH=src))

@@ -22,7 +22,7 @@ def baseline_report(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def copy_plane_report(tmp_path_factory):
-    """The same scenario with burst pacing and adaptive pre-copy on."""
+    """The same scenario with adaptive pre-copy on."""
     path = tmp_path_factory.mktemp("reports") / "plane.json"
     rc = main(["report", "--program", "tex", "--seed", "0",
                "--copy-plane", "--out", str(path)])
@@ -47,7 +47,7 @@ class TestReportCommand:
         report = load_report(baseline_report)
         assert report["kind"] == "migration"
         assert report["config"]["program"] == "tex"
-        assert report["toggles"]["copy_plane"]["burst_pacing"] is False
+        assert report["toggles"]["copy_plane"] == {"adaptive_precopy": False}
         assert report["kpis"]["success"] is True
         assert report["kpis"]["pages_copied"] > 0
         assert report["metrics"]["cluster"]["mig.migrations"] == 1
@@ -72,21 +72,29 @@ class TestDiffCommand:
         assert rc == 0
         assert "WITHIN TOLERANCE" in out
 
-    def test_copy_plane_delta_attributed_to_copy_subsystem(
+    def test_copy_plane_delta_attributed_to_migration_subsystem(
             self, capsys, baseline_report, copy_plane_report):
-        # The ISSUE acceptance: pacing off vs on -> copy.bursts moves,
-        # and the diff engine pins that delta on the copy subsystem.
+        # Adaptive pre-copy off vs on: tex keeps copying while it runs
+        # (1,753,782 -> 2,402,274 us of pre-copy) and freezes a smaller
+        # residual (284,621 -> 237,581 us), and the diff engine pins the
+        # top time delta on the migration subsystem.
         rc = main(["diff", baseline_report, copy_plane_report, "--json"])
         diff = json.loads(capsys.readouterr().out)
         assert rc == 1  # genuinely different runs
         assert not diff["toggles"]["same"]
-        bursts = diff["metrics"]["copy.bursts"]
-        assert bursts["a"] == 0 and bursts["b"] > 0
-        assert "copy.bursts" in diff["subsystems"]["copy"]["metrics"]
+        precopy = diff["metrics"]["mig.precopy_us"]
+        freeze = diff["metrics"]["mig.freeze_us"]
+        assert precopy["b"] > precopy["a"]
+        assert freeze["b"] < freeze["a"]
+        migration = diff["subsystems"]["migration"]
+        assert "mig.precopy_us" in migration["metrics"]
+        assert "mig.freeze_us" in migration["metrics"]
+        assert migration["time_delta_us"] == max(
+            abs(sub["time_delta_us"]) for sub in diff["subsystems"].values())
         a = load_report(baseline_report)
         b = load_report(copy_plane_report)
-        assert b["toggles"]["copy_plane"]["burst_pacing"] is True
-        assert a["toggles"]["copy_plane"]["burst_pacing"] is False
+        assert b["toggles"]["copy_plane"] == {"adaptive_precopy": True}
+        assert a["toggles"]["copy_plane"] == {"adaptive_precopy": False}
 
     def test_table_output_ranks_subsystems(self, capsys, baseline_report,
                                            copy_plane_report):
@@ -94,7 +102,7 @@ class TestDiffCommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "subsystem attribution" in out
-        assert "copy.bursts" in out
+        assert "mig.precopy_us" in out
 
     def test_bad_input_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")

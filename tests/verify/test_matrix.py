@@ -13,17 +13,17 @@ SMALL = {"messages": 4, "storm_rounds": 12, "migrate_at_ms": 200}
 # ---------------------------------------------------------------- cells
 
 def test_cells_record_only_deltas_from_the_defaults():
-    cell = make_cell({"load_cache": False, "burst_pacing": True})
-    assert cell["toggles"] == {"burst_pacing": True}  # load_cache is default
+    assert make_cell({"load_cache": False})["toggles"] == {}  # the default
+    assert make_cell({"load_cache": True})["toggles"] == {"load_cache": True}
 
 
 def test_expect_class_derivation():
     assert make_cell()["expect"] == "tolerant"
-    assert make_cell({"burst_pacing": True})["expect"] == "tolerant"
+    assert make_cell({"load_cache": True})["expect"] == "tolerant"
     assert make_cell(perturb={"seed": 1, "rate": 0.2})["expect"] == "perturb"
     assert make_cell(schedule="drop")["expect"] == "fault"
     # Faults are the weakest promise, whatever else the cell carries.
-    assert make_cell({"burst_pacing": True},
+    assert make_cell({"load_cache": True},
                      schedule="drop")["expect"] == "fault"
 
 
@@ -52,8 +52,9 @@ def test_full_matrix_covers_the_whole_toggle_product():
     # vector collapses into the baseline), + schedules + perturb seeds.
     vectors = {tuple(sorted(c["toggles"].items())) for c in cells
                if c["schedule"] is None and c["perturb"] is None}
-    assert len(KNOBS) == 3
-    assert len(vectors) == 2 ** len(KNOBS) == 8
+    assert len(KNOBS) == 1
+    assert len(vectors) == 2 ** len(KNOBS) == 2
+    assert len(cells) == 13
 
 
 def test_malformed_matrix_spec_raises():
@@ -75,11 +76,11 @@ def test_matrix_passes_on_main_and_parallel_equals_serial():
 
 def test_run_matrix_requires_a_baseline_first_cell():
     with pytest.raises(SimulationError):
-        run_matrix([make_cell({"burst_pacing": True})], base_seed=0)
+        run_matrix([make_cell({"load_cache": True})], base_seed=0)
 
 
 def test_classify_flags_crashes_but_not_digest_moves():
-    cell = make_cell({"burst_pacing": True})
+    cell = make_cell({"load_cache": True})
     baseline = {"payload_sha256": "aaa", "stable": {"completed": 1},
                 "kpis": {"events": 100}}
     crashed = dict(baseline, crash="SimulationError: boom")
@@ -93,7 +94,7 @@ def test_classify_flags_crashes_but_not_digest_moves():
 
 
 def test_classify_tolerant_gates_stable_exactly_and_kpis_by_tolerance():
-    cell = make_cell({"burst_pacing": True})
+    cell = make_cell({"load_cache": True})
     baseline = {"payload_sha256": "aaa", "crash": None,
                 "stable": {"completed": 5}, "kpis": {"events": 100}}
     ok = {"payload_sha256": "bbb", "crash": None, "invariants_ok": True,

@@ -1,12 +1,12 @@
-"""Mutation smoke: the harness must catch the planted copy-plane bug.
+"""Mutation smoke: the harness must catch the planted rebinding bug.
 
-``burst-skip-copy-end`` makes the burst-paced CopyTo stream "forget" its
-closing ``copy-end`` frame, so the receiver never acks and the ordering
-scenario's migration fails.  The per-page stream never reaches the bug.
-The explorer must flag exactly the ``burst_pacing`` cells, and the
-minimizer must shrink a widened failing cell to the single-knob delta
-``{burst_pacing: True}`` with an empty (<= 5 swap) perturbation trace --
-the acceptance criterion of the harness.
+``break-rebinding`` switches off lazy rebinding in the cluster a cell
+builds (the same helper ``chaos --break-rebinding`` uses), so the
+ordering scenario's client keeps sending to the migrated server's old
+host and trips no-residual-dependency.  The bug does not depend on any
+toggle: the explorer must flag every cell, and the minimizer must
+shrink a widened failing cell to the baseline toggles ``{}`` with an
+empty perturbation trace -- the acceptance criterion of the harness.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from repro.verify import (
     dump_repro,
     make_cell,
     minimize_failure,
-    planted_mutation,
     replay_bundle,
     run_matrix,
 )
@@ -26,7 +25,7 @@ from repro.verify.minimize import _shrink_trace
 from repro.verify.scenario import verify_cell
 
 SMALL = {"messages": 4, "storm_rounds": 12, "migrate_at_ms": 200}
-MUT = "burst-skip-copy-end"
+MUT = "break-rebinding"
 
 BASE_CONFIG = {
     "base_seed": 11,
@@ -44,62 +43,71 @@ def _mutated_matrix():
                              mutation=MUT)
 
 
-def test_mutation_breaks_only_burst_paced_migration():
-    clean = verify_cell({"base_seed": 11, "scenario_config": SMALL}, 0)
-    per_page = verify_cell({"base_seed": 11, "scenario_config": SMALL,
-                            "mutation": MUT}, 0)
-    burst = verify_cell({"base_seed": 11, "scenario_config": SMALL,
-                         "mutation": MUT,
-                         "toggles": {"burst_pacing": True}}, 0)
-    # The per-page stream never reaches the bug.
-    assert per_page["payload_sha256"] == clean["payload_sha256"]
-    # A burst-paced CopyTo is never acked, so the migration fails.
-    assert clean["stable"]["migration_success"]
-    assert not burst["stable"]["migration_success"]
-    assert burst["invariants_ok"]
+def _cell(toggles=None, mutation=None):
+    return verify_cell({"base_seed": 11, "scenario_config": SMALL,
+                        "toggles": toggles or {}, "mutation": mutation}, 0)
 
 
-def test_explorer_flags_exactly_the_burst_pacing_cells():
+def test_mutation_breaks_rebinding_whatever_the_toggles():
+    for toggles in ({}, {"load_cache": True}):
+        clean = _cell(toggles)
+        broken = _cell(toggles, MUT)
+        assert clean["invariants_ok"]
+        assert not broken["invariants_ok"]
+        assert broken["invariants"]["no-residual-dependency"] > 0
+        # The stale client loses requests it would have completed.
+        assert broken["stable"]["completed"] < clean["stable"]["completed"]
+
+
+def test_mutation_is_an_input_of_one_cell_only():
+    """A mutated cell breaks only the cluster it builds: a clean cell
+    run right after it replays the clean digest byte for byte."""
+    before = _cell()
+    _cell(mutation=MUT)
+    assert _cell()["payload_sha256"] == before["payload_sha256"]
+
+
+def test_unknown_mutation_raises():
+    with pytest.raises(SimulationError, match="break-rebinding"):
+        _cell(mutation="no-such-bug")
+
+
+def test_explorer_flags_every_cell():
     cells, result = _mutated_matrix()
     assert not result.ok
-    flagged = {f["index"] for f in result.failures}
-    burst = {i for i, c in enumerate(cells)
-             if c["toggles"].get("burst_pacing")}
-    assert flagged == burst and burst
+    assert {f["index"] for f in result.failures} == set(range(len(cells)))
     for failure in result.failures:
-        assert any("stable outcome fields differ" in r
+        assert any("no-residual-dependency" in r
                    for r in failure["reasons"])
 
 
-def test_minimizer_shrinks_to_a_single_knob():
+def test_minimizer_shrinks_to_the_baseline_toggles():
     _, result = _mutated_matrix()
-    # Widen a caught cell with every other knob; at the default
-    # tolerance the minimizer must strip both bystanders.
-    cell = make_cell({"burst_pacing": True, "adaptive_precopy": True,
-                      "load_cache": True})
+    # Widen a caught cell with the host-state caches; at the default
+    # tolerance the minimizer must strip the bystander knob.
+    cell = make_cell({"load_cache": True})
     minimal = minimize_failure(cell, dict(BASE_CONFIG), result.results[0])
-    assert minimal.cell["toggles"] == {"burst_pacing": True}
+    assert minimal.cell["toggles"] == {}
     trace = (minimal.cell["perturb"] or {}).get("replay") or []
     assert len(trace) <= 5
-    assert minimal.dropped_toggles == ["adaptive_precopy", "load_cache"]
+    assert minimal.dropped_toggles == ["load_cache"]
 
 
 def test_minimal_repro_round_trips_through_a_bundle(tmp_path):
     cells, result = _mutated_matrix()
-    cell = cells[result.failures[0]["index"]]
+    cell = cells[result.failures[-1]["index"]]
     minimal = minimize_failure(cell, dict(BASE_CONFIG), result.results[0])
     bundle = dump_repro(minimal, str(tmp_path / "repro"))
 
     manifest = load_postmortem(bundle)["manifest"]
     assert manifest["mutations"] == [MUT]
     repro = manifest["context"]["verify_repro"]
-    assert repro["toggles"] == {"burst_pacing": True}
+    assert repro["toggles"] == {}
     assert repro["mutation"] == MUT
 
     verdict = replay_bundle(bundle)
     assert verdict["still_fails"]
-    assert any("stable outcome fields differ" in r
-               for r in verdict["reasons"])
+    assert any("no-residual-dependency" in r for r in verdict["reasons"])
 
 
 def test_minimizer_refuses_a_passing_cell():
@@ -109,17 +117,6 @@ def test_minimizer_refuses_a_passing_cell():
     config = dict(BASE_CONFIG, mutation=None)
     with pytest.raises(SimulationError):
         minimize_failure(cells[1], config, result.results[0])
-
-
-def test_planted_mutation_context_manager_clears_on_exit():
-    from repro.ipc.copyops import _PLANTED
-    from repro.verify import planted
-
-    with planted_mutation(MUT):
-        assert planted() == [MUT]
-        assert _PLANTED.burst_skip_copy_end
-    assert planted() == []
-    assert not _PLANTED.burst_skip_copy_end
 
 
 def test_ddmin_finds_the_minimal_swap_set():
