@@ -21,10 +21,9 @@
 * ``diff``    -- compare two RunReports under a tolerance: per-metric
   deltas plus per-subsystem time attribution (exit 1 beyond tolerance).
 * ``verify``  -- differential verification: run one scenario across a
-  matrix of toggle/fault/perturbation cells, assert each cell's
-  equivalence class against the baseline, and shrink any failure to a
-  minimal repro bundle (exit codes shared with ``diff``: 0 clean, 1 a
-  cell broke its class, 2 usage error).
+  fixed list of 17 toggle/perturbation/fault cells and assert each
+  cell's equivalence class against the baseline (exit codes shared with
+  ``diff``: 0 clean, 1 a cell broke its class, 2 usage error).
 * ``info``    -- the calibrated hardware model and package layout.
 """
 
@@ -217,108 +216,23 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     import json
 
-    from repro.errors import SimulationError
     from repro.obs.diff import EXIT_DIFFERENT, EXIT_OK, EXIT_USAGE
-    from repro.verify import (
-        build_matrix,
-        bundle_dir_for,
-        dump_repro,
-        make_cell,
-        minimize_failure,
-        mutation_names,
-        replay_bundle,
-        run_matrix,
-    )
-
-    tolerance = args.tolerance / 100.0
-
-    if args.replay:
-        try:
-            verdict = replay_bundle(args.replay, tolerance=tolerance)
-        except SimulationError as exc:
-            print(f"verify: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        repro_ctx = verdict["repro"]
-        print(f"replaying bundle {args.replay}:")
-        print(f"  toggles: {repro_ctx.get('toggles') or '(defaults)'}")
-        print(f"  perturb: {repro_ctx.get('perturb') or '(none)'}")
-        print(f"  mutation: {repro_ctx.get('mutation') or '(none)'}")
-        if verdict["still_fails"]:
-            for reason in verdict["reasons"]:
-                print(f"  reproduces: {reason}")
-            return EXIT_OK
-        print("  does NOT reproduce (fixed, or not a pure function of "
-              "the bundle's triple)")
-        return EXIT_DIFFERENT
+    from repro.verify import matrix, mutation_names, run_matrix
 
     if args.mutate and args.mutate not in mutation_names():
         print(f"verify: unknown mutation {args.mutate!r}; "
               f"known: {', '.join(mutation_names())}", file=sys.stderr)
         return EXIT_USAGE
 
-    extra_toggles = {}
-    for item in args.toggle or []:
-        name, eq, value = item.partition("=")
-        if not eq or value.lower() not in ("on", "off", "true", "false"):
-            print(f"verify: bad --toggle {item!r} "
-                  "(want NAME=on|off)", file=sys.stderr)
-            return EXIT_USAGE
-        extra_toggles[name] = value.lower() in ("on", "true")
-
-    try:
-        cells = build_matrix(args.matrix, seed=args.seed)
-        if extra_toggles:
-            cells.append(make_cell(extra_toggles))
-    except SimulationError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    scenario_config = {"messages": args.messages}
-    try:
-        result = run_matrix(
-            cells,
-            base_seed=args.seed,
-            scenario_config=scenario_config,
-            workers=args.workers,
-            tolerance=tolerance,
-            mutation=args.mutate,
-        )
-    except SimulationError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    result = run_matrix(
+        matrix(args.seed),
+        base_seed=args.seed,
+        scenario_config={"messages": args.messages},
+        mutation=args.mutate,
+    )
     print(result.summary())
 
     payload = result.to_json()
-    if result.failures and not args.no_minimize:
-        # Shrink the widest failure (most toggle deltas) -- it proves
-        # the most reduction -- and dump the minimal triple as a bundle.
-        failure = max(
-            result.failures,
-            key=lambda f: len(result.cells[f["index"]]["toggles"]),
-        )
-        cell = result.cells[failure["index"]]
-        base_config = {
-            "base_seed": args.seed,
-            "scenario": "ordering",
-            "scenario_config": scenario_config,
-            "mutation": args.mutate,
-            "toggles": {},
-            "perturb": None,
-        }
-        try:
-            minimal = minimize_failure(
-                cell, base_config, result.results[0], tolerance=tolerance,
-            )
-            bundle = dump_repro(
-                minimal, bundle_dir_for(args.postmortem, cell["label"]),
-            )
-        except SimulationError as exc:
-            print(f"verify: minimizer failed: {exc}", file=sys.stderr)
-            return EXIT_DIFFERENT
-        print(minimal.summary())
-        print(f"repro bundle: {bundle}/", file=sys.stderr)
-        payload["minimal"] = minimal.to_json()
-
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -333,7 +247,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         from repro.obs.report import new_report, write_report
 
         report = new_report("verify", seed=args.seed,
-                            config={"matrix": args.matrix,
+                            config={"cells": len(result.cells),
                                     "mutation": args.mutate})
         report["kpis"] = {
             "cells": len(result.cells),
@@ -626,43 +540,20 @@ def main(argv=None) -> int:
     verify = sub.add_parser(
         "verify", help="differential toggle-matrix verification"
     )
-    verify.add_argument("--matrix", default="sample:8",
-                        metavar="sample:N|full",
-                        help="cell selection: a stratified sample or the "
-                             "full toggle product (default sample:8)")
     verify.add_argument("--seed", type=int, default=0,
                         help="base scenario seed (every cell replays it)")
-    verify.add_argument("--workers", type=int, default=1,
-                        help="sweep-pool worker processes for the matrix")
     verify.add_argument("--messages", type=int, default=10,
                         help="client requests per cell run")
-    verify.add_argument("--tolerance", type=float, default=75.0,
-                        metavar="PCT",
-                        help="relative KPI tolerance for tolerant-class "
-                             "cells, percent (default 75: load-cache "
-                             "daemons legitimately double event counts)")
-    verify.add_argument("--toggle", action="append", metavar="NAME=on|off",
-                        help="add one extra cell with these toggle deltas "
-                             "(repeatable; unknown names exit 2)")
     verify.add_argument("--mutate", default=None, metavar="NAME",
                         help="plant a named mutation in every cell "
                              "(mutation smoke; see repro.verify.mutation)")
     verify.add_argument("--expect-fail", action="store_true",
                         help="exit 0 iff the matrix FAILS (for mutation "
                              "smoke in make/CI)")
-    verify.add_argument("--postmortem", default="verify-postmortem",
-                        metavar="DIR",
-                        help="where minimized repro bundles land")
-    verify.add_argument("--no-minimize", action="store_true",
-                        help="report failures without shrinking them")
     verify.add_argument("--out", default=None,
                         help="write the full verify result JSON here")
     verify.add_argument("--report", default=None, metavar="PATH",
                         help="also write a RunReport JSON envelope")
-    verify.add_argument("--replay", default=None, metavar="BUNDLE",
-                        help="re-run a minimized repro bundle instead of "
-                             "exploring a matrix (exit 0 iff it still "
-                             "reproduces)")
     sub.add_parser("info", help="calibrated model summary")
     args = parser.parse_args(argv)
     command = args.command or "demo"

@@ -145,17 +145,19 @@ def build_cluster(
     faults=None,
     accept_policy: Optional[AcceptPolicy] = None,
     placement: bool = False,
+    perturber=None,
 ) -> Cluster:
     """Assemble a cluster: ``n_workstations`` user machines plus
     ``n_file_servers`` dedicated server machines, all booted with their
     standard per-host services.  ``faults`` installs a
     :class:`repro.faults.FaultPlane` on the Ethernet (the composable
     superset of ``loss``).  ``placement`` installs per-host load caches
-    (:mod:`repro.cluster.placement`)."""
+    (:mod:`repro.cluster.placement`).  ``perturber`` goes to the
+    :class:`Simulator` (see :mod:`repro.verify.perturb`)."""
     if n_workstations < 1 or n_file_servers < 1:
         raise SimulationError("need at least one workstation and one file server")
     Workstation.reset_world()
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=seed, perturber=perturber)
     net = Ethernet(sim, model, loss=loss, faults=faults)
     registry = registry if registry is not None else ProgramRegistry()
     cluster = Cluster(sim=sim, net=net, model=model, registry=registry)

@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import os
 from types import SimpleNamespace
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.config import DEFAULT_MODEL
 from repro.errors import SimulationError
@@ -58,7 +58,6 @@ class FlightRecorder:
         sim=None,
         cluster=None,
         context: Optional[Dict[str, Any]] = None,
-        mutations: Sequence[str] = (),
         max_trace_events: int = 4096,
     ):
         self.out_dir = out_dir
@@ -71,10 +70,6 @@ class FlightRecorder:
         #: Arbitrary JSON-able context (scenario, schedule, seed, config)
         #: copied verbatim into the manifest for offline replay.
         self.context = dict(context or {})
-        #: Planted mutations (repro.verify.mutation) the run's cluster
-        #: was built with: a bundle produced by a mutation-smoke run must
-        #: say so, or its trajectory looks like a real engine bug.
-        self.mutations = list(mutations)
         self.max_trace_events = max_trace_events
         #: Path of the bundle written by the first violation, if any.
         self.dumped: Optional[str] = None
@@ -106,7 +101,6 @@ class FlightRecorder:
             "toggles": {
                 "copy_plane": self.model.copy_plane_modes(),
             },
-            "mutations": self.mutations,
             "files": list(BUNDLE_FILES),
         }
         self._write("manifest.json", manifest)

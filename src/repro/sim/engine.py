@@ -15,11 +15,11 @@ unaffected).  ``alive_event_count`` reports only live entries, which is
 what budget checks want.
 
 The ``(time, seq)`` tie-breaking contract is also where the differential
-verification harness (:mod:`repro.verify`) plugs in: an installed
-*perturber* (:meth:`Simulator.install_perturber`) may replace the
-integer seq key with a fractional one, permuting the FIFO order of
-same-instant events -- the orderings the paper's protocol must tolerate
--- while leaving cross-instant order untouched.  No perturber installed
+verification harness (:mod:`repro.verify`) plugs in: a *perturber*
+passed to the constructor (``Simulator(seed, perturber=...)``) may
+replace the integer seq key with a fractional one, permuting the FIFO
+order of same-instant events -- the orderings the paper's protocol must
+tolerate -- while leaving cross-instant order untouched.  No perturber
 (the default) costs one attribute load + branch per schedule and leaves
 the trajectory byte-identical.
 """
@@ -42,22 +42,6 @@ _TIMER_POOL_MAX = 256
 #: Compact the heap once this many cancelled timers accumulate *and*
 #: they make up more than half of it.
 _COMPACT_MIN_CANCELLED = 64
-
-
-#: A perturber armed for the *next* ``Simulator`` construction (see
-#: :func:`arm_perturber`); consumed -- and cleared -- by ``__init__``.
-_PENDING_PERTURBER = None
-
-
-def arm_perturber(perturber) -> None:
-    """Arm ``perturber`` to be installed on the next :class:`Simulator`
-    built in this process (``None`` disarms).  Scenario entry points
-    build their simulator deep inside cluster constructors, so the
-    verification harness cannot call :meth:`Simulator.install_perturber`
-    directly; arming bridges the gap without threading a parameter
-    through every builder."""
-    global _PENDING_PERTURBER
-    _PENDING_PERTURBER = perturber
 
 
 class Timer:
@@ -103,7 +87,7 @@ class Simulator:
     give equal runs.
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0, perturber=None):
         self._now = 0
         self._heap: List[Tuple[int, int, Timer]] = []
         self._seq = 0
@@ -127,16 +111,15 @@ class Simulator:
         #: (``Kernel.on_process_fault``).  Fault-injection tests set this
         #: False and inspect ``kernel.faulted`` instead.
         self.strict = True
-        #: Installed by :meth:`install_perturber` (or a pending
-        #: :func:`arm_perturber`); None (the default) costs one attribute
-        #: load + branch per schedule -- the same
-        #: zero-cost discipline as the profiler/invariant hooks, and the
-        #: A/B test in tests/verify pins the trajectory byte-identical.
-        self._perturber = None
-        global _PENDING_PERTURBER
-        if _PENDING_PERTURBER is not None:
-            pending, _PENDING_PERTURBER = _PENDING_PERTURBER, None
-            self.install_perturber(pending)
+        #: A same-instant tie perturber (see
+        #: :class:`repro.verify.perturb.TiePerturber`): every ``schedule``
+        #: routes its heap key through ``perturber.assign``.  It is fixed
+        #: at construction, so it sees the cluster builder's first events
+        #: too.  None (the default) costs one attribute load + branch per
+        #: schedule -- the same zero-cost discipline as the
+        #: profiler/invariant hooks, and the A/B test in tests/verify pins
+        #: the trajectory byte-identical.
+        self._perturber = perturber
         self._event_count = 0
         #: Cancelled timers still sitting in the heap awaiting removal.
         self._cancelled_alive = 0
@@ -200,13 +183,6 @@ class Simulator:
             key = perturber.assign(self, time, key)
         heapq.heappush(self._heap, (time, key, timer))
         return timer
-
-    def install_perturber(self, perturber) -> None:
-        """Install a same-instant tie perturber (see
-        :class:`repro.verify.perturb.TiePerturber`): every subsequent
-        ``schedule`` routes its heap key through ``perturber.assign``.
-        ``None`` uninstalls."""
-        self._perturber = perturber
 
     def schedule_at(self, time_us: int, fn: Callable, *args: Any) -> Timer:
         """Run ``fn(*args)`` at absolute simulated time ``time_us``."""

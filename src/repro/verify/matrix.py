@@ -24,23 +24,21 @@ baseline cell (all defaults, same seed):
     required -- outcome counts legitimately depend on what the faults
     ate.
 
-Cells ride the :mod:`repro.parallel` sweep pool (one cell = one sweep
-config, one replication), so exploration parallelizes and inherits the
-serial ≡ parallel byte-identity guarantee.  Every cell carries the same
-``base_seed``; the sweep's per-unit seeds are deliberately ignored.
+:func:`matrix` lists the cells; :func:`run_matrix` runs them one after
+another in-process (a crash comes back as data, and the list is too
+short for a worker pool to pay for its start-up).  Every cell replays
+the same ``base_seed``.
 """
 
 from __future__ import annotations
 
-import json
-import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.obs.diff import _entry
 from repro.sim.random import derive_seed
-from repro.verify.scenario import KNOBS
+from repro.verify.scenario import KNOBS, verify_cell
 
 #: Default relative tolerance for ``tolerant``-class KPI comparison.
 #: Load-cache daemon traffic is the widest legitimate gap: the small
@@ -50,9 +48,6 @@ DEFAULT_TOLERANCE = 0.75
 
 #: Equivalence classes, weakest guarantee last.
 EXPECT_CLASSES = ("tolerant", "perturb", "fault")
-
-#: The fault schedule sampled matrices include by default.
-_SAMPLE_SCHEDULE = "drop"
 
 
 def _expect_for(schedule: Optional[str], perturb: Optional[dict]) -> str:
@@ -97,106 +92,48 @@ def make_cell(
     }
 
 
-# ------------------------------------------------------------- matrix builds
+# ---------------------------------------------------------------- the cells
 
-def sample_matrix(n: int, seed: int = 0) -> List[Dict[str, Any]]:
-    """A stratified sample of ``n`` cells (first is always the
-    baseline).  The first three cover every equivalence class, cell four
-    the host-state caches; beyond that, deterministic random toggle
-    vectors and perturbations fill the budget (seeded from ``seed``, so
-    the same matrix replays)."""
-    if n < 2:
-        raise SimulationError("a differential matrix needs >= 2 cells")
-    strata = [
-        make_cell(),
-        make_cell(perturb={"seed": derive_seed(seed, "verify:perturb:0"),
-                           "rate": 0.25}),
-        make_cell(schedule=_SAMPLE_SCHEDULE),
-        make_cell({"load_cache": True}),
-    ]
-    cells = strata[:n]
-    rng = random.Random(f"verify-matrix:{seed}")
-    seen = {json.dumps(_cell_key(c), sort_keys=True) for c in cells}
-    attempts = 0
-    while len(cells) < n and attempts < 64 * n:
-        attempts += 1
-        toggles = {name: rng.random() < 0.5 for name in KNOBS}
-        perturb = None
-        if rng.random() < 0.25:
-            perturb = {"seed": rng.randrange(1 << 30), "rate": 0.25}
-        cell = make_cell(toggles, perturb=perturb)
-        key = json.dumps(_cell_key(cell), sort_keys=True)
-        if key in seen:
-            continue
-        seen.add(key)
-        cells.append(cell)
-    return cells
+#: Perturbed cells per toggle vector.
+PERTURB_SEEDS = 4
 
 
-def full_matrix(seed: int = 0,
-                perturb_seeds: int = 4) -> List[Dict[str, Any]]:
-    """The exhaustive matrix: the full cartesian product over every
-    toggleable knob (2^N vectors, deduplicated to their deltas), plus
-    one cell per fault schedule and ``perturb_seeds`` perturbed cells."""
+def matrix(seed: int = 0) -> List[Dict[str, Any]]:
+    """The verify cell list, in a stable order: for each toggle vector
+    of :data:`KNOBS` (the all-defaults one first, so cell 0 is the
+    baseline), its plain cell and :data:`PERTURB_SEEDS` perturbed cells
+    seeded ``derive_seed(seed, "verify:perturb:<i>")``; then one cell
+    per fault schedule.  17 cells for one knob and 7 schedules."""
     from repro.faults import FAULT_SCHEDULES
 
-    cells = [make_cell()]
-    seen = {json.dumps(_cell_key(cells[0]), sort_keys=True)}
+    cells = []
     for bits in range(1 << len(KNOBS)):
         toggles = {
             name: bool(bits >> i & 1) for i, name in enumerate(KNOBS)
         }
-        cell = make_cell(toggles)
-        key = json.dumps(_cell_key(cell), sort_keys=True)
-        if key not in seen:
-            seen.add(key)
-            cells.append(cell)
+        cells.append(make_cell(toggles))
+        for i in range(PERTURB_SEEDS):
+            cells.append(make_cell(toggles, perturb={
+                "seed": derive_seed(seed, f"verify:perturb:{i}"),
+                "rate": 0.25,
+            }))
     for name in sorted(FAULT_SCHEDULES):
         cells.append(make_cell(schedule=name))
-    for i in range(perturb_seeds):
-        cells.append(make_cell(
-            perturb={"seed": derive_seed(seed, f"verify:perturb:{i}"),
-                     "rate": 0.25},
-        ))
     return cells
-
-
-def _cell_key(cell: Dict[str, Any]):
-    return (cell["toggles"], cell["schedule"], cell["perturb"])
-
-
-def build_matrix(mode: str, seed: int = 0) -> List[Dict[str, Any]]:
-    """Parse a ``--matrix`` argument: ``sample:N`` or ``full``."""
-    if mode == "full":
-        return full_matrix(seed=seed)
-    if mode.startswith("sample:"):
-        try:
-            n = int(mode.split(":", 1)[1])
-        except ValueError:
-            raise SimulationError(
-                f"malformed matrix spec {mode!r}; want sample:N or full"
-            ) from None
-        return sample_matrix(n, seed=seed)
-    raise SimulationError(
-        f"malformed matrix spec {mode!r}; want sample:N or full"
-    )
 
 
 # --------------------------------------------------------------- exploration
 
 def cell_config(cell: Dict[str, Any], base_seed: int,
-                scenario: str = "ordering",
                 scenario_config: Optional[Dict[str, Any]] = None,
                 mutation: Optional[str] = None) -> Dict[str, Any]:
-    """The ``verify_cell`` sweep config for one matrix cell."""
+    """The ``verify_cell`` config for one matrix cell."""
     inner = dict(scenario_config or {})
     if cell["schedule"] is not None:
         inner["schedule"] = cell["schedule"]
     return {
-        "label": cell["label"],
         "toggles": dict(cell["toggles"]),
         "base_seed": base_seed,
-        "scenario": scenario,
         "scenario_config": inner,
         "perturb": cell["perturb"],
         "mutation": mutation,
@@ -209,8 +146,6 @@ def classify(cell: Dict[str, Any], result: Dict[str, Any],
     """The reasons this cell FAILS its equivalence class against the
     baseline result (empty list = the cell holds its promise)."""
     reasons: List[str] = []
-    if result is None:
-        return ["cell produced no result"]
     if result.get("crash"):
         return [f"scenario crashed: {result['crash']}"]
     expect = cell["expect"]
@@ -242,14 +177,13 @@ def classify(cell: Dict[str, Any], result: Dict[str, Any],
 class VerifyResult:
     """The explorer's verdict: every cell's result plus the failures.
 
-    ``rows`` pairs each cell with its ``verify_cell`` payload in matrix
+    ``results`` pairs each cell with its ``verify_cell`` payload in matrix
     order (cell 0 is the baseline).  ``failures`` carries one entry per
     cell that broke its equivalence class, with the human-readable
-    reasons -- the minimizer consumes these entries directly.
+    reasons.
     """
 
     base_seed: int
-    tolerance: float
     cells: List[Dict[str, Any]] = field(default_factory=list)
     results: List[Dict[str, Any]] = field(default_factory=list)
     failures: List[Dict[str, Any]] = field(default_factory=list)
@@ -286,7 +220,7 @@ class VerifyResult:
     def to_json(self) -> Dict[str, Any]:
         return {
             "base_seed": self.base_seed,
-            "tolerance": self.tolerance,
+            "tolerance": DEFAULT_TOLERANCE,
             "mutation": self.mutation,
             "cells": self.cells,
             "results": self.results,
@@ -298,51 +232,35 @@ class VerifyResult:
 def run_matrix(
     cells: Sequence[Dict[str, Any]],
     base_seed: int = 0,
-    scenario: str = "ordering",
     scenario_config: Optional[Dict[str, Any]] = None,
-    workers: int = 1,
-    tolerance: float = DEFAULT_TOLERANCE,
     mutation: Optional[str] = None,
 ) -> VerifyResult:
-    """Run every cell (through the sweep pool when ``workers > 1``) and
-    classify each against cell 0, which must be the baseline (and is
-    itself classified, so a baseline that breaks an invariant fails)."""
-    from repro.parallel import run_sweep
-    from repro.parallel.spec import SweepSpec
-
+    """Run every cell and classify each against cell 0, which must be
+    the baseline (and is itself classified, so a baseline that breaks
+    an invariant fails)."""
     cells = list(cells)
     if not cells or cells[0]["toggles"] or cells[0]["schedule"] \
             or cells[0]["perturb"]:
         raise SimulationError("matrix cell 0 must be the baseline cell")
-    configs = tuple(
-        cell_config(cell, base_seed, scenario=scenario,
-                    scenario_config=scenario_config, mutation=mutation)
+    results = [
+        verify_cell(cell_config(cell, base_seed,
+                                scenario_config=scenario_config,
+                                mutation=mutation))
         for cell in cells
-    )
-    sweep = run_sweep(SweepSpec(
-        scenario="verify_cell",
-        configs=configs,
-        replications=1,
-        master_seed=base_seed,
-        workers=workers,
-    ))
-    results = [sweep.rows[ci][0] for ci in range(len(cells))]
-    out = VerifyResult(base_seed=base_seed, tolerance=tolerance,
-                       cells=cells, results=results, mutation=mutation)
+    ]
+    out = VerifyResult(base_seed=base_seed, cells=cells, results=results,
+                       mutation=mutation)
     baseline = results[0]
-    if baseline is None or baseline.get("crash"):
+    if baseline.get("crash"):
         out.failures.append({
             "index": 0,
             "label": cells[0]["label"],
             "expect": cells[0]["expect"],
-            "reasons": [
-                "baseline cell crashed: "
-                + str(baseline.get("crash") if baseline else None)
-            ],
+            "reasons": ["baseline cell crashed: " + baseline["crash"]],
         })
         return out
     for i, cell in enumerate(cells):
-        reasons = classify(cell, results[i], baseline, tolerance=tolerance)
+        reasons = classify(cell, results[i], baseline)
         if reasons:
             out.failures.append({
                 "index": i,

@@ -5,16 +5,16 @@ Each entry in :data:`MUTATIONS` maps a name to a function that breaks
 the cluster it is given.  A cell that names a mutation hands it to its
 scenario, which applies it to the cluster it builds -- like the toggles,
 a mutation is an input of one cluster, never process state.  The
-mutation-smoke test runs a matrix with one, asserts the explorer flags
-the cells it should, and asserts the minimizer shrinks the failure to
-its minimal triple.
+mutation-smoke test plants each one in every cell of
+:func:`repro.verify.matrix` and asserts that every ``tolerant`` and
+``perturb`` cell fails and that the baseline digest moves off its pin.
 
 ``break-rebinding``
     :func:`repro.faults.schedule.break_rebinding` (the same helper
     ``chaos --break-rebinding`` uses): no kernel rebinds a stale
     binding, so the ordering scenario's client keeps sending to the
-    migrated server's old host and trips no-residual-dependency in
-    every cell, whatever the toggles.
+    migrated server's old host and trips no-residual-dependency,
+    whatever the toggles or the tie order.
 """
 
 from __future__ import annotations

@@ -1,28 +1,22 @@
-"""The verification workload and the per-cell wrapper scenario.
+"""The verification workload and the per-cell wrapper.
 
-``ordering`` is the scenario the toggle matrix replays: an IPC echo
+``ordering`` is the scenario the verify cells replay: an IPC echo
 stream, a mid-run migration of the server, and a *tie storm* -- rounds
 of twin timers with equal delays, guaranteeing a steady supply of
 same-instant event collisions and same-instant timer cancels (the
 exact interleavings §3.1-3.2's freeze/copy/retry argument must commute
 over).  It returns a plain JSON-able payload with no wall-clock values,
 so two runs of the same cell must produce *byte-identical* payloads
-(:func:`canonical_digest`).
+(:func:`canonical_digest`).  It stays a registered sweep scenario.
 
-``verify_cell`` wraps any registered scenario in one matrix cell: hand
-the scenario a toggle vector (which it turns into the inputs of the
-cluster it builds, :func:`cluster_inputs`) and optionally a mutation
-(which it applies to that cluster), optionally arm a schedule perturber,
-run, disarm, and report the payload
-plus its digest, the invariant verdict, the stable outcome fields and
-the KPI scalars the classifier needs.  Cells ride the :mod:`repro.parallel`
-sweep pool unchanged -- a cell is just a sweep config -- and crashes are
-returned as data (``crash``) rather than poisoning the whole chunk.
-
-Seeding: the sweep engine derives a distinct seed per (config,
-replication) coordinate, but differential cells must all replay the
-*same* scenario seed -- so a cell carries ``base_seed`` in its config
-and ignores the sweep-provided one.
+``verify_cell`` runs ``ordering`` as one matrix cell: it hands the
+scenario a toggle vector (which it turns into the inputs of the cluster
+it builds, :func:`cluster_inputs`), optionally a mutation (which it
+applies to that cluster) and optionally a schedule perturber (which the
+cluster's simulator is built with), and reports the payload plus its
+digest, the invariant verdict, the stable outcome fields and the KPI
+scalars the classifier needs.  Crashes are returned as data
+(``crash``).  Every cell replays ``config["base_seed"]``.
 """
 
 from __future__ import annotations
@@ -33,7 +27,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.config import DEFAULT_MODEL, HardwareModel
 from repro.errors import SimulationError
-from repro.parallel.scenarios import get_scenario, register_scenario
+from repro.parallel.scenarios import register_scenario
 
 #: KPI scalars compared under the ``repro diff`` tolerance formula for
 #: tolerance-class cells (exact equality is asserted via ``stable``).
@@ -42,12 +36,6 @@ KPI_FIELDS = ("events", "packets")
 #: The protocol modes a cell can switch on, each an input of the
 #: cluster the scenario builds.  All default off.
 KNOBS = ("load_cache",)
-
-#: Outcome fields that must match the baseline *exactly* in every
-#: non-crashed, non-faulted cell: losing a request or a migration to a
-#: toggle flip is a bug no tolerance should hide.
-STABLE_FIELDS = ("completed", "served", "migration_success",
-                 "invariants_ok")
 
 
 def cluster_inputs(toggles: Optional[Dict[str, bool]],
@@ -85,12 +73,12 @@ def ordering_scenario(
 
     Config: ``toggles`` (knob -> bool, see :func:`cluster_inputs`),
     ``mutation`` (None -- a :data:`repro.verify.mutation.MUTATIONS` name
-    applied to the cluster), ``messages`` (default 10), ``workstations`` (3),
+    applied to the cluster), ``perturber`` (None -- a
+    :class:`repro.verify.perturb.TiePerturber` the cluster's simulator
+    is built with), ``messages`` (default 10), ``workstations`` (3),
     ``migrate_at_ms`` (300), ``schedule`` (None -- a
     :data:`repro.faults.FAULT_SCHEDULES` name to run under faults),
-    ``storm_rounds`` (32), ``tie_delay_us`` (1000), ``postmortem_dir`` /
-    ``postmortem_context`` (arm a flight recorder and dump a bundle at
-    run end -- the minimizer's repro-bundle path).
+    ``storm_rounds`` (32), ``tie_delay_us`` (1000).
     """
     from repro.cluster import build_cluster
     from repro.errors import SendTimeoutError
@@ -127,6 +115,7 @@ def ordering_scenario(
         plane = build_fault_plane(recipe)
 
     cluster = build_cluster(n_workstations=n_ws, seed=seed, faults=plane,
+                            perturber=config.get("perturber"),
                             **cluster_inputs(config.get("toggles")))
     mutation = config.get("mutation")
     if mutation:
@@ -135,19 +124,6 @@ def ordering_scenario(
     if collect_metrics:
         sim.metrics.enable()
     checker = InvariantChecker(cluster, strict=False).install(sim)
-    recorder = None
-    postmortem_dir = config.get("postmortem_dir")
-    if postmortem_dir:
-        from repro.obs.flight_recorder import FlightRecorder
-
-        sim.trace.enable("*")
-        sim.trace.use_ring_buffer(8192)
-        sim.metrics.enable()
-        recorder = FlightRecorder(
-            postmortem_dir, cluster=cluster,
-            context=dict(config.get("postmortem_context") or {}),
-            mutations=[mutation] if mutation else [],
-        ).attach(checker)
 
     # -- server: echo loop on ws1, touching pages so pre-copy is real --
     server_kernel = cluster.workstations[1].kernel
@@ -265,84 +241,50 @@ def ordering_scenario(
     }
     if collect_metrics:
         result["metrics"] = sim.metrics.snapshot()
-    if recorder is not None:
-        recorder.dump(reason=config.get("postmortem_reason",
-                                        "verify-repro"), checker=checker)
-        result["postmortem"] = recorder.dumped
     return result
 
 
 # --------------------------------------------------------------- cell wrapper
 
-def run_cell_config(config: Dict[str, Any]) -> Dict[str, Any]:
-    """Run one matrix cell in-process (the minimizer's probe path and
-    the bundle-replay path call this directly; sweeps go through the
-    registered ``verify_cell`` scenario)."""
-    return verify_cell(config, int(config.get("base_seed", 0)))
-
-
-@register_scenario("verify_cell")
-def verify_cell(
-    config: Dict[str, Any],
-    seed: int,
-    collect_metrics: bool = False,
-    warm: Optional[dict] = None,
-) -> Dict[str, Any]:
+def verify_cell(config: Dict[str, Any]) -> Dict[str, Any]:
     """One differential cell: toggles + optional mutation/perturbation
-    around a base scenario run at ``config["base_seed"]`` (the sweep
-    ``seed`` is deliberately ignored -- every cell must replay the same
-    scenario seed for the comparison to mean anything).
+    around an ``ordering`` run at ``config["base_seed"]``.
 
     Config: ``toggles`` (knob -> bool, only the deltas; forwarded to the
     scenario, which builds its cluster from them), ``base_seed``,
-    ``scenario`` ("ordering"), ``scenario_config`` (forwarded),
-    ``perturb`` (None or ``{"seed", "rate", "replay"}``), ``mutation``
-    (None or a :mod:`repro.verify.mutation` name, forwarded: the
-    scenario applies it to its cluster), plus the ``postmortem_*``
-    passthroughs.
+    ``scenario_config`` (forwarded), ``perturb`` (None or ``{"seed",
+    "rate"}``: a :class:`TiePerturber` handed to the scenario's
+    cluster), ``mutation`` (None or a :mod:`repro.verify.mutation` name,
+    forwarded: the scenario applies it to its cluster).
     """
-    from repro.sim.engine import arm_perturber
     from repro.verify.mutation import get_mutation
     from repro.verify.perturb import TiePerturber
 
     toggles = dict(config.get("toggles") or {})
     base_seed = int(config.get("base_seed", 0))
-    inner_name = config.get("scenario", "ordering")
     inner_cfg = dict(config.get("scenario_config") or {})
     inner_cfg["toggles"] = toggles
-    for key in ("postmortem_dir", "postmortem_context", "postmortem_reason"):
-        if config.get(key):
-            inner_cfg[key] = config[key]
-    perturb_cfg = config.get("perturb")
     mutation_name = config.get("mutation")
     if mutation_name:
         get_mutation(mutation_name)  # unknown names raise, not crash
         inner_cfg["mutation"] = mutation_name
-
     perturber = None
+    perturb_cfg = config.get("perturb")
+    if perturb_cfg:
+        perturber = TiePerturber(seed=int(perturb_cfg.get("seed", 0)),
+                                 rate=float(perturb_cfg.get("rate", 0.25)))
+        inner_cfg["perturber"] = perturber
+
     crash: Optional[str] = None
     payload: Optional[Dict[str, Any]] = None
     try:
-        if perturb_cfg:
-            perturber = TiePerturber(
-                seed=int(perturb_cfg.get("seed", 0)),
-                rate=float(perturb_cfg.get("rate", 0.25)),
-                replay=perturb_cfg.get("replay"),
-            )
-            arm_perturber(perturber)
-        fn = get_scenario(inner_name)
-        try:
-            payload = fn(inner_cfg, base_seed, collect_metrics=False,
-                         warm=warm)
-        except Exception as exc:  # noqa: BLE001 - crashes are data here
-            crash = f"{type(exc).__name__}: {exc}"
-    finally:
-        arm_perturber(None)
+        payload = ordering_scenario(inner_cfg, base_seed)
+    except Exception as exc:  # noqa: BLE001 - crashes are data here
+        crash = f"{type(exc).__name__}: {exc}"
 
     result: Dict[str, Any] = {
         "toggles": {k: bool(v) for k, v in sorted(toggles.items())},
         "base_seed": base_seed,
-        "scenario": inner_name,
         "mutation": mutation_name,
         "crash": crash,
         "payload": payload,

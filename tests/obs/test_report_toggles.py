@@ -22,11 +22,11 @@ def test_verify_report_records_the_modes_its_cells_ran(tmp_path):
     # Verify cells only toggle the host-state caches, so every cluster
     # they build runs the default copy plane.
     path = tmp_path / "verify.json"
-    rc = main(["verify", "--matrix", "sample:2", "--seed", "3",
-               "--messages", "3", "--toggle", "load_cache=on",
+    rc = main(["verify", "--seed", "3", "--messages", "3",
                "--report", str(path)])
     assert rc == 0
-    _, copy_plane = _toggles(path)
+    config, copy_plane = _toggles(path)
+    assert config == {"cells": 17, "mutation": None}
     assert copy_plane == {"adaptive_precopy": False}
 
 
@@ -36,4 +36,3 @@ def test_bundle_manifest_records_the_cluster_model(tmp_path):
     recorder = FlightRecorder(str(tmp_path / "b"), cluster=cluster)
     manifest = load_postmortem(recorder.dump(reason="manual"))["manifest"]
     assert manifest["toggles"]["copy_plane"] == {"adaptive_precopy": True}
-    assert manifest["mutations"] == []

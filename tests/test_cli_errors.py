@@ -58,29 +58,12 @@ class TestChaosErrors:
 
 
 class TestVerifyErrors:
-    def test_unknown_toggle_exits_2(self, capsys):
-        assert main(["verify", "--toggle", "warp_drive=on"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("verify: ")
-        assert "warp_drive" in err
-
-    def test_toggle_without_value_exits_2(self, capsys):
-        assert main(["verify", "--toggle", "load_cache"]) == 2
-        err = capsys.readouterr().err
-        assert "NAME=on|off" in err
-
-    def test_malformed_toggle_value_exits_2(self, capsys):
-        assert main(["verify", "--toggle", "load_cache=sideways"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("verify: ")
-        assert "NAME=on|off" in err  # the diagnostic teaches the vocabulary
-
     def test_unknown_mutation_exits_2(self, capsys):
         assert main(["verify", "--mutate", "no-such-bug"]) == 2
         assert "break-rebinding" in capsys.readouterr().err
 
     def test_unwritable_report_exits_2(self, tmp_path, capsys):
-        rc = main(["verify", "--matrix", "sample:2", "--messages", "3",
+        rc = main(["verify", "--messages", "3",
                    "--report", str(tmp_path / "no" / "dir" / "x.json")])
         assert rc == 2
         assert "cannot write" in capsys.readouterr().err

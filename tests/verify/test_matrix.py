@@ -4,8 +4,8 @@ derivation, and end-to-end classification."""
 import pytest
 
 from repro.errors import SimulationError
-from repro.verify import build_matrix, make_cell, run_matrix, sample_matrix
-from repro.verify.matrix import classify, full_matrix
+from repro.sim.random import derive_seed
+from repro.verify import classify, make_cell, matrix, run_matrix
 
 SMALL = {"messages": 4, "storm_rounds": 12, "migrate_at_ms": 200}
 
@@ -32,46 +32,34 @@ def test_unknown_toggle_raises():
         make_cell({"warp_drive": True})
 
 
-# --------------------------------------------------------------- matrices
+# ------------------------------------------------------------ the cell list
 
-def test_sample_matrix_is_stratified_and_deterministic():
-    cells = sample_matrix(8, seed=7)
-    assert len(cells) == 8
-    assert cells[0]["label"] == "baseline"
-    classes = {c["expect"] for c in cells}
-    assert classes == {"tolerant", "perturb", "fault"}
-    assert sample_matrix(8, seed=7) == cells
-    assert sample_matrix(12, seed=7)[:8] == cells  # sample grows stably
-
-
-def test_full_matrix_covers_the_whole_toggle_product():
+def test_matrix_covers_the_whole_toggle_product():
+    from repro.faults import FAULT_SCHEDULES
     from repro.verify.scenario import KNOBS
 
-    cells = full_matrix(seed=0)
-    # Every toggle vector survives as its delta set (the all-defaults
-    # vector collapses into the baseline), + schedules + perturb seeds.
-    vectors = {tuple(sorted(c["toggles"].items())) for c in cells
-               if c["schedule"] is None and c["perturb"] is None}
-    assert len(KNOBS) == 1
-    assert len(vectors) == 2 ** len(KNOBS) == 2
-    assert len(cells) == 13
-
-
-def test_malformed_matrix_spec_raises():
-    for spec in ("bogus", "sample:", "sample:x"):
-        with pytest.raises(SimulationError):
-            build_matrix(spec)
+    cells = matrix(7)
+    assert len(KNOBS) == 1 and len(FAULT_SCHEDULES) == 7
+    assert len(cells) == 17
+    assert cells[0]["label"] == "baseline"
+    assert len({c["label"] for c in cells}) == 17
+    assert matrix(7) == cells
+    perturb_seeds = [derive_seed(7, f"verify:perturb:{i}") for i in range(4)]
+    for toggles, block in (({}, cells[0:5]),
+                           ({"load_cache": True}, cells[5:10])):
+        assert [c["toggles"] for c in block] == [toggles] * 5
+        assert [c["expect"] for c in block] == ["tolerant"] + ["perturb"] * 4
+        assert [c["perturb"]["seed"] for c in block[1:]] == perturb_seeds
+    assert [c["schedule"] for c in cells[10:]] == sorted(FAULT_SCHEDULES)
+    assert {c["expect"] for c in cells[10:]} == {"fault"}
 
 
 # ------------------------------------------------------------ exploration
 
-def test_matrix_passes_on_main_and_parallel_equals_serial():
-    cells = build_matrix("sample:8", seed=3)
-    serial = run_matrix(cells, base_seed=3, scenario_config=SMALL)
-    assert serial.ok, serial.summary()
-    parallel = run_matrix(cells, base_seed=3, scenario_config=SMALL,
-                          workers=2)
-    assert parallel.to_json() == serial.to_json()
+def test_matrix_passes_on_main():
+    result = run_matrix(matrix(3), base_seed=3, scenario_config=SMALL)
+    assert result.ok, result.summary()
+    assert len(result.results) == 17
 
 
 def test_run_matrix_requires_a_baseline_first_cell():

@@ -1,8 +1,9 @@
 """The schedule perturbation engine: off by default, byte-identical at
-rate 0, deterministic under replay."""
+rate 0, the same trajectory for the same seed, and an input of the one
+cluster it is handed to."""
 
+from repro.cluster import build_cluster
 from repro.sim import Simulator
-from repro.sim.engine import arm_perturber
 from repro.verify import TiePerturber
 from repro.verify.scenario import verify_cell
 
@@ -12,7 +13,7 @@ SMALL = {"messages": 4, "storm_rounds": 12, "migrate_at_ms": 200}
 def _cell(**overrides):
     config = {"base_seed": 11, "scenario_config": SMALL}
     config.update(overrides)
-    return verify_cell(config, 0)
+    return verify_cell(config)
 
 
 # ------------------------------------------------------------- default off
@@ -50,50 +51,37 @@ def test_fuzzing_changes_the_trajectory_but_not_outcomes():
 
 
 def test_same_seed_same_trajectory():
+    # This is how a failing perturbed cell replays: rerun its seed.
     a = _cell(perturb={"seed": 9, "rate": 0.5})
     b = _cell(perturb={"seed": 9, "rate": 0.5})
     assert a["payload_sha256"] == b["payload_sha256"]
     assert a["perturb"] == b["perturb"]
 
 
-def test_replaying_the_recorded_trace_reproduces_the_fuzz_run():
-    fuzz = _cell(perturb={"seed": 4, "rate": 0.4})
-    assert fuzz["perturb"]["swaps"]
-    replay = _cell(perturb={"seed": 0, "rate": 0.0,
-                            "replay": fuzz["perturb"]["swaps"]})
-    assert replay["payload_sha256"] == fuzz["payload_sha256"]
-    assert replay["perturb"]["swaps"] == fuzz["perturb"]["swaps"]
-
-
-def test_replay_subset_is_a_different_permutation():
-    fuzz = _cell(perturb={"seed": 4, "rate": 0.4})
-    swaps = fuzz["perturb"]["swaps"]
-    assert len(swaps) >= 2
-    partial = _cell(perturb={"seed": 0, "rate": 0.0, "replay": swaps[:1]})
-    assert partial["perturb"]["swaps"] == swaps[:1]
-    assert partial["payload_sha256"] != fuzz["payload_sha256"]
-
-
 # ------------------------------------------------------------- engine hooks
 
 def test_armed_perturber_is_consumed_by_the_next_simulator_only():
+    """A perturber handed to one cluster's builder reaches that
+    cluster's simulator only; the next cluster built in the process
+    runs unperturbed (there is no process-global slot left to leak)."""
     p = TiePerturber(seed=0)
-    arm_perturber(p)
-    first = Simulator(seed=0)
-    assert first._perturber is p
-    second = Simulator(seed=0)
-    assert second._perturber is None
+    first = build_cluster(n_workstations=2, seed=0, perturber=p)
+    assert first.sim._perturber is p
+    # The builder's own t=0 events already went through the perturber.
+    assert p.opportunities > 0
+    second = build_cluster(n_workstations=2, seed=0)
+    assert second.sim._perturber is None
 
 
 def test_assign_swaps_adjacent_keys_only():
-    """One taken opportunity files the new entry just before the
-    youngest pending same-instant key and leaves everything else."""
-    p = TiePerturber(replay=[2])
+    """A taken opportunity files the new entry just before the youngest
+    pending same-instant key and leaves everything else."""
+    p = TiePerturber(rate=1.0)
     sim = Simulator(seed=0)
     keys = [p.assign(sim, 100, 1), p.assign(sim, 100, 2),
             p.assign(sim, 100, 3)]
-    # Opportunity 1 (seq 2) declined; opportunity 2 (seq 3) swapped in
-    # front of seq 2 via a fractional key.
-    assert keys[0] == 1 and keys[1] == 2
-    assert 1 < keys[2] < 2
-    assert p.swaps == [2] and p.opportunities == 2
+    # seq 1 opens the instant; seq 2 swaps in front of it (1 - 0.5);
+    # seq 3 swaps in front of the youngest pending key, seq 1, landing
+    # between the two newest keys 0.5 and 1.
+    assert keys == [1, 0.5, 0.75]
+    assert p.swaps == [1, 2] and p.opportunities == 2
