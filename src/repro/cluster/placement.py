@@ -63,7 +63,6 @@ class HostDigest:
     pm: Pid
     load: int
     remote: int
-    ready: int
     memory_free: int
     ts_us: int
 
@@ -74,7 +73,6 @@ class HostDigest:
             return cls(
                 host=fields["host"], pm=fields["pm"],
                 load=int(fields["load"]), remote=int(fields.get("remote", 0)),
-                ready=int(fields.get("ready", 0)),
                 memory_free=int(fields["memory_free"]),
                 ts_us=int(fields["ts"]),
             )

@@ -9,7 +9,7 @@ IPC.  A functionally identical kernel runs on every workstation
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import DEFAULT_MODEL, HardwareModel
 from repro.errors import (
@@ -29,6 +29,10 @@ from repro.kernel.ids import Pid
 from repro.kernel.logical_host import LogicalHost
 from repro.kernel.process import Pcb, Priority, ProcessState
 from repro.kernel.scheduler import Scheduler
+
+_LOCAL = Priority.LOCAL
+_REMOTE = Priority.REMOTE
+_DEAD = ProcessState.DEAD
 
 
 class Kernel:
@@ -358,20 +362,29 @@ class Kernel:
 
     # ---------------------------------------------------------------- load
 
-    def load_summary(self) -> Dict[str, int]:
-        """The load report a program manager answers queries with."""
-        program_processes = 0
-        remote_processes = 0
+    def program_counts(self) -> Tuple[int, int]:
+        """``(programs, remote)``: live processes at program priority
+        (LOCAL or less urgent), and how many of those are REMOTE.  The
+        load count a program manager answers queries with; one pass over
+        the process tables, no run-queue scan."""
+        programs = remote = 0
         for lh in self.logical_hosts.values():
             for pcb in lh.processes.values():
-                if pcb.alive and pcb.priority >= Priority.LOCAL:
-                    program_processes += 1
-                    if pcb.priority == Priority.REMOTE:
-                        remote_processes += 1
+                priority = pcb.priority
+                if priority >= _LOCAL and pcb.state is not _DEAD:
+                    programs += 1
+                    if priority == _REMOTE:
+                        remote += 1
+        return programs, remote
+
+    def load_summary(self) -> Dict[str, int]:
+        """:meth:`program_counts` plus runnable programs and free memory:
+        the load report the kernel server, shell and monitor display."""
+        programs, remote = self.program_counts()
         return {
-            "ready": self.scheduler.ready_count(max_priority=Priority.LOCAL),
-            "programs": program_processes,
-            "remote": remote_processes,
+            "ready": self.scheduler.ready_count(max_priority=_LOCAL),
+            "programs": programs,
+            "remote": remote,
             "memory_free": self.memory_free,
         }
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import KernelError, OutOfMemoryError, SendTimeoutError
 from repro.ipc.messages import Message
@@ -52,13 +52,18 @@ class AcceptPolicy:
     #: Whether to accept new remote work while the owner is active.
     accept_when_owner_active: bool = True
 
-    def willing(self, workstation: Workstation, memory_needed: int) -> bool:
-        """Would this host take new remote work of the given size?"""
+    def willing(self, workstation: Workstation, memory_needed: int,
+                programs: Optional[int] = None) -> bool:
+        """Would this host take new remote work of the given size?
+        ``programs`` is a load count the caller already took at this
+        instant (see :meth:`Kernel.program_counts`); without one the
+        kernel is counted here."""
         if workstation.owner_active and not self.accept_when_owner_active:
             return False
         kernel = workstation.kernel
-        summary = kernel.load_summary()
-        if summary["programs"] >= self.max_program_processes:
+        if programs is None:
+            programs, _ = kernel.program_counts()
+        if programs >= self.max_program_processes:
             return False
         return kernel.memory_free - memory_needed >= self.min_free_memory
 
@@ -122,18 +127,18 @@ class ProgramManager:
 
     # ------------------------------------------------------------- helpers
 
-    def load_digest(self) -> dict:
-        """This host's load summary in the piggy-backed digest format
-        (see :class:`repro.cluster.placement.HostDigest`).  Attached to
-        replies the manager already sends -- message fields weigh nothing
-        on the simulated wire, so piggy-backing never changes trajectory
-        and stays on unconditionally."""
-        summary = self.kernel.load_summary()
+    def load_digest(self, counts: Optional[Tuple[int, int]] = None) -> dict:
+        """This host's load in the piggy-backed digest format (see
+        :class:`repro.cluster.placement.HostDigest`), from ``counts``, a
+        ``program_counts()`` taken at this instant, or from a fresh one.
+        Attached to replies the manager already sends -- message fields
+        weigh nothing on the simulated wire, so piggy-backing never
+        changes trajectory and stays on unconditionally."""
+        programs, remote = counts or self.kernel.program_counts()
         return {
             "host": self.hostname, "pm": self.pcb.pid,
-            "load": summary["programs"], "remote": summary["remote"],
-            "ready": summary["ready"], "memory_free": summary["memory_free"],
-            "ts": self.sim.now,
+            "load": programs, "remote": remote,
+            "memory_free": self.kernel.memory_free, "ts": self.sim.now,
         }
 
     def program_lhids(self) -> List[int]:
@@ -179,13 +184,15 @@ class ProgramManager:
                 self.selection_queries += 1
                 if self.sim.metrics.active:
                     self._m_queries.inc()
-                summary = self.kernel.load_summary()
-                yield Compute(
-                    model.host_query_handling_us + 2_000 * summary["programs"]
-                )
-                if self.policy.willing(self.workstation, msg.get("memory_needed", 0)):
+                programs, _ = self.kernel.program_counts()
+                yield Compute(model.host_query_handling_us + 2_000 * programs)
+                # One count after the Compute serves both the decision
+                # and the digest: they are taken at the same instant.
+                counts = self.kernel.program_counts()
+                if self.policy.willing(self.workstation,
+                                       msg.get("memory_needed", 0), counts[0]):
                     self.candidate_replies += 1
-                    digest = self.load_digest()
+                    digest = self.load_digest(counts)
                     yield Reply(sender, Message(
                         "candidate", pm=self.pcb.pid, host=self.hostname,
                         load=digest["load"], memory_free=digest["memory_free"],
@@ -207,17 +214,16 @@ class ProgramManager:
                     if self.sim.metrics.active:
                         self._m_queries.inc()
                 yield Compute(model.host_query_handling_us)
+                counts = self.kernel.program_counts()
                 willing = self.policy.willing(
-                    self.workstation, msg.get("memory_needed", 0))
+                    self.workstation, msg.get("memory_needed", 0), counts[0])
                 yield Reply(sender, Message(
                     "load-digest", pm=self.pcb.pid, host=self.hostname,
-                    willing=willing, digest=self.load_digest(),
+                    willing=willing, digest=self.load_digest(counts),
                 ))
             elif kind == "offer-lh":
-                summary = self.kernel.load_summary()
-                yield Compute(
-                    model.host_query_handling_us + 2_000 * summary["programs"]
-                )
+                programs, _ = self.kernel.program_counts()
+                yield Compute(model.host_query_handling_us + 2_000 * programs)
                 if self.policy.willing(self.workstation, msg.get("bytes", 0)):
                     yield Reply(sender, Message(
                         "lh-accepted", pm=self.pcb.pid, host=self.hostname,
@@ -335,15 +341,16 @@ class ProgramManager:
             # Paper-exact requests never carry the flag and are
             # unaffected.
             yield Compute(model.host_query_handling_us)
+            counts = self.kernel.program_counts()
             if not self.policy.willing(self.workstation,
-                                       msg.get("memory_needed", 0)):
+                                       msg.get("memory_needed", 0), counts[0]):
                 self.exec_declines += 1
                 if self.sim.metrics.active:
                     self._m_declines.inc()
                 yield Reply(sender, Message(
                     "exec-declined", pm=self.pcb.pid, host=self.hostname,
                     error="admission check refused (stale view)",
-                    digest=self.load_digest(),
+                    digest=self.load_digest(counts),
                 ))
                 return
         stat = yield from self._file_server_send(

@@ -25,7 +25,7 @@ from tests.helpers import make_cluster
 
 
 def digest(host, load=0, memory_free=1_000_000, ts=0, pm=None):
-    return HostDigest(host=host, pm=pm, load=load, remote=0, ready=0,
+    return HostDigest(host=host, pm=pm, load=load, remote=0,
                       memory_free=memory_free, ts_us=ts)
 
 
@@ -221,10 +221,10 @@ def test_stale_best_fit_choice_is_declined_then_retried():
     # Plant a stale-but-fresh-looking digest making full ws1 irresistible.
     cache.observe(HostDigest(
         host="ws1", pm=cluster.pm("ws1").pcb.pid, load=0, remote=0,
-        ready=0, memory_free=1 << 22, ts_us=sim.now))
+        memory_free=1 << 22, ts_us=sim.now))
     cache.observe(HostDigest(
         host="ws2", pm=cluster.pm("ws2").pcb.pid, load=0, remote=0,
-        ready=0, memory_free=1 << 20, ts_us=sim.now))
+        memory_free=1 << 20, ts_us=sim.now))
     done = []
 
     def session(ctx):
@@ -259,11 +259,11 @@ def test_crashed_best_fit_choice_times_out_then_retried():
     cluster.station("ws1").kernel.crash()
     del cluster.program_managers["ws1"]
     cache.observe(HostDigest(
-        host="ws1", pm=dead_pm, load=0, remote=0, ready=0,
+        host="ws1", pm=dead_pm, load=0, remote=0,
         memory_free=1 << 22, ts_us=sim.now))
     cache.observe(HostDigest(
         host="ws2", pm=cluster.pm("ws2").pcb.pid, load=0, remote=0,
-        ready=0, memory_free=1 << 20, ts_us=sim.now))
+        memory_free=1 << 20, ts_us=sim.now))
     done = []
 
     def session(ctx):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster import build_cluster
 from repro.execution import ExecSpec, exec_program, run_program, wait_program
+from repro.execution.api import select_candidate_host
 from repro.ipc.messages import Message
 from repro.kernel.process import Send
 from repro.services.program_manager import AcceptPolicy
@@ -44,6 +45,58 @@ class TestAcceptPolicy:
         ws = cluster.workstations[0]
         ws.owner_active = True
         assert AcceptPolicy().willing(ws, 0)
+
+
+class RecordingPolicy(AcceptPolicy):
+    """An accept policy that notes, per host, the load count each
+    decision judged and the verdict."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.judged = {}
+
+    def willing(self, workstation, memory_needed, programs=None):
+        verdict = super().willing(workstation, memory_needed, programs)
+        self.judged[workstation.name] = (programs, verdict)
+        return verdict
+
+
+def candidate_query(n, loaded, policy):
+    """Start ``loaded`` long-running programs on ws1, then multicast one
+    candidate query from a session on ws0; returns (cluster, reply)."""
+    cluster = make_cluster(n=n, accept_policy=policy)
+    replies = []
+
+    def session(ctx):
+        for _ in range(loaded):
+            yield from exec_program(ctx, ExecSpec("longsim", where="ws1"))
+        replies.append((yield from select_candidate_host()))
+
+    cluster.spawn_session(cluster.workstations[0], session)
+    cluster.run(until_us=5_000_000)
+    assert len(replies) == 1
+    return cluster, replies[0]
+
+
+class TestCandidateReply:
+    def test_digest_load_is_the_count_willing_judged(self):
+        policy = RecordingPolicy()
+        cluster, reply = candidate_query(2, 1, policy)
+        programs, verdict = policy.judged[reply["host"]]
+        assert verdict
+        # ws0 runs the session, ws1 the longsim: either way one program.
+        assert programs == 1
+        assert reply["digest"]["load"] == programs
+        assert reply["load"] == programs
+
+    def test_host_at_max_program_processes_declines(self):
+        policy = RecordingPolicy(max_program_processes=2)
+        cluster, reply = candidate_query(3, 2, policy)
+        assert policy.judged["ws1"] == (2, False)
+        pm = cluster.pm("ws1")
+        assert pm.selection_queries == 1
+        assert pm.candidate_replies == 0
+        assert reply["host"] != "ws1"
 
 
 class TestProgramRecords:
