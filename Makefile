@@ -1,6 +1,6 @@
 # Convenience targets for the V-System reproduction.
 
-.PHONY: install test bench bench-test bench-pair chaos-smoke report-smoke verify-smoke examples demo trace-demo all
+.PHONY: install test bench bench-test bench-pair bench-ledger chaos-smoke report-smoke verify-smoke examples demo trace-demo all
 
 install:
 	pip install -e . || python setup.py develop
@@ -38,6 +38,12 @@ bench-pair:
 	  done; \
 	done; \
 	python3 bench/compare.py bench-pair/parent bench-pair/change
+
+# Append one row per workload to BENCH_<workload>.json from the records
+# bench-pair left: per side n, median and IQR of wall_s, setup_s and
+# peak_rss_mb, cores, Python, sha and src tree (tools/bench_ledger.py).
+bench-ledger:
+	python3 tools/bench_ledger.py bench-pair/parent bench-pair/change
 
 # Fixed-seed fault-injection campaign: every fault schedule x 10 seeds
 # with the invariant harness watching every event (see docs/FAULTS.md).

@@ -29,13 +29,37 @@ protocol-processing delay first (``rx_delay_us``, see
   delay -- one item for a whole cluster of kernels.  Segments with a
   fault plane deliver per NIC instead, so duplicate and delay timers
   keep their place in the schedule.
-* **Lossless unicast in one hop.**  On a segment with no fault plane
-  and :class:`NoLoss`, :meth:`Ethernet._deliver` counts a unicast frame
-  and hands it to the rx batch itself; every copied page takes this
-  path.  Lossy and fault-plane segments deliver through
-  ``_deliver_one``/``_arrive``, so loss draws and duplicate/delay
-  timers stay where they were.  The NIC table is keyed by the
-  address's int value and wire times are cached per frame size.
+* **Lossless unicast in one event, decided at arrival.**  On a segment
+  with no fault plane and :class:`NoLoss`, a unicast whose NIC is
+  attached with a receiver when it is sent is *landed*: ``transmit``
+  schedules one event straight at ``done + rx_delay_us``
+  (:meth:`Ethernet._land`), with no tx-done hop.  That event counts the
+  frame (``received`` and the rx metric tick then, at processing time),
+  adds the elided arrival to the event count -- the arrival is still one
+  modelled event, so event counts and budgets equal the hop's -- and
+  calls ``rx_frame``.  Every copied page takes this path: two scheduled
+  events per page, the pacing timer and the landing.  A landing or rx
+  step for the instant of the open landing, with ``sim._seq``
+  unchanged, coalesces with it: the queued Timer is rewritten in place
+  into an rx batch (same time, same heap key), so the proof above holds.
+  Whether the frame is received is still decided by the NIC's state at
+  its arrival.  Each NIC keeps its landings in transmit order
+  (``Nic._inflight``); a receiver install/remove or an attach/detach
+  takes back those whose frame has not yet arrived
+  (:meth:`Ethernet._revoke`) and sends each through the ``_deliver``
+  hop at its arrival instant, which decides as before.  A frame due at
+  the very instant of the change has arrived iff its landing was
+  scheduled before the event making the change (``Simulator._key``).
+  A frame that arrived is processed by the receiver it arrived for, as
+  on the hop.  One order difference remains: a landing takes its heap
+  key when the frame is sent, the hop's rx step took it at arrival, so
+  an event scheduled in between for the same processing instant now
+  runs after the frame's processing instead of before.  Lossy,
+  fault-plane and broadcast frames, and unicasts to a NIC with no
+  receiver when sent, take the tx-done ``_deliver`` hop, a unicast
+  there through ``_deliver_one``/``_arrive``, so loss draws and
+  duplicate/delay timers stay where they were.  The NIC table is keyed
+  by the address's int value and wire times are cached per frame size.
 """
 
 from __future__ import annotations
@@ -86,8 +110,11 @@ class Ethernet:
         self.bytes_sent = 0
         #: Same-tick receive-processing events coalesced into one.
         self.rx_coalesced = 0
-        #: The open batch: [time, guard_seq, items, handler_count].
-        self._rx_batch: Optional[list] = None
+        #: The open landing or batch, the one a same-instant step may
+        #: still join (see :meth:`schedule_rx` and :meth:`_land_at`):
+        #: a landing ``[time, guard_seq, timer, packet, nic, done, batch,
+        #: rx]`` or a batch ``[time, guard_seq, items, handlers, timer]``.
+        self._rx_open: Optional[list] = None
         # Per-source instruments, labelled by str(address) -- the net
         # layer has no workstation names (repro.obs metric catalog).
         self.metrics = sim.metrics
@@ -106,10 +133,14 @@ class Ethernet:
         self._nics[nic.address.value] = nic
         self._receivers.clear()
         nic.ethernet = self
+        if nic._inflight:
+            self._revoke(nic)
 
     def detach(self, nic: "Nic") -> None:
         """Disconnect a NIC (host crash/power-off); in-flight frames to it
         are lost."""
+        if nic._inflight:
+            self._revoke(nic)
         self._nics.pop(nic.address.value, None)
         self._receivers.clear()
         nic.ethernet = None
@@ -173,6 +204,15 @@ class Ethernet:
                 "net", "transmit", packet_id=packet.packet_id, kind=packet.kind,
                 src=str(packet.src), dst=str(packet.dst), size=size,
             )
+        if (not packet.is_broadcast and self.faults is None
+                and type(self.loss) is NoLoss):
+            # Land the lossless unicast (see the module docstring).
+            nic = self._nics.get(packet.dst.value)
+            if nic is not None:
+                rx = nic.rx
+                if rx is not None:
+                    self._land_at(done, nic, rx, packet)
+                    return
         self._sched(done - now, self._deliver, packet)
 
     def _deliver(self, packet: Packet) -> None:
@@ -185,22 +225,8 @@ class Ethernet:
                     self._deliver_one(nic, packet)
             return
         nic = self._nics.get(packet.dst.value)
-        if nic is None:
-            return
-        if self.faults is not None or type(self.loss) is not NoLoss:
+        if nic is not None:
             self._deliver_one(nic, packet)
-            return
-        # The lossless unicast: _arrive, inline.
-        rx = nic.rx
-        if rx is None:
-            nic.dropped_no_handler += 1
-            if self.metrics.active:
-                nic._m_rx_dropped.inc()
-            return
-        nic.received += 1
-        if self.metrics.active:
-            nic._m_rx.inc()
-        self.schedule_rx(rx[1], rx[0], packet, (rx[2],))
 
     def _deliver_broadcast(self, packet: Packet, receivers: List["Nic"]) -> None:
         """One pass over a broadcast's receivers: loss draws and
@@ -260,7 +286,7 @@ class Ethernet:
         nic.received += 1
         if self.metrics.active:
             nic._m_rx.inc()
-        self.schedule_rx(rx[1], rx[0], packet, (rx[2],))
+        self.schedule_rx(rx[1], rx[0], packet, rx[3])
 
     def _count_drop(self, packet: Packet, nic, trace) -> None:
         self.packets_dropped += 1
@@ -309,32 +335,142 @@ class Ethernet:
             return True
         return False
 
+    # ------------------------------------------------- direct unicast landing
+
+    def _land_at(self, done: int, nic, rx: tuple, packet: Packet) -> None:
+        """Schedule a lossless unicast's processing by ``nic``'s receiver
+        ``rx`` at ``done`` plus its delay, as one event with no arrival
+        hop (see the module docstring)."""
+        sim = self.sim
+        time = done + rx[1]
+        landing = [time, 0, None, packet, nic, done, None, rx]
+        open_ = self._rx_open
+        if open_ is not None and open_[1] == sim._seq and open_[0] == time:
+            batch = self._batch_of(open_)
+            landing[1] = batch[1]
+            landing[6] = batch
+            batch[2].append((self._land, landing, None))
+            batch[3] += 1
+            self.rx_coalesced += 1
+        else:
+            landing[2] = self._sched(time - sim._now, self._land, landing)
+            landing[1] = sim._seq
+            self._rx_open = landing
+        nic._inflight.append(landing)
+
+    def _land(self, landing: list, _receivers=None) -> None:
+        """A direct landing fires: the frame arrived at ``done`` with the
+        receiver it was landed for (any change since would have revoked
+        it), so count it, count the elided arrival as one event and
+        process it.  Also runs as an item of a batch; a revoked item
+        there does nothing."""
+        if self._rx_open is landing:
+            self._rx_open = None
+        packet = landing[3]
+        if packet is None:
+            return
+        landing[2] = None
+        nic = landing[4]
+        inflight = nic._inflight
+        if inflight[0] is landing:
+            inflight.popleft()
+        else:
+            # A receiver reinstalled with a shorter delay lands a later
+            # frame before an earlier one.
+            inflight.remove(landing)
+        nic.received += 1
+        if self.metrics.active:
+            nic._m_rx.inc()
+        self.sim._event_count += 1
+        rx = landing[7]
+        rx[0](packet, rx[3])
+
+    def _revoke(self, nic) -> None:
+        """``nic``'s receiver or attachment changed: take back its direct
+        landings whose frame has not yet arrived and send each through
+        the :meth:`_deliver` hop at its arrival instead, so reception is
+        decided by the NIC's state then.  A frame due at this very
+        instant has arrived iff its landing was scheduled before the
+        event making the change (the heap key order its hop would have
+        had)."""
+        inflight = nic._inflight
+        sim = self.sim
+        now = sim._now
+        revoked = []
+        while inflight:
+            landing = inflight[-1]
+            done = landing[5]
+            if done < now or (done == now and landing[1] < sim._key):
+                break
+            inflight.pop()
+            revoked.append((done, landing[3]))
+            self._unland(landing)
+        for done, packet in reversed(revoked):
+            self._sched(done - now, self._deliver, packet)
+
+    def _unland(self, landing: list) -> None:
+        """Remove a revoked landing from its event: cancel the event if
+        nothing else rides on it, and take back its share of
+        ``rx_coalesced``."""
+        landing[3] = None
+        batch = landing[6]
+        if batch is None:
+            timer, open_ = landing[2], landing
+            landing[2] = None
+        else:
+            handlers = batch[3]
+            batch[3] = handlers - 1
+            if handlers > 1:
+                self.rx_coalesced -= 1
+                return
+            timer, open_ = batch[4], batch
+            batch[4] = None
+        timer.cancel()
+        if self._rx_open is open_:
+            self._rx_open = None
+
     # ------------------------------------------- receive-processing batching
 
     def schedule_rx(self, delay_us: int, frame, packet: Packet, receivers) -> None:
         """Schedule ``frame(packet, receivers)`` after ``delay_us``,
-        coalescing it into the open same-time batch when provably
-        order-identical (see the module docstring)."""
+        coalescing it into the open same-time landing or batch when
+        provably order-identical (see the module docstring)."""
         sim = self.sim
         time = sim._now + delay_us
-        batch = self._rx_batch
         handlers = len(receivers)
-        if batch is not None and batch[0] == time and batch[1] == sim._seq:
+        open_ = self._rx_open
+        if open_ is not None and open_[0] == time and open_[1] == sim._seq:
+            batch = self._batch_of(open_)
             batch[2].append((frame, packet, receivers))
             batch[3] += handlers
             self.rx_coalesced += handlers
             return
-        batch = [time, 0, [(frame, packet, receivers)], handlers]
-        self._rx_batch = batch
-        sim.schedule(delay_us, self._run_rx_batch, batch)
+        batch = [time, 0, [(frame, packet, receivers)], handlers, None]
+        self._rx_open = batch
+        batch[4] = sim.schedule(delay_us, self._run_rx_batch, batch)
         batch[1] = sim._seq
         self.rx_coalesced += handlers - 1
 
+    def _batch_of(self, open_: list) -> list:
+        """The open batch; an open single landing becomes one by
+        rewriting its queued event in place (same time, same heap key)."""
+        if len(open_) == 5:  # a batch; a landing has eight fields
+            return open_
+        timer = open_[2]
+        batch = [open_[0], open_[1], [(self._land, open_, None)], 1, timer]
+        open_[2] = None
+        open_[6] = batch
+        timer.fn = self._run_rx_batch
+        timer.args = (batch,)
+        self._rx_open = batch
+        return batch
+
     def _run_rx_batch(self, batch: list) -> None:
-        if self._rx_batch is batch:
-            # This batch is firing; a later same-time schedule_rx must
-            # open a fresh one rather than append to a fired batch.
-            self._rx_batch = None
+        if self._rx_open is batch:
+            # This batch is firing; a later same-time step must open a
+            # fresh one rather than join a fired batch.
+            self._rx_open = None
+        batch[4] = None
         # Each receiving handler counts as one processed event, so event
         # counts and budgets match one event per receiver.
         self.sim._event_count += batch[3] - 1

@@ -14,10 +14,26 @@ is the production receiver, ``tests/net`` has small doubles):
   order).  The segment calls it once per frame per run of receivers that
   share ``rx_frame`` and ``rx_delay_us``, so a broadcast reaching a
   hundred kernels costs one call, not a hundred.
+
+Whether a frame is received is decided by the NIC's state when the
+frame arrives (the end of its wire time): with no receiver installed,
+or detached, it is dropped.  A frame that arrived is processed, after
+the delay of the receiver it arrived for, by that receiver, even if the
+receiver has been removed since.  ``received`` and
+``dropped_no_handler`` count each frame once: at arrival on lossy,
+fault-plane and broadcast delivery, at processing for a lossless
+unicast, which the segment lands in one event at its processing instant
+(:mod:`repro.net.ethernet`).  Such a landing is kept in the NIC's
+in-flight FIFO until it is processed.  Installing or removing the
+receiver, and attaching or detaching the NIC, hands the landings whose
+frame has not yet arrived back to the segment, which delivers each
+through its ordinary arrival step instead, so the decision still falls
+at arrival.  The elided arrival counts as one modelled event either way.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Optional
 
 from repro.net.addresses import HostAddress
@@ -31,9 +47,13 @@ class Nic:
         self.sim = sim
         self.address = address
         self.ethernet = None  # set by Ethernet.attach
-        #: ``(rx_frame, rx_delay_us, receiver)`` of the installed
-        #: receiver, read once per frame by the segment; None = no driver.
+        #: ``(rx_frame, rx_delay_us, receiver, (receiver,))`` of the
+        #: installed receiver, read once per frame by the segment; None =
+        #: no driver.
         self.rx: Optional[tuple] = None
+        #: The segment's direct landings to this NIC that have not yet
+        #: been processed, in transmit order (see the module docstring).
+        self._inflight: deque = deque()
         self.received = 0
         self.dropped_no_handler = 0
         m = sim.metrics
@@ -44,11 +64,20 @@ class Nic:
     def install_handler(self, receiver) -> None:
         """Install the frame receiver (the kernel's entry point; see the
         module docstring for the contract)."""
-        self.rx = (receiver.rx_frame, receiver.rx_delay_us, receiver)
+        self.rx = (receiver.rx_frame, receiver.rx_delay_us, receiver,
+                   (receiver,))
+        self._revoke()
 
     def remove_handler(self) -> None:
         """Remove the receiver; subsequent arrivals are dropped."""
         self.rx = None
+        self._revoke()
+
+    def _revoke(self) -> None:
+        """The receiver changed: frames landed for the old one that have
+        not yet arrived must be decided again at their arrival."""
+        if self._inflight and self.ethernet is not None:
+            self.ethernet._revoke(self)
 
     def send(self, packet: Packet) -> None:
         """Put a packet on the wire (must be attached to a segment)."""

@@ -42,6 +42,8 @@ _TIMER_POOL_MAX = 256
 #: Compact the heap once this many cancelled timers accumulate *and*
 #: they make up more than half of it.
 _COMPACT_MIN_CANCELLED = 64
+#: ``Simulator._key`` once the clock stands past the last fired event.
+_AFTER_ALL = float("inf")
 
 
 class Timer:
@@ -121,6 +123,11 @@ class Simulator:
         #: the trajectory byte-identical.
         self._perturber = perturber
         self._event_count = 0
+        #: Heap key of the event fired last; +inf once :meth:`run` has
+        #: advanced the clock past it (every event of the instant has
+        #: run).  The segment reads it to tell whether a frame due at
+        #: this very instant has arrived (``Ethernet._revoke``).
+        self._key = 0
         #: Cancelled timers still sitting in the heap awaiting removal.
         self._cancelled_alive = 0
         self._timer_pool: List[Timer] = []
@@ -269,7 +276,7 @@ class Simulator:
             pool = self._timer_pool
             heappop = heapq.heappop
             while heap:
-                time, _seq, timer = heap[0]
+                time, key, timer = heap[0]
                 if timer.cancelled:
                     # A heap with mostly-dead entries is swept in one
                     # compaction pass rather than popped one-by-one.
@@ -282,6 +289,7 @@ class Simulator:
                 if time < self._now:
                     raise SimulationError("event heap produced time travel")
                 self._now = time
+                self._key = key
                 self._event_count += 1
                 # Detach before firing: the callback may cancel its own
                 # (now already-dequeued) handle.
@@ -318,6 +326,7 @@ class Simulator:
                 nxt = self.peek()
                 if nxt is None or nxt > until_us:
                     self._now = until_us
+                    self._key = _AFTER_ALL
             return self._now
         finally:
             self._running = False
