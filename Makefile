@@ -55,13 +55,14 @@ chaos-smoke:
 	python -m repro chaos --seeds 10 --seed 7 --workers 2 --messages 20
 	python -m repro chaos --seeds 10 --seed 7 --workers 2 --messages 20 --placement
 
-# Differential verification smoke: the fixed 17-cell list (both toggle
-# vectors plain and perturbed, every fault schedule) must pass clean,
-# and the planted break-rebinding mutation must be caught (a harness
+# Differential verification smoke: the fixed 17-cell list over the
+# chaos scenario (both toggle vectors plain and perturbed, every fault
+# schedule) must pass clean, and with lazy rebinding broken -- the same
+# --break-rebinding flag chaos takes -- every cell must fail (a harness
 # that has never failed proves nothing).  See docs/TESTING.md.
 verify-smoke:
 	python -m repro verify --seed 7
-	python -m repro verify --seed 7 --mutate break-rebinding --expect-fail
+	python -m repro verify --seed 7 --break-rebinding --expect-fail
 
 # Regenerate the canonical migration RunReport and diff it against the
 # checked-in BASELINE_report.json within a 1% tolerance: simulated

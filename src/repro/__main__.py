@@ -217,18 +217,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     import json
 
     from repro.obs.diff import EXIT_DIFFERENT, EXIT_OK, EXIT_USAGE
-    from repro.verify import matrix, mutation_names, run_matrix
-
-    if args.mutate and args.mutate not in mutation_names():
-        print(f"verify: unknown mutation {args.mutate!r}; "
-              f"known: {', '.join(mutation_names())}", file=sys.stderr)
-        return EXIT_USAGE
+    from repro.verify import matrix, run_matrix
 
     result = run_matrix(
         matrix(args.seed),
         base_seed=args.seed,
         scenario_config={"messages": args.messages},
-        mutation=args.mutate,
+        break_rebinding=args.break_rebinding,
     )
     print(result.summary())
 
@@ -248,7 +243,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
         report = new_report("verify", seed=args.seed,
                             config={"cells": len(result.cells),
-                                    "mutation": args.mutate})
+                                    "break_rebinding": args.break_rebinding})
         report["kpis"] = {
             "cells": len(result.cells),
             "failures": len(result.failures),
@@ -544,9 +539,9 @@ def main(argv=None) -> int:
                         help="base scenario seed (every cell replays it)")
     verify.add_argument("--messages", type=int, default=10,
                         help="client requests per cell run")
-    verify.add_argument("--mutate", default=None, metavar="NAME",
-                        help="plant a named mutation in every cell "
-                             "(mutation smoke; see repro.verify.mutation)")
+    verify.add_argument("--break-rebinding", action="store_true",
+                        help="intentionally disable lazy rebinding in every "
+                             "cell (mutation smoke: the cells must FAIL)")
     verify.add_argument("--expect-fail", action="store_true",
                         help="exit 0 iff the matrix FAILS (for mutation "
                              "smoke in make/CI)")

@@ -1,7 +1,8 @@
 """Chaos campaigns: fault schedules × seeds, with invariant verdicts.
 
-A campaign replays one scenario -- a migration-under-traffic workload --
-under each named fault schedule, once per seed, with the
+A campaign replays one scenario -- the migration-under-traffic workload
+every ``repro verify`` cell runs too -- under each named fault schedule,
+once per seed, with the
 :class:`~repro.faults.invariants.InvariantChecker` watching every event.
 The per-run verdict (invariant violation counts, injected-fault counts,
 migration outcome) is a plain JSON-able dict, so the whole campaign
@@ -49,6 +50,10 @@ FAULT_SCHEDULES: Dict[str, Dict[str, Any]] = {
 }
 
 
+#: The delay of both twin timers of one tie-storm round.
+TIE_DELAY_US = 1000
+
+
 def schedule_names() -> List[str]:
     return sorted(FAULT_SCHEDULES)
 
@@ -80,18 +85,24 @@ def chaos_scenario(
     collect_metrics: bool = False,
     warm: Optional[dict] = None,
 ) -> Dict[str, Any]:
-    """One chaos run: a client streams requests at a server program
-    while the server's logical host is migrated off its workstation,
-    all under a named fault schedule, with the invariant harness
-    watching every event.
+    """One chaos run: a client on ws0 streams echo requests at a server
+    program on ws1 while the server's logical host is migrated off its
+    workstation, optionally under a named fault schedule, with the
+    invariant harness watching every event.  This is the one
+    echo-under-migration workload: the chaos campaign and every
+    ``repro verify`` cell run it.
 
     Config: ``schedule`` (a :data:`FAULT_SCHEDULES` name, default
-    "drop"), ``messages`` (default 30), ``workstations`` (4),
+    "drop"; None runs a lossless cluster with no fault plane),
+    ``messages`` (default 30), ``workstations`` (4),
     ``migrate_at_ms`` (400), ``break_rebinding`` (False -- apply
     :func:`repro.faults.schedule.break_rebinding`, which must trip
     no-residual-dependency),
     ``placement`` (False -- build the cluster with host-state caches, so
-    they face crashing, lossy hosts), ``postmortem_dir`` (None -- arm a
+    they face crashing, lossy hosts), ``storm_rounds`` (0 -- rounds of
+    the same-instant tie storm, see below), ``perturber`` (None -- a
+    :class:`repro.verify.perturb.TiePerturber` the cluster's simulator
+    is built with), ``postmortem_dir`` (None -- arm a
     flight recorder: tracing + metrics on, and the first invariant
     violation dumps a postmortem bundle there.  Used by the replay
     path, not by campaign sweeps, so the verdict payload stays
@@ -112,7 +123,7 @@ def chaos_scenario(
     from repro.migration.manager import run_migration
 
     schedule = config.get("schedule", "drop")
-    recipe = FAULT_SCHEDULES.get(schedule)
+    recipe = {} if schedule is None else FAULT_SCHEDULES.get(schedule)
     if recipe is None:
         raise SimulationError(
             f"unknown fault schedule {schedule!r}; "
@@ -123,10 +134,12 @@ def chaos_scenario(
     migrate_at_us = int(config.get("migrate_at_ms", 400)) * 1000
     rebinding_broken = bool(config.get("break_rebinding", False))
     placement = bool(config.get("placement"))
+    storm_rounds = int(config.get("storm_rounds", 0))
 
-    plane = build_fault_plane(recipe)
+    plane = build_fault_plane(recipe) if schedule is not None else None
     cluster = build_cluster(
         n_workstations=n_ws, seed=seed, faults=plane, placement=placement,
+        perturber=config.get("perturber"),
     )
     sim = cluster.sim
     if collect_metrics:
@@ -232,6 +245,34 @@ def chaos_scenario(
         priority=Priority.MIGRATION, name="chaos-mgr",
     )
 
+    # -- tie storm: each round schedules twin timers with equal delays,
+    # guaranteeing both a same-instant event collision AND a
+    # same-instant timer cancel (whichever twin fires first cancels the
+    # other at that instant).  The winning twin's index is the payload's
+    # *order-sensitive probe*: outcome counts are permutation-invariant,
+    # so without it a schedule perturbation would be invisible to the
+    # digest -- with it, any same-instant transposition of the twins
+    # changes the payload bytes while every protocol outcome stays put.
+    storm_done: List[int] = []
+    tie_winners: List[int] = []
+
+    def storm_round(i):
+        if i == storm_rounds:
+            storm_done.append(storm_rounds)
+            return
+        twins: List[Any] = []
+        for index in (0, 1):
+            twins.append(sim.schedule(TIE_DELAY_US, storm_tie, i, index,
+                                      twins))
+
+    def storm_tie(i, index, twins):
+        twins[1 - index].cancel()
+        tie_winners.append(index)
+        sim.schedule(500, storm_round, i + 1)
+
+    if storm_rounds:
+        sim.schedule(0, storm_round, 0)
+
     sim.run(until_us=hard_stop)
     supervisor.stop()
 
@@ -254,7 +295,7 @@ def chaos_scenario(
         "completed": len(completed),
         "served": len(served),
         "migration": migration,
-        "faults": plane.stats(),
+        "faults": plane.stats() if plane is not None else {},
         "crash_log": [list(entry) for entry in crashes.log] if crashes else [],
         "evictions": len(supervisor.evictions),
         "bindings_scrubbed": supervisor.bindings_scrubbed,
@@ -272,6 +313,9 @@ def chaos_scenario(
         result["postmortem"] = recorder.dumped
     if placement:
         result["placement"] = True
+    if storm_rounds:
+        result["storm_rounds"] = storm_done[0] if storm_done else 0
+        result["tie_winners"] = tie_winners
     return result
 
 

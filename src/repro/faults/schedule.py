@@ -18,8 +18,9 @@ Both schedules drive existing cluster mechanisms:
   directions vanish like a dead transceiver, then reattach it.
 
 :func:`break_rebinding` is the one untimed perturbation: it switches
-lazy rebinding off for the whole run (``chaos --break-rebinding`` and
-the verify ``break-rebinding`` mutation).
+lazy rebinding off for the whole run.  It is the planted bug of the
+``chaos`` scenario's ``break_rebinding`` input, which ``chaos
+--break-rebinding`` and ``verify --break-rebinding`` both set.
 """
 
 from __future__ import annotations

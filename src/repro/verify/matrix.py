@@ -38,7 +38,16 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.errors import SimulationError
 from repro.obs.diff import _entry
 from repro.sim.random import derive_seed
-from repro.verify.scenario import KNOBS, verify_cell
+from repro.verify.scenario import verify_cell
+
+#: The protocol modes a cell can switch on, all default off.
+#: ``load_cache`` is the scenario's ``placement`` input: the cluster is
+#: built with host-state caches.
+KNOBS = ("load_cache",)
+
+#: Tie-storm rounds every cell runs unless its scenario config says
+#: otherwise (the storm is what makes a tie perturbation visible).
+STORM_ROUNDS = 32
 
 #: Default relative tolerance for ``tolerant``-class KPI comparison.
 #: Load-cache daemon traffic is the widest legitimate gap: the small
@@ -126,17 +135,21 @@ def matrix(seed: int = 0) -> List[Dict[str, Any]]:
 
 def cell_config(cell: Dict[str, Any], base_seed: int,
                 scenario_config: Optional[Dict[str, Any]] = None,
-                mutation: Optional[str] = None) -> Dict[str, Any]:
-    """The ``verify_cell`` config for one matrix cell."""
-    inner = dict(scenario_config or {})
-    if cell["schedule"] is not None:
-        inner["schedule"] = cell["schedule"]
+                break_rebinding: bool = False) -> Dict[str, Any]:
+    """The ``verify_cell`` config for one matrix cell: the ``chaos``
+    scenario with the cell's fault schedule (None: lossless), its
+    toggles as scenario inputs, the tie storm on (:data:`STORM_ROUNDS`
+    unless ``scenario_config`` says otherwise) and, for mutation smoke,
+    lazy rebinding broken."""
+    inner = {"storm_rounds": STORM_ROUNDS}
+    inner.update(scenario_config or {})
+    inner["schedule"] = cell["schedule"]
+    inner["placement"] = bool(cell["toggles"].get("load_cache"))
+    inner["break_rebinding"] = break_rebinding
     return {
-        "toggles": dict(cell["toggles"]),
         "base_seed": base_seed,
         "scenario_config": inner,
         "perturb": cell["perturb"],
-        "mutation": mutation,
     }
 
 
@@ -187,7 +200,7 @@ class VerifyResult:
     cells: List[Dict[str, Any]] = field(default_factory=list)
     results: List[Dict[str, Any]] = field(default_factory=list)
     failures: List[Dict[str, Any]] = field(default_factory=list)
-    mutation: Optional[str] = None
+    break_rebinding: bool = False
 
     @property
     def ok(self) -> bool:
@@ -196,7 +209,7 @@ class VerifyResult:
     def summary(self) -> str:
         lines = [
             f"verify: {len(self.cells)} cells, base seed {self.base_seed}"
-            + (f", mutation {self.mutation}" if self.mutation else "")
+            + (", rebinding broken" if self.break_rebinding else "")
         ]
         by_class: Dict[str, List[int]] = {}
         for i, cell in enumerate(self.cells):
@@ -221,7 +234,7 @@ class VerifyResult:
         return {
             "base_seed": self.base_seed,
             "tolerance": DEFAULT_TOLERANCE,
-            "mutation": self.mutation,
+            "break_rebinding": self.break_rebinding,
             "cells": self.cells,
             "results": self.results,
             "failures": self.failures,
@@ -233,11 +246,12 @@ def run_matrix(
     cells: Sequence[Dict[str, Any]],
     base_seed: int = 0,
     scenario_config: Optional[Dict[str, Any]] = None,
-    mutation: Optional[str] = None,
+    break_rebinding: bool = False,
 ) -> VerifyResult:
     """Run every cell and classify each against cell 0, which must be
     the baseline (and is itself classified, so a baseline that breaks
-    an invariant fails)."""
+    an invariant fails).  ``break_rebinding`` plants the bug in every
+    cell (mutation smoke)."""
     cells = list(cells)
     if not cells or cells[0]["toggles"] or cells[0]["schedule"] \
             or cells[0]["perturb"]:
@@ -245,11 +259,11 @@ def run_matrix(
     results = [
         verify_cell(cell_config(cell, base_seed,
                                 scenario_config=scenario_config,
-                                mutation=mutation))
+                                break_rebinding=break_rebinding))
         for cell in cells
     ]
     out = VerifyResult(base_seed=base_seed, cells=cells, results=results,
-                       mutation=mutation)
+                       break_rebinding=break_rebinding)
     baseline = results[0]
     if baseline.get("crash"):
         out.failures.append({

@@ -21,7 +21,6 @@ from repro.config import DEFAULT_MODEL, HardwareModel
 from repro.kernel import Priority, Workstation
 from repro.net import Ethernet
 from repro.sim import Simulator
-from repro.verify.scenario import cluster_inputs
 
 
 class BareCluster:
@@ -84,27 +83,26 @@ def make_cluster(
     ``full=False`` (default) returns a :class:`BareCluster` of ``n``
     bare workstations; ``full=True`` returns a service-booted
     :func:`repro.cluster.build_cluster` with ``n`` workstations (plus
-    its file server).  ``toggles`` (a :data:`repro.verify.scenario.KNOBS`
-    name -> bool) switches protocol modes on: host-state caches via
-    ``placement``.  Hardware-model modes such as adaptive pre-copy come
+    its file server).  ``toggles`` (a :data:`repro.verify.matrix.KNOBS`
+    name -> bool) switches protocol modes on: ``load_cache`` builds the
+    cluster with host-state caches (``placement=True``).  Hardware-model modes such as adaptive pre-copy come
     in through ``model``.
     ``invariants`` (default True) installs a strict invariant checker
     on the cluster's simulator.
     """
-    inputs = cluster_inputs(toggles, model)
+    placement = bool((toggles or {}).get("load_cache"))
     if full:
         from repro.cluster import build_cluster
 
         cluster = build_cluster(
             n_workstations=n, seed=seed, registry=registry, loss=loss,
-            faults=faults, **inputs,
+            faults=faults, model=model, placement=placement,
         )
-    elif faults is not None or registry is not None or inputs["placement"]:
+    elif faults is not None or registry is not None or placement:
         raise ValueError(
             "faults/registry/load_cache need a full cluster (full=True)")
     else:
-        cluster = BareCluster(n=n, seed=seed, model=inputs["model"],
-                              loss=loss)
+        cluster = BareCluster(n=n, seed=seed, model=model, loss=loss)
     if invariants:
         from repro.faults import InvariantChecker
 

@@ -26,7 +26,7 @@ def test_verify_report_records_the_modes_its_cells_ran(tmp_path):
                "--report", str(path)])
     assert rc == 0
     config, copy_plane = _toggles(path)
-    assert config == {"cells": 17, "mutation": None}
+    assert config == {"cells": 17, "break_rebinding": False}
     assert copy_plane == {"adaptive_precopy": False}
 
 

@@ -58,10 +58,6 @@ class TestChaosErrors:
 
 
 class TestVerifyErrors:
-    def test_unknown_mutation_exits_2(self, capsys):
-        assert main(["verify", "--mutate", "no-such-bug"]) == 2
-        assert "break-rebinding" in capsys.readouterr().err
-
     def test_unwritable_report_exits_2(self, tmp_path, capsys):
         rc = main(["verify", "--messages", "3",
                    "--report", str(tmp_path / "no" / "dir" / "x.json")])

@@ -1,6 +1,7 @@
-"""Pinned payload digests of the verify ``ordering`` cells.
+"""Pinned payload digests of the verify cells.
 
-Each toggle vector and perturber becomes an input of the cell's own
+Every cell runs the ``chaos`` scenario with the tie storm on; each
+toggle vector and perturber becomes an input of the cell's own
 cluster, so a cell's trajectory is a pure function of the cell.  There
 is one plain pin and one perturbed pin per toggle vector (perturber
 seed ``derive_seed(7, "verify:perturb:0")``, rate 0.25, the first
@@ -12,6 +13,8 @@ tie shows up here.
 import pytest
 
 from repro.sim.random import derive_seed
+from repro.verify import make_cell
+from repro.verify.matrix import cell_config
 from repro.verify.scenario import verify_cell
 
 PERTURB = {"seed": derive_seed(7, "verify:perturb:0"), "rate": 0.25}
@@ -19,25 +22,23 @@ PERTURB = {"seed": derive_seed(7, "verify:perturb:0"), "rate": 0.25}
 DIGESTS = {
     "baseline": (
         {}, None,
-        "4acb9cc5eb2c0772741229f0fda208df6e7279891f483b22c5057e1d805e2ae5"),
+        "156aba322e670bd9fba56372aad435310eee53a64774c60da3ba8339e03206f2"),
     "load_cache": (
         {"load_cache": True}, None,
-        "1cf149c9fc788e7cbe0c6d8fd10ccfb14671a05dad33e712e0b493313d1d802d"),
+        "bb7e52e41591b71b9bf19b21772a9608bdda7d3176c5a382236c047bc749ff5b"),
     "baseline+perturb": (
         {}, PERTURB,
-        "dfa13141b63917251b0a55eb0733f5bfcd3a2d5d6b1619bd965d0e7030ad0a3b"),
+        "a6b1d51a6074974cae3958c4ed9d7b9ff77bddec3140a0217b59740263f24513"),
     "load_cache+perturb": (
         {"load_cache": True}, PERTURB,
-        "e53fb5ea209913f3341fccbff99b39bc8b549e9dd2965d5d918f9f4ab4042447"),
+        "8aa46271b00fdf8828e54779632237de4a02d9fb480b4801c91463c150da594c"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_ordering_cell_digest_is_pinned(name):
     toggles, perturb, digest = DIGESTS[name]
-    result = verify_cell({
-        "toggles": toggles, "base_seed": 7, "perturb": perturb,
-        "scenario_config": {"messages": 20},
-    })
+    cell = make_cell(toggles, perturb=perturb)
+    result = verify_cell(cell_config(cell, 7, {"messages": 20}))
     assert result["crash"] is None
     assert result["payload_sha256"] == digest

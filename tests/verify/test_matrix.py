@@ -36,7 +36,7 @@ def test_unknown_toggle_raises():
 
 def test_matrix_covers_the_whole_toggle_product():
     from repro.faults import FAULT_SCHEDULES
-    from repro.verify.scenario import KNOBS
+    from repro.verify.matrix import KNOBS
 
     cells = matrix(7)
     assert len(KNOBS) == 1 and len(FAULT_SCHEDULES) == 7

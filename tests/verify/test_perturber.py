@@ -4,16 +4,15 @@ cluster it is handed to."""
 
 from repro.cluster import build_cluster
 from repro.sim import Simulator
-from repro.verify import TiePerturber
+from repro.verify import TiePerturber, make_cell
+from repro.verify.matrix import cell_config
 from repro.verify.scenario import verify_cell
 
 SMALL = {"messages": 4, "storm_rounds": 12, "migrate_at_ms": 200}
 
 
-def _cell(**overrides):
-    config = {"base_seed": 11, "scenario_config": SMALL}
-    config.update(overrides)
-    return verify_cell(config)
+def _cell(perturb=None):
+    return verify_cell(cell_config(make_cell(perturb=perturb), 11, SMALL))
 
 
 # ------------------------------------------------------------- default off
