@@ -121,6 +121,7 @@ def chaos_scenario(
         Touch,
     )
     from repro.migration.manager import run_migration
+    from repro.services.program_manager import AcceptPolicy
 
     schedule = config.get("schedule", "drop")
     recipe = {} if schedule is None else FAULT_SCHEDULES.get(schedule)
@@ -141,6 +142,12 @@ def chaos_scenario(
         n_workstations=n_ws, seed=seed, faults=plane, placement=placement,
         perturber=config.get("perturber"),
     )
+    # The client's workstation is in its owner's use, and its program
+    # manager takes no remote work then: the server never migrates onto
+    # the client's own host, so every run leaves the client a binding
+    # to rebind.
+    cluster.workstations[0].owner_active = True
+    cluster.pm("ws0").policy = AcceptPolicy(accept_when_owner_active=False)
     sim = cluster.sim
     if collect_metrics:
         sim.metrics.enable()
@@ -290,7 +297,7 @@ def chaos_scenario(
     result: Dict[str, Any] = {
         "schedule": schedule,
         "break_rebinding": rebinding_broken,
-        "placement": False,
+        "placement": placement,
         "messages": messages,
         "completed": len(completed),
         "served": len(served),
@@ -311,8 +318,6 @@ def chaos_scenario(
         result["metrics"] = sim.metrics.snapshot()
     if recorder is not None:
         result["postmortem"] = recorder.dumped
-    if placement:
-        result["placement"] = True
     if storm_rounds:
         result["storm_rounds"] = storm_done[0] if storm_done else 0
         result["tie_winners"] = tie_winners

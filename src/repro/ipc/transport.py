@@ -449,7 +449,8 @@ class Transport:
         per-packet processing time.  The kind is looked up once per
         frame.  A host query is answered only by the kernel hosting the
         logical host; the test runs here, at processing time, because a
-        logical host can arrive or leave within the processing delay."""
+        logical host can arrive or leave within the processing delay.
+        A kernel that crashed within the delay processes nothing."""
         kind = packet.kind
         handler = _HANDLERS.get(kind)
         if handler is None:
@@ -461,7 +462,8 @@ class Transport:
                     handler(transport, packet)
             return
         for transport in transports:
-            handler(transport, packet)
+            if transport.kernel.alive:
+                handler(transport, packet)
 
     # ---- requests
 

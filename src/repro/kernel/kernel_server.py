@@ -249,6 +249,10 @@ def _h_install_state(kernel, sender, msg):
     shell = kernel.logical_hosts.get(temp_lhid)
     if shell is None or not shell.is_shell:
         return Message("ks-error", error=f"no shell {temp_lhid:#x}")
+    if bundle["lhid"] in kernel.logical_hosts:
+        # An earlier attempt installed it here and its reply was lost.
+        kernel.destroy_logical_host(shell)
+        return Message("ks-error", error=f"{bundle['lhid']:#x} already here")
 
     for pdesc in bundle["processes"]:
         stub = shell.find_process(pdesc["index"])

@@ -51,8 +51,8 @@ STORM_ROUNDS = 32
 
 #: Default relative tolerance for ``tolerant``-class KPI comparison.
 #: Load-cache daemon traffic is the widest legitimate gap: the small
-#: ordering config at seed 11 runs 309 events without the caches and
-#: 652 with them (|delta| 343 <= 0.75 x 652).
+#: test config at seed 11 runs 385 events without the caches and 994
+#: with them (|delta| 609 <= 0.75 x 994).
 DEFAULT_TOLERANCE = 0.75
 
 #: Equivalence classes, weakest guarantee last.

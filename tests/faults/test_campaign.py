@@ -132,6 +132,20 @@ class TestBrokenRebindingIsCaught:
         assert run["invariants"]["no-residual-dependency"] > 0
         assert not run["invariants_ok"]
 
+    @pytest.mark.parametrize("schedule", sorted(FAULT_SCHEDULES))
+    def test_the_server_never_migrates_onto_the_clients_host(self,
+                                                              schedule):
+        # ws0 runs the client and is in its owner's use, so it takes no
+        # remote work: every run leaves the client a stale binding, and
+        # the broken mode trips under every schedule.  (At seed 11
+        # ``mixed`` and ``reorder`` once sent the server to ws0, and
+        # their broken runs passed.)
+        run = chaos_scenario(
+            dict(self.CONFIG, schedule=schedule, break_rebinding=True),
+            seed=11)
+        assert run["migration"]["dest_host"] != "ws0"
+        assert run["invariants"]["no-residual-dependency"] > 0
+
     def test_control_run_is_clean(self):
         run = chaos_scenario(self.CONFIG, seed=42)
         assert run["invariants"] == {name: 0 for name in INVARIANTS}

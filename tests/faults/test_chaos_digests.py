@@ -15,19 +15,19 @@ from repro.verify.scenario import canonical_digest
 
 DIGESTS = {
     "burst":
-        "1911c4ac7287d9dfef958df4fac1e2114e7c4593ad3b880e6262fff0fd0a2f73",
+        "e64572258bbf2975023478e1c7e828c4d3f51e0676980004b270b2cc180ce84f",
     "corrupt":
-        "dcf1d682100296cbaa763fa8973e25a17ce27eb3fd68c8b6c90cc996f313bf6b",
+        "2040dfe8b2c0a31d1f18f5f7aafbe186e431fefe0a7625fa5c1bd6942116f8a9",
     "crash":
-        "fd1109434fe1ae468c5839e7fc581a4dd98926733ab2c2b32d2fb13094a3ec56",
+        "a24e8f610fa3715842c11ec8562ca225a812baba1973c906a34768c8fba925ee",
     "drop":
-        "01a7f7db3527fdb3cc13ad7160e60becfffa3ba97913fb5d08a925699b0eac60",
+        "a5649bbd6859666008592768cfbe68ab2752882c1fcaa8cbe0999961255f306c",
     "duplicate":
-        "83f0a78c204afa1ec927ffd168ea7cb4d5abec94f98d66fc336c049e311ff3de",
+        "9da67ab25e1c51b3dd1698ae240c082e322407dea14b6ef5362cf682dd51629f",
     "mixed":
-        "80be873067580fa2a56fb59ee0d8a43aaa50858eb36592247743894f138265f2",
+        "e0a31392b50803efe8f615aefde6248987a52c7e8f798ada7b28124dbdd5782b",
     "reorder":
-        "27d2f4be1ba4c5397cc708cb9f523ad8e9a6ef7cec5c57663c2269cad86625dd",
+        "7270b687cfeb1f22b88a53a6429ddae0b31586c3dfedbe43911a8dd5b9b63d65",
 }
 
 

@@ -56,14 +56,17 @@ def _run_burst_unit(monkeypatch, checker_cls, master_seed, replication):
 
 
 @pytest.mark.parametrize("master_seed, replication",
-                         [(4, 9), (19, 38), (21, 20)])
+                         [(19, 38), (20, 25), (21, 20)])
 def test_burst_units_match_the_oracle(monkeypatch, master_seed, replication):
     # Burst-loss units whose retry path leaves two runnable copies for
     # hundreds of events: every one of those events must be reported.
+    # In (20, 25) the retry offers the logical host to the host already
+    # running the first attempt's copy, which refuses the install.
     shipped, shipped_run = _run_burst_unit(
         monkeypatch, InvariantChecker, master_seed, replication)
     oracle, oracle_run = _run_burst_unit(
         monkeypatch, FullScanChecker, master_seed, replication)
+    assert shipped.violations
     assert _verdict(shipped) == _verdict(oracle)
     assert shipped_run == oracle_run
 

@@ -6,11 +6,13 @@ timer and one landing at the receiver's processing instant -- and three
 modelled events: the elided arrival still counts.  A third scheduled
 event per page (say, a tx-done hop coming back) fails the pin below.
 A stream that drains, or whose destination crashes mid-stream, leaves
-no landing in flight and no fired event open on the segment.
+no landing in flight and no fired event open on the segment, and a
+crashed destination processes none of the frames still due to it.
 """
 
 import pytest
 
+import repro.ipc.transport as transport_module
 from repro.config import PAGE_SIZE
 from repro.errors import CopyFailedError
 from repro.kernel import CopyToInstr, Delay
@@ -28,7 +30,9 @@ EVENTS_BESIDES_PAGES = 21
 def _copy_to(n_pages, crash_after_us=None):
     """CopyTo ``n_pages`` from ws0 to an idle program on ws1 over a
     lossless segment, optionally crashing ws1 ``crash_after_us`` into
-    the copy; returns the cluster and the copy's outcome."""
+    the copy; returns the cluster and the copy's outcome (after a
+    crash, preceded by the landings in flight and the time at the
+    crash)."""
     cluster = make_cluster(2, seed=5)
     a, b = cluster.stations
 
@@ -44,7 +48,7 @@ def _copy_to(n_pages, crash_after_us=None):
     outcome = []
 
     def crash():
-        outcome.append(len(b.nic._inflight))
+        outcome.append((len(b.nic._inflight), cluster.sim.now))
         b.kernel.crash()
 
     def copier():
@@ -101,8 +105,34 @@ def test_a_drained_stream_leaves_no_landing_behind():
 def test_a_destination_crashing_mid_stream_leaves_no_landing_behind(
         crash_after_us, received):
     cluster, _, _, outcome = _copy_to(64, crash_after_us)
-    in_flight_at_crash, failure = outcome
+    (in_flight_at_crash, _), failure = outcome
     assert in_flight_at_crash == 1
     assert isinstance(failure, CopyFailedError)
     assert cluster.stations[1].nic.received == received
     _assert_nothing_left(cluster.net, cluster.stations)
+
+
+@pytest.mark.parametrize("crash_after_us", [62_000, 63_500, 63_800])
+def test_a_crashed_destination_processes_nothing(monkeypatch,
+                                                 crash_after_us):
+    """A frame that reached ws1 before its crash but is processed after
+    it is counted by the NIC and then ignored: no protocol handler runs
+    on the dead kernel."""
+    handled = []
+
+    def recording(kind, handler):
+        def handle(transport, packet):
+            handled.append((transport.kernel.name, kind,
+                            transport.kernel.sim.now))
+            return handler(transport, packet)
+        return handle
+
+    for kind, handler in list(transport_module._HANDLERS.items()):
+        monkeypatch.setitem(transport_module._HANDLERS, kind,
+                            recording(kind, handler))
+    cluster, _, _, outcome = _copy_to(64, crash_after_us)
+    (_, crashed_at), _ = outcome
+    victim = cluster.stations[1].kernel.name
+    on_victim = [entry for entry in handled if entry[0] == victim]
+    assert on_victim, "ws1 processed nothing before its crash"
+    assert max(at for _, _, at in on_victim) <= crashed_at

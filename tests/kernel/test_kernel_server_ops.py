@@ -203,6 +203,41 @@ class TestShellOps:
         cluster.run(until_us=5_000_000)
         assert results[0].kind == "ks-error"
 
+    def test_install_state_of_an_lhid_already_here_errors(self):
+        """An earlier attempt's copy, installed but unacknowledged, is
+        left alone: the second install is refused (not a kernel-server
+        crash) and its shell is freed."""
+        cluster = BareCluster(n=2)
+        a, b = cluster.stations
+        installed = b.kernel.create_logical_host()
+        b.kernel.allocate_space(installed, 4096)
+        results = []
+
+        def requester():
+            shell = yield Send(
+                local_kernel_server_group(b.system_lh.lhid),
+                Message("create-shell", spaces=[(PAGE_SIZE, 0, 0, "s0")],
+                        processes=[(1, 0, "stub")]),
+            )
+            results.append(shell["temp_lhid"])
+            reply = yield Send(
+                local_kernel_server_group(b.system_lh.lhid),
+                Message("install-state", temp_lhid=shell["temp_lhid"],
+                        bundle={"processes": [], "groups": {},
+                                "transport": {"clients": [], "servers": []},
+                                "lhid": installed.lhid}),
+            )
+            results.append(reply)
+
+        lh = a.kernel.create_logical_host()
+        a.kernel.allocate_space(lh, 4096)
+        a.kernel.create_process(lh, requester(), name="req")
+        cluster.run(until_us=5_000_000)
+        temp_lhid, reply = results
+        assert reply.kind == "ks-error"
+        assert not b.kernel.hosts_lhid(temp_lhid)
+        assert b.kernel.logical_hosts[installed.lhid] is installed
+
     def test_destroy_lh_op(self):
         cluster = BareCluster(n=2)
         a, b = cluster.stations

@@ -22,16 +22,16 @@ PERTURB = {"seed": derive_seed(7, "verify:perturb:0"), "rate": 0.25}
 DIGESTS = {
     "baseline": (
         {}, None,
-        "156aba322e670bd9fba56372aad435310eee53a64774c60da3ba8339e03206f2"),
+        "608df1ab8a42c2e7b39bf0c3651a92b02b31138745942c7ad54c0d3e96d05461"),
     "load_cache": (
         {"load_cache": True}, None,
-        "bb7e52e41591b71b9bf19b21772a9608bdda7d3176c5a382236c047bc749ff5b"),
+        "bac03cc886b9051acc72ed0f54c69a0c29a7c08d9c4cc377d34a24e60cc06ed4"),
     "baseline+perturb": (
         {}, PERTURB,
-        "a6b1d51a6074974cae3958c4ed9d7b9ff77bddec3140a0217b59740263f24513"),
+        "e6f3351efb0301d1d1fef8d69a2d6d17a65276fab2560c0d2efcf36fffba2a62"),
     "load_cache+perturb": (
         {"load_cache": True}, PERTURB,
-        "8aa46271b00fdf8828e54779632237de4a02d9fb480b4801c91463c150da594c"),
+        "091819491478a877af4a9cb49017800f4a448383ae595dd9508be6249db8c433"),
 }
 
 
