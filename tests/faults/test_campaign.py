@@ -137,9 +137,7 @@ class TestBrokenRebindingIsCaught:
                                                               schedule):
         # ws0 runs the client and is in its owner's use, so it takes no
         # remote work: every run leaves the client a stale binding, and
-        # the broken mode trips under every schedule.  (At seed 11
-        # ``mixed`` and ``reorder`` once sent the server to ws0, and
-        # their broken runs passed.)
+        # the broken mode trips under every schedule.
         run = chaos_scenario(
             dict(self.CONFIG, schedule=schedule, break_rebinding=True),
             seed=11)

@@ -85,8 +85,9 @@ def make_cluster(
     :func:`repro.cluster.build_cluster` with ``n`` workstations (plus
     its file server).  ``toggles`` (a :data:`repro.verify.matrix.KNOBS`
     name -> bool) switches protocol modes on: ``load_cache`` builds the
-    cluster with host-state caches (``placement=True``).  Hardware-model modes such as adaptive pre-copy come
-    in through ``model``.
+    cluster with host-state caches (``placement=True``).
+    Hardware-model modes such as adaptive pre-copy come in through
+    ``model``.
     ``invariants`` (default True) installs a strict invariant checker
     on the cluster's simulator.
     """

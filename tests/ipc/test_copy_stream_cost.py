@@ -112,7 +112,7 @@ def test_a_destination_crashing_mid_stream_leaves_no_landing_behind(
     _assert_nothing_left(cluster.net, cluster.stations)
 
 
-@pytest.mark.parametrize("crash_after_us", [62_000, 63_500, 63_800])
+@pytest.mark.parametrize("crash_after_us", [63_500, 63_800])
 def test_a_crashed_destination_processes_nothing(monkeypatch,
                                                  crash_after_us):
     """A frame that reached ws1 before its crash but is processed after
@@ -120,19 +120,18 @@ def test_a_crashed_destination_processes_nothing(monkeypatch,
     on the dead kernel."""
     handled = []
 
-    def recording(kind, handler):
+    def recording(handler):
         def handle(transport, packet):
-            handled.append((transport.kernel.name, kind,
-                            transport.kernel.sim.now))
+            handled.append((transport.kernel.name, transport.kernel.sim.now))
             return handler(transport, packet)
         return handle
 
     for kind, handler in list(transport_module._HANDLERS.items()):
         monkeypatch.setitem(transport_module._HANDLERS, kind,
-                            recording(kind, handler))
+                            recording(handler))
     cluster, _, _, outcome = _copy_to(64, crash_after_us)
     (_, crashed_at), _ = outcome
     victim = cluster.stations[1].kernel.name
-    on_victim = [entry for entry in handled if entry[0] == victim]
+    on_victim = [at for name, at in handled if name == victim]
     assert on_victim, "ws1 processed nothing before its crash"
-    assert max(at for _, _, at in on_victim) <= crashed_at
+    assert max(on_victim) <= crashed_at
