@@ -15,7 +15,7 @@
   verdict table (exit 1 on any violation; ``--postmortem`` replays the
   first failing run with the flight recorder armed).
 * ``report``  -- the instrumented migration distilled into a versioned
-  RunReport JSON: toggles, metrics, span profile, phase breakdowns and
+  RunReport JSON: metrics, span profile, phase breakdowns and
   KPIs, with the freeze-time decomposition checked against
   ``MigrationStats.freeze_us``.
 * ``diff``    -- compare two RunReports under a tolerance: per-metric
@@ -59,15 +59,13 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _migrate_scenario(program: str, seed: int, setup=None, model=None):
+def _migrate_scenario(program: str, seed: int, setup=None):
     """The instrumented-migration scenario shared by ``migrate``,
     ``trace`` and ``report``: run ``program`` remotely on ws1, then
     migrate it off mid-run.  ``setup(cluster)`` runs right after the
     cluster is built -- before any traffic -- so enabling tracing/metrics
-    there captures the whole run.  ``model`` defaults to the calibrated
-    one.  Returns ``(cluster, stats)``."""
+    there captures the whole run.  Returns ``(cluster, stats)``."""
     from repro.cluster import build_cluster
-    from repro.config import DEFAULT_MODEL
     from repro.execution import ExecSpec, exec_program
     from repro.kernel.process import Priority
     from repro.migration.manager import run_migration
@@ -75,7 +73,6 @@ def _migrate_scenario(program: str, seed: int, setup=None, model=None):
 
     cluster = build_cluster(
         n_workstations=3, registry=standard_registry(scale=3.0), seed=seed,
-        model=model or DEFAULT_MODEL,
     )
     if setup is not None:
         setup(cluster)
@@ -160,9 +157,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    from dataclasses import replace
-
-    from repro.config import DEFAULT_MODEL
     from repro.obs import SelfProfiler, build_migration_report, render_report
     from repro.obs.report import write_report
 
@@ -174,8 +168,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         sim.metrics.enable()
         state["profiler"] = SelfProfiler(sim)
 
-    model = replace(DEFAULT_MODEL, precopy_adaptive=args.copy_plane)
-    cluster, stats = _migrate_scenario(args.program, args.seed, setup, model)
+    cluster, stats = _migrate_scenario(args.program, args.seed, setup)
     report = build_migration_report(
         cluster, stats, seed=args.seed, program=args.program,
         profiler=state["profiler"],
@@ -516,8 +509,6 @@ def main(argv=None) -> int:
     report.add_argument("--seed", type=int, default=0)
     report.add_argument("--out", default=None,
                         help="write the RunReport JSON here")
-    report.add_argument("--copy-plane", action="store_true",
-                        help="build the cluster with adaptive pre-copy on")
     diff = sub.add_parser(
         "diff", help="compare two RunReports (subsystem attribution)"
     )

@@ -156,7 +156,6 @@ def build_cluster(
     :class:`Simulator` (see :mod:`repro.verify.perturb`)."""
     if n_workstations < 1 or n_file_servers < 1:
         raise SimulationError("need at least one workstation and one file server")
-    Workstation.reset_world()
     sim = Simulator(seed=seed, perturber=perturber)
     net = Ethernet(sim, model, loss=loss, faults=faults)
     registry = registry if registry is not None else ProgramRegistry()

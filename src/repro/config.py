@@ -162,12 +162,6 @@ class HardwareModel:
     #: ...or after this many rounds, whichever comes first.
     precopy_max_rounds: int = 5
 
-    #: Replace the static stop rule with the dirty-rate projection of
-    #: :class:`repro.migration.precopy.AdaptivePrecopy`: keep copying
-    #: "until no significant reduction in the number of modified pages
-    #: is achieved" (§3.1.2), in pre-copy and VM-flush migrations alike.
-    precopy_adaptive: bool = False
-
     # ------------------------------------------------------------------- VM
     #: Cost to service a page fault from the file server (request + one
     #: page over the wire + server time).
@@ -222,10 +216,6 @@ class HardwareModel:
     def with_loss(self, rate: float) -> "HardwareModel":
         """A copy of this model with the given packet-loss rate."""
         return replace(self, packet_loss_rate=rate)
-
-    def copy_plane_modes(self) -> dict:
-        """Which copy-plane modes this model runs (RunReport toggles)."""
-        return {"adaptive_precopy": self.precopy_adaptive}
 
 
 #: The default model, calibrated to the paper's SUN + 10 Mb Ethernet numbers.

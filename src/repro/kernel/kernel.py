@@ -38,27 +38,6 @@ _DEAD = ProcessState.DEAD
 class Kernel:
     """One workstation's kernel instance."""
 
-    #: Cluster-wide allocator for logical-host ids; in the real system
-    #: these are made unique by structured allocation, which we model as
-    #: a shared counter.
-    _next_lhid = 0x0010
-
-    @classmethod
-    def allocate_lhid(cls) -> int:
-        lhid = cls._next_lhid
-        cls._next_lhid += 1
-        if lhid >= 0xFFF0:
-            raise KernelError("logical-host-id space exhausted")
-        return lhid
-
-    @classmethod
-    def reset_lhid_allocator(cls) -> None:
-        """Restart logical-host-id allocation.  Called when a fresh
-        simulated world is built, so that runs are deterministic
-        regardless of what other simulations ran in the same process
-        (lhids feed pid-derived random-stream names)."""
-        cls._next_lhid = 0x0010
-
     def __init__(self, sim, nic, model: HardwareModel = DEFAULT_MODEL, name: str = ""):
         self.sim = sim
         self.nic = nic
@@ -125,10 +104,22 @@ class Kernel:
 
     # ------------------------------------------------------ logical hosts
 
+    def allocate_lhid(self) -> int:
+        """A fresh logical-host id.  In the real system structured
+        allocation makes these unique; we model it as one counter per
+        simulated world (:attr:`Simulator.next_lhid`), so two clusters
+        alive in one process never hand out the same id."""
+        sim = self.sim
+        lhid = sim.next_lhid
+        if lhid >= 0xFFF0:
+            raise KernelError("logical-host-id space exhausted")
+        sim.next_lhid = lhid + 1
+        return lhid
+
     def create_logical_host(self, lhid: Optional[int] = None) -> LogicalHost:
         """Create (and host) a new logical host."""
         if lhid is None:
-            lhid = Kernel.allocate_lhid()
+            lhid = self.allocate_lhid()
         if lhid in self.logical_hosts:
             raise KernelError(f"{self.name} already hosts lhid {lhid:#x}")
         lh = LogicalHost(lhid, kernel=self)

@@ -27,12 +27,6 @@ SYSTEM_SPACE_BYTES = 64 * 1024
 class Workstation:
     """A simulated diskless SUN workstation on the cluster Ethernet."""
 
-    @staticmethod
-    def reset_world() -> None:
-        """Reset process-global allocators so a freshly built simulated
-        world is identical no matter what ran before it."""
-        Kernel.reset_lhid_allocator()
-
     def __init__(
         self,
         sim,

@@ -116,8 +116,6 @@ def _record_metrics(kernel, stats: MigrationStats) -> None:
     )
     m.counter("mig.freeze_us", host).inc(stats.freeze_us)
     m.counter("mig.residual_bytes", host).inc(stats.residual_bytes)
-    if stats.adaptive:
-        m.counter("mig.adaptive", host).inc()
     m.histogram("mig.total_us", host).observe(stats.total_us)
 
 
@@ -201,13 +199,7 @@ def _attempt(kernel, lh, policy, dest_pm, stats, sim, root_span=0):
             trace.end_span(precopy_span, outcome="failed")
         return f"pre-copy failed: {exc}"
     if precopy_span:
-        if stats.adaptive:
-            trace.end_span(
-                precopy_span, rounds=stats.precopy_rounds,
-                precopy_adaptive=True, stop_reason=stats.stop_reason,
-            )
-        else:
-            trace.end_span(precopy_span, rounds=stats.precopy_rounds)
+        trace.end_span(precopy_span, rounds=stats.precopy_rounds)
 
     # -- step 4: freeze and complete the copy ---------------------------------
     if not _lh_alive(kernel, lh):

@@ -51,18 +51,6 @@ class MigrationStats:
     #: Migration attempts made (1 on a first-try success; counts aborted
     #: + rolled-back tries when a retry budget is configured).
     attempts: int = 0
-    #: Whether dirty-rate-adaptive termination governed the pre-copy
-    #: loop (``HardwareModel.precopy_adaptive``).
-    adaptive: bool = False
-    #: Last projected next-round residual (pages) the adaptive
-    #: controller computed before deciding to freeze (0 = never ran).
-    projected_residual_pages: int = 0
-    #: Last observed dirty rate (pages per second of copy time).
-    dirty_rate_pps: float = 0.0
-    #: Why the adaptive loop froze: 'residual-threshold',
-    #: 'no-significant-reduction', 'max-rounds' or 'clean' (None when
-    #: the static policy decided).
-    stop_reason: Optional[str] = None
 
     @property
     def residual_bytes(self) -> int:

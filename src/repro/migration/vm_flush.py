@@ -21,7 +21,7 @@ from repro.kernel.kernel_server import reprocess_deferred
 from repro.kernel.logical_host import LogicalHost
 from repro.kernel.process import Delay, Send
 from repro.migration.manager import _record_metrics
-from repro.migration.precopy import AdaptivePrecopy, PrecopyPolicy
+from repro.migration.precopy import PrecopyPolicy
 from repro.migration.stats import MigrationStats
 from repro.migration.transfer import (
     extract_bundle,
@@ -101,30 +101,13 @@ def run_vm_flush_migration(
 
     # -- step 3: repeated flushes while the program runs ----------------------
     for ordinal, pager in pagers.items():
-        # An adaptive policy drives the flush loop with the same
-        # dirty-rate projection as pre-copying: keep flushing while the
-        # projected residual of another round still shrinks meaningfully.
-        adaptive = None
-        if policy.adaptive:
-            adaptive = AdaptivePrecopy(policy)
-            stats.adaptive = True
+        rounds = 0  # this pager's flushes: the round cap is per space
         previous = 0
-        prev_duration = 0
         while True:
             n_dirty = pager.dirty_resident_count()
             if not n_dirty:
                 break
-            if adaptive is not None:
-                if stats.rounds and adaptive.decide(
-                    n_dirty, previous, prev_duration, len(stats.rounds)
-                ):
-                    stats.stop_reason = adaptive.reason
-                    stats.projected_residual_pages = int(adaptive.projected)
-                    stats.dirty_rate_pps = adaptive.rate_pps
-                    break
-            elif stats.rounds and policy.should_stop(
-                n_dirty, previous, len(stats.rounds)
-            ):
+            if rounds and policy.should_stop(n_dirty, previous, rounds):
                 break
             started = sim.now
             span = 0
@@ -138,8 +121,8 @@ def run_vm_flush_migration(
             if span:
                 trace.end_span(span, flushed=count)
             stats.add_round(count, sim.now - started)
+            rounds += 1
             previous = count
-            prev_duration = sim.now - started
 
     # -- step 4: freeze, flush the residual, transfer kernel state ------------
     if not lh_alive():

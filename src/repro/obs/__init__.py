@@ -21,7 +21,7 @@ any hot path):
 * :mod:`repro.obs.critical_path` -- span self-times, per-subsystem
   profiles and critical-path extraction from recorded span trees.
 * :mod:`repro.obs.report` -- versioned RunReport JSON artifacts (config
-  + toggles + metrics + span profile + KPIs) for any run.
+  + metrics + span profile + KPIs) for any run.
 * :mod:`repro.obs.diff` -- report-vs-report deltas with tolerances and
   per-subsystem time attribution.
 * :mod:`repro.obs.flight_recorder` -- postmortem bundles dumped when an

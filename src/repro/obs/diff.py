@@ -1,8 +1,8 @@
 """RunReport diffing: per-metric deltas, subsystem attribution.
 
 Given two RunReports (:mod:`repro.obs.report`) -- typically a baseline
-and a fresh run, or the same scenario with a copy-plane toggle flipped --
-this module answers the two questions a regression hunt starts with:
+and a fresh run, or two programs migrated in the same scenario -- this
+module answers the two questions a regression hunt starts with:
 
 * **which metrics moved, and by how much?**  Every cluster-level metric
   is flattened to scalars (counter -> ``name``; histogram ->
@@ -10,7 +10,7 @@ this module answers the two questions a regression hunt starts with:
   ``name.max``) and compared under a tolerance: a delta is *within*
   tolerance when ``|delta| <= max(abs_tol, rel_tol * max(|a|, |b|))``.
 * **which subsystem ate the time?**  Metric names are bucketed by
-  prefix (``ipc.`` -> ipc, ``mig.``/``precopy.`` -> migration, ...)
+  prefix (``ipc.`` -> ipc, ``mig.`` -> migration, ...)
   and every ``*_us`` time metric's delta is accumulated per subsystem,
   ranking subsystems by their contribution to the total simulated-time
   delta -- the Table 4-1 attribution loop, automated.
@@ -46,7 +46,6 @@ SUBSYSTEMS = {
     "kernel": "kernel",
     "sched": "scheduler",
     "ipc": "ipc",
-    "precopy": "migration",
     "mig": "migration",
     "net": "network",
     "vm": "vm",
@@ -115,7 +114,7 @@ def diff_reports(
 ) -> Dict[str, Any]:
     """Compare two RunReports.
 
-    Returns ``{"ok", "tolerance", "toggles", "metrics", "kpis",
+    Returns ``{"ok", "tolerance", "metrics", "kpis",
     "subsystems", "total_time_delta_us"}``:
 
     * ``metrics``/``kpis``: per-name entries ``{a, b, delta, rel,
@@ -126,9 +125,7 @@ def diff_reports(
       metrics}`` where ``time_delta_us`` sums the deltas of every
       ``*_us`` metric in the bucket and ``metrics`` lists the bucket's
       movers (beyond tolerance first, by ``|delta|``).
-    * ``ok``: True iff every gated comparison is within tolerance.
-      Toggle differences are reported but do not gate (comparing
-      a knob-off baseline to a knob-on run is the point of the tool);
+    * ``ok``: True iff every gated comparison is within tolerance;
       the ``wall`` sections are never compared at all.
     """
     flat_a = _flatten_metrics(report_a)
@@ -175,17 +172,11 @@ def diff_reports(
     ))
     total_time_delta = sum(b["time_delta_us"] for b in subsystems.values())
 
-    toggles = {
-        "a": report_a.get("toggles", {}),
-        "b": report_b.get("toggles", {}),
-        "same": report_a.get("toggles", {}) == report_b.get("toggles", {}),
-    }
     ok = all(e["within"] for e in metrics.values()) and \
         all(e["within"] for e in kpis.values())
     return {
         "ok": ok,
         "tolerance": {"rel": rel_tol, "abs": abs_tol},
-        "toggles": toggles,
         "metrics": metrics,
         "kpis": kpis,
         "subsystems": subsystems,
@@ -226,8 +217,6 @@ def render_diff(diff: Dict[str, Any], *, max_rows: int = 20) -> str:
     verdict = "WITHIN TOLERANCE" if diff["ok"] else "BEYOND TOLERANCE"
     lines.append(f"report diff: {verdict} "
                  f"(rel {tol['rel'] * 100:g}%, abs {tol['abs']:g})")
-    if not diff["toggles"]["same"]:
-        lines.append("  note: toggle positions differ between the runs")
     lines.append(f"  total time delta: "
                  f"{diff['total_time_delta_us']:+,} sim-us")
 

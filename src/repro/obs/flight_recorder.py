@@ -6,10 +6,9 @@ moved on, the seed is buried in a sweep grid.  A :class:`FlightRecorder`
 attached to an :class:`~repro.faults.invariants.InvariantChecker`
 freezes that state the instant the *first* violation is recorded:
 
-* ``manifest.json`` -- bundle version, the reason, sim time, the
-  cluster model's copy-plane modes and the caller-supplied context
-  (scenario name, schedule, seed, config) -- everything needed to
-  re-run the exact failing unit offline;
+* ``manifest.json`` -- bundle version, the reason, sim time and the
+  caller-supplied context (scenario name, schedule, seed, config) --
+  everything needed to re-run the exact failing unit offline;
 * ``trace.json`` -- the tail of the span/record ring in Chrome
   ``chrome://tracing`` format (the same payload ``repro trace`` emits);
 * ``metrics.json`` -- the metrics snapshot at the moment of death;
@@ -31,7 +30,6 @@ import os
 from types import SimpleNamespace
 from typing import Any, Dict, Optional
 
-from repro.config import DEFAULT_MODEL
 from repro.errors import SimulationError
 
 #: Bumped whenever the bundle layout changes incompatibly.
@@ -64,9 +62,6 @@ class FlightRecorder:
         self.sim = sim if sim is not None else (
             cluster.sim if cluster is not None else None
         )
-        #: The hardware model the run was built with (its copy-plane
-        #: modes go into the manifest).
-        self.model = cluster.model if cluster is not None else DEFAULT_MODEL
         #: Arbitrary JSON-able context (scenario, schedule, seed, config)
         #: copied verbatim into the manifest for offline replay.
         self.context = dict(context or {})
@@ -98,9 +93,6 @@ class FlightRecorder:
             "reason": reason,
             "context": self.context,
             "sim_time_us": sim.now if sim is not None else None,
-            "toggles": {
-                "copy_plane": self.model.copy_plane_modes(),
-            },
             "files": list(BUNDLE_FILES),
         }
         self._write("manifest.json", manifest)

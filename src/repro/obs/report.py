@@ -4,8 +4,7 @@ A RunReport is the repository's standard answer to "what did that run
 do, and under which knobs?" -- the artifact :mod:`repro.obs.diff`
 consumes to attribute regressions.  One dict (written as JSON) captures:
 
-* the **envelope**: schema version, run kind, seed, scenario config and
-  the copy-plane modes the run's clusters were built with;
+* the **envelope**: schema version, run kind, seed and scenario config;
 * the **metrics snapshot** (:meth:`MetricsRegistry.snapshot` or the
   sweep engine's cross-worker merge);
 * the **span profile** and **phase breakdowns**
@@ -29,7 +28,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, IO, Optional, Union
 
-from repro.config import DEFAULT_MODEL, PAGE_SIZE
+from repro.config import PAGE_SIZE
 from repro.errors import SimulationError
 from repro.obs.critical_path import critical_path, phase_breakdown, span_profile
 
@@ -37,18 +36,15 @@ from repro.obs.critical_path import critical_path, phase_breakdown, span_profile
 RUN_REPORT_VERSION = 1
 
 
-def new_report(kind: str, *, seed: int, config: Optional[Dict[str, Any]] = None,
-               copy_plane: Optional[Dict[str, bool]] = None) -> Dict[str, Any]:
+def new_report(kind: str, *, seed: int,
+               config: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """The common envelope every report starts from: version, kind,
-    seed, config and the run's copy-plane modes (default: all off)."""
+    seed and config."""
     return {
         "run_report_version": RUN_REPORT_VERSION,
         "kind": kind,
         "seed": seed,
         "config": dict(config or {}),
-        "toggles": {
-            "copy_plane": copy_plane or DEFAULT_MODEL.copy_plane_modes(),
-        },
     }
 
 
@@ -70,8 +66,7 @@ def build_migration_report(
     """
     sim = cluster.sim
     tracer = sim.trace
-    report = new_report("migration", seed=seed, config={"program": program},
-                        copy_plane=cluster.model.copy_plane_modes())
+    report = new_report("migration", seed=seed, config={"program": program})
 
     roots = tracer.find_spans("migration", "migrate")
     root = roots[-1] if roots else None
@@ -115,8 +110,6 @@ def build_migration_report(
         "events": sim.event_count,
         "packets": cluster.net.packets_sent,
     }
-    if stats.adaptive:
-        kpis["adaptive_stop_reason"] = stats.stop_reason
 
     report.update({
         "metrics": sim.metrics.snapshot(),
@@ -221,9 +214,6 @@ def render_report(report: Dict[str, Any]) -> str:
     kpis = report.get("kpis", {})
     lines = [f"run report v{report.get('run_report_version')} "
              f"[{kind}] seed={report.get('seed')}"]
-    plane = report.get("toggles", {}).get("copy_plane", {})
-    on = sorted(name for name, v in plane.items() if v)
-    lines.append(f"  copy-plane: {', '.join(on) if on else 'off'}")
     for name in sorted(kpis):
         lines.append(f"  kpi {name:24s} {kpis[name]}")
     for name, breakdown in sorted(report.get("phases", {}).items()):

@@ -122,6 +122,10 @@ class Simulator:
         #: profiler/invariant hooks, and the A/B test in tests/verify pins
         #: the trajectory byte-identical.
         self._perturber = perturber
+        #: Next free logical-host id in this simulated world
+        #: (``Kernel.allocate_lhid``); lhids feed pid-derived random-stream
+        #: names, so a fresh world always starts from the same id.
+        self.next_lhid = 0x0010
         self._event_count = 0
         #: Heap key of the event fired last; +inf once :meth:`run` has
         #: advanced the clock past it (every event of the instant has

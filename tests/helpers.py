@@ -33,7 +33,6 @@ class BareCluster:
         model: HardwareModel = DEFAULT_MODEL,
         loss=None,
     ):
-        Workstation.reset_world()
         self.sim = Simulator(seed=seed)
         self.model = model
         self.net = Ethernet(self.sim, model, loss=loss)
@@ -84,10 +83,9 @@ def make_cluster(
     bare workstations; ``full=True`` returns a service-booted
     :func:`repro.cluster.build_cluster` with ``n`` workstations (plus
     its file server).  ``toggles`` (a :data:`repro.verify.matrix.KNOBS`
-    name -> bool) switches protocol modes on: ``load_cache`` builds the
-    cluster with host-state caches (``placement=True``).
-    Hardware-model modes such as adaptive pre-copy come in through
-    ``model``.
+    name -> bool) switches the protocol mode on: ``load_cache`` builds the
+    cluster with host-state caches (``placement=True``), the one
+    protocol mode.
     ``invariants`` (default True) installs a strict invariant checker
     on the cluster's simulator.
     """

@@ -47,6 +47,14 @@ class TestWorkstationBoot:
         b = BareCluster(n=1)
         assert b.stations[0].system_lh.lhid == first
 
+    def test_two_live_worlds_never_share_an_lhid(self):
+        # Building a second world must not rewind the first one's
+        # allocator: each simulator carries its own counter.
+        a = BareCluster(n=1)
+        taken = a.stations[0].system_lh.lhid
+        BareCluster(n=1)
+        assert a.stations[0].kernel.allocate_lhid() == taken + 1
+
 
 def _parked():
     from repro.kernel.process import Delay

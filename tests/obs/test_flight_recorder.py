@@ -47,7 +47,6 @@ class TestFlightRecorder:
         bundle = load_postmortem(str(out))
         assert bundle["manifest"]["reason"] == "invariant-violation"
         assert bundle["manifest"]["context"]["seed"] == 42
-        assert "copy_plane" in bundle["manifest"]["toggles"]
         assert not bundle["invariants"]["ok"]
         (v,) = bundle["invariants"]["violations"]
         assert v["invariant"] == "at-most-once"

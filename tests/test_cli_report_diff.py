@@ -21,11 +21,11 @@ def baseline_report(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def copy_plane_report(tmp_path_factory):
-    """The same scenario with adaptive pre-copy on."""
-    path = tmp_path_factory.mktemp("reports") / "plane.json"
-    rc = main(["report", "--program", "tex", "--seed", "0",
-               "--copy-plane", "--out", str(path)])
+def parser_report(tmp_path_factory):
+    """The same scenario migrating the parser instead of tex."""
+    path = tmp_path_factory.mktemp("reports") / "parser.json"
+    rc = main(["report", "--program", "parser", "--seed", "0",
+               "--out", str(path)])
     assert rc == 0
     return str(path)
 
@@ -47,7 +47,6 @@ class TestReportCommand:
         report = load_report(baseline_report)
         assert report["kind"] == "migration"
         assert report["config"]["program"] == "tex"
-        assert report["toggles"]["copy_plane"] == {"adaptive_precopy": False}
         assert report["kpis"]["success"] is True
         assert report["kpis"]["pages_copied"] > 0
         assert report["metrics"]["cluster"]["mig.migrations"] == 1
@@ -72,16 +71,15 @@ class TestDiffCommand:
         assert rc == 0
         assert "WITHIN TOLERANCE" in out
 
-    def test_copy_plane_delta_attributed_to_migration_subsystem(
-            self, capsys, baseline_report, copy_plane_report):
-        # Adaptive pre-copy off vs on: tex keeps copying while it runs
-        # (1,753,782 -> 2,402,274 us of pre-copy) and freezes a smaller
-        # residual (284,621 -> 237,581 us), and the diff engine pins the
-        # top time delta on the migration subsystem.
-        rc = main(["diff", baseline_report, copy_plane_report, "--json"])
+    def test_program_delta_attributed_to_migration_subsystem(
+            self, capsys, baseline_report, parser_report):
+        # Tex vs parser: the parser pre-copies longer (1,753,782 ->
+        # 2,776,902 us) and freezes a smaller residual (284,621 ->
+        # 196,421 us), and the diff engine pins the top time delta on
+        # the migration subsystem.
+        rc = main(["diff", baseline_report, parser_report, "--json"])
         diff = json.loads(capsys.readouterr().out)
         assert rc == 1  # genuinely different runs
-        assert not diff["toggles"]["same"]
         precopy = diff["metrics"]["mig.precopy_us"]
         freeze = diff["metrics"]["mig.freeze_us"]
         assert precopy["b"] > precopy["a"]
@@ -91,14 +89,10 @@ class TestDiffCommand:
         assert "mig.freeze_us" in migration["metrics"]
         assert migration["time_delta_us"] == max(
             abs(sub["time_delta_us"]) for sub in diff["subsystems"].values())
-        a = load_report(baseline_report)
-        b = load_report(copy_plane_report)
-        assert b["toggles"]["copy_plane"] == {"adaptive_precopy": True}
-        assert a["toggles"]["copy_plane"] == {"adaptive_precopy": False}
 
     def test_table_output_ranks_subsystems(self, capsys, baseline_report,
-                                           copy_plane_report):
-        rc = main(["diff", baseline_report, copy_plane_report])
+                                           parser_report):
+        rc = main(["diff", baseline_report, parser_report])
         out = capsys.readouterr().out
         assert rc == 1
         assert "subsystem attribution" in out
