@@ -41,10 +41,6 @@ def _migrating_cluster(load_cache):
     return cluster, done
 
 
-def _refreshes(cluster):
-    return sum(c.stats.refreshes for c in cluster.host_caches.values())
-
-
 def test_two_clusters_in_one_process_keep_their_own_modes():
     cached, cached_done = _migrating_cluster(load_cache=True)
     plain, plain_done = _migrating_cluster(load_cache=False)
@@ -57,5 +53,5 @@ def test_two_clusters_in_one_process_keep_their_own_modes():
 
     assert cached_done[0].success and plain_done[0].success
     assert set(cached.host_caches) == {ws.name for ws in cached.workstations}
-    assert _refreshes(cached) > 0
+    assert sum(c.stats.refreshes for c in cached.host_caches.values()) > 0
     assert plain.host_caches == {}

@@ -2,10 +2,9 @@
 
 The scenario is the E-series one (``benchmarks/bench_freeze_time.py``):
 each program runs remotely on ws1 and is migrated off 1 s in.  Round
-counts are integers, so they are pinned exactly.  The paper reports
-"usually 2 precopy iterations"; the optimizer and assembler stop after
-one because their first-round dirty set (13 pages, 26 KB) is already at
-or under the 32 KB residual threshold (``docs/PAPER_MAP.md``).
+counts are integers, so they are pinned exactly (``PINNED_ROUNDS``,
+shared with the benchmark; ``docs/PAPER_MAP.md`` says why the optimizer
+and assembler run one round where the paper reports "usually 2").
 """
 
 import pathlib
@@ -15,13 +14,11 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parents[2] / "benchmarks"))
 
-from bench_freeze_time import _migrate_mid_run  # noqa: E402
-
-E7_ROUNDS = {"parser": 2, "optimizer": 1, "assembler": 1, "tex": 2}
+from bench_freeze_time import PINNED_ROUNDS, _migrate_mid_run  # noqa: E402
 
 
-@pytest.mark.parametrize("program", sorted(E7_ROUNDS))
+@pytest.mark.parametrize("program", sorted(PINNED_ROUNDS))
 def test_e7_precopy_rounds(program):
     stats = _migrate_mid_run(program)
     assert stats.success, stats.error
-    assert stats.precopy_rounds == E7_ROUNDS[program]
+    assert stats.precopy_rounds == PINNED_ROUNDS[program]
