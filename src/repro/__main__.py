@@ -200,7 +200,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
         abs_tol=args.abs_tolerance,
     )
     if args.json:
-        print(json.dumps(diff, indent=2, sort_keys=True))
+        print(json.dumps(diff, indent=2))
     else:
         print(render_diff(diff, max_rows=args.max_rows))
     return EXIT_OK if diff["ok"] else EXIT_DIFFERENT

@@ -14,12 +14,17 @@ The complete procedure (paper §3.1):
 5. unfreeze the new copy, delete the old one, and let references rebind
    lazily through the binding-cache machinery.
 
-:mod:`precopy` implements step 3 and the policy knobs; :mod:`transfer`
-builds the kernel-state bundle of step 4; :mod:`manager` orchestrates
-the whole procedure as a high-priority process on the source host;
-:mod:`simple` is the freeze-and-copy strawman the paper argues against;
-:mod:`vm_flush` is the §3.2 virtual-memory variant; :mod:`residual`
-audits residual dependencies (§3.3).
+:mod:`manager` holds the one copy of this procedure
+(:class:`~repro.migration.manager.Migration`), run as a high-priority
+process on the source host: steps 1, 2, 4 and 5, the §3.1.3 rollback
+and the commit.  A method supplies only its two copy phases, one while
+the program runs and one while it is frozen: pre-copy (:mod:`precopy`,
+the step-3 rounds and the policy knobs, and the manager's own phases),
+the §3.2 virtual-memory variant (:mod:`vm_flush`: flush to the file
+server, then the residual flush) and the freeze-and-copy strawman the
+paper argues against (:mod:`simple`: nothing live, everything frozen).
+:mod:`transfer` builds the kernel-state bundle of step 4;
+:mod:`residual` audits residual dependencies (§3.3).
 """
 
 from repro.migration.stats import MigrationStats, RoundStats

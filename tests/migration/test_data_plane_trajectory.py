@@ -1,12 +1,13 @@
 """The data plane's trajectory, pinned in tier-1.
 
-Three small runs of the CopyTo path -- a pre-copy migration, a VM-flush
-migration of a demand-paged hog under a residency cap, and a lossy
-CopyTo that recovers through a NAK -- each checked against constants
+Four small runs of the CopyTo path -- a pre-copy migration, a VM-flush
+migration of a demand-paged hog under a residency cap, a freeze-and-copy
+migration, and a lossy CopyTo that recovers through a NAK -- each
+checked against constants
 recorded before the per-frame hot path was tightened.  A host-side
 speed-up of the copy engine, the segment or the event core must leave
 every one of them unchanged: the number and order of simulated events
-is the trajectory, not an implementation detail.  The two migrations
+is the trajectory, not an implementation detail.  The three migrations
 are also pinned with a strict invariant checker installed: the checker
 only observes, so the same constants must hold with it.
 """
@@ -20,6 +21,7 @@ from repro.faults import InvariantChecker
 from repro.kernel import CopyToInstr, Delay
 from repro.kernel.process import Compute, Priority, TouchPages
 from repro.migration.manager import run_migration
+from repro.migration.simple import run_freeze_and_copy
 from repro.migration.vm_flush import run_vm_flush_migration
 from repro.net.loss import BernoulliLoss
 from repro.vm.pager import attach_pager
@@ -117,6 +119,17 @@ def test_vm_flush_migration_of_a_capped_hog_trajectory():
         assert _trajectory(cluster, stats) == dict(
             events=583, packets=63, bytes=68032, rounds=[16],
             freeze_us=135661, residual_pages=14,
+        ), f"checked={checked}"
+
+
+def test_freeze_and_copy_migration_trajectory():
+    # Nothing moves while the hog runs: every page crosses the wire
+    # frozen, so the residual is the whole 96-page space.
+    for checked in (False, True):
+        cluster, stats = _migrate(run_freeze_and_copy, checked=checked)
+        assert _trajectory(cluster, stats) == dict(
+            events=859, packets=161, bytes=264768, rounds=[],
+            freeze_us=604515, residual_pages=96,
         ), f"checked={checked}"
 
 

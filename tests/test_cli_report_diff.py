@@ -98,6 +98,21 @@ class TestDiffCommand:
         assert "subsystem attribution" in out
         assert "mig.precopy_us" in out
 
+    def test_json_keeps_the_table_ranking(self, capsys, baseline_report,
+                                          parser_report):
+        # The JSON's subsystems come in the table's order, largest
+        # |time delta| first, not alphabetically.
+        main(["diff", baseline_report, parser_report])
+        table = capsys.readouterr().out.split("subsystem attribution")[1]
+        rows = table.split("\n\n")[0].splitlines()[3:]
+        main(["diff", baseline_report, parser_report, "--json"])
+        diff = json.loads(capsys.readouterr().out)
+        ranked = [name for name, bucket in diff["subsystems"].items()
+                  if bucket["time_delta_us"] or bucket["count_delta"]]
+        assert [row.split()[0] for row in rows] == ranked
+        assert ranked[0] == "migration"
+        assert ranked != sorted(ranked)
+
     def test_bad_input_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.json")
         assert main(["diff", missing, missing]) == 2
