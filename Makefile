@@ -47,16 +47,12 @@ bench-ledger:
 
 # Fixed-seed fault-injection campaign: every fault schedule x 10 seeds
 # with the invariant harness watching every event (see docs/FAULTS.md).
-# Exits non-zero if any of the four invariants is ever violated.  The
-# second pass builds the clusters with host-state caches, so they face
-# the same abuse (loss, duplication, reordering, corruption, crashes)
-# under crashing, lossy hosts.
+# Exits non-zero if any of the four invariants is ever violated.
 chaos-smoke:
 	python -m repro chaos --seeds 10 --seed 7 --workers 2 --messages 20
-	python -m repro chaos --seeds 10 --seed 7 --workers 2 --messages 20 --placement
 
-# Differential verification smoke: the fixed 17-cell list over the
-# chaos scenario (both toggle vectors plain and perturbed, every fault
+# Differential verification smoke: the fixed 12-cell list over the
+# chaos scenario (the baseline plain and perturbed, every fault
 # schedule) must pass clean, and with lazy rebinding broken -- the same
 # --break-rebinding flag chaos takes -- every cell must fail (a harness
 # that has never failed proves nothing).  See docs/TESTING.md.

@@ -21,8 +21,8 @@
 * ``diff``    -- compare two RunReports under a tolerance: per-metric
   deltas plus per-subsystem time attribution (exit 1 beyond tolerance).
 * ``verify``  -- differential verification: run one scenario across a
-  fixed list of 17 toggle/perturbation/fault cells and assert each
-  cell's equivalence class against the baseline (exit codes shared with
+  fixed list of 12 cells (baseline, 4 perturbed, 7 fault) and assert
+  each cell's equivalence class against the baseline (exit codes shared with
   ``diff``: 0 clean, 1 a cell broke its class, 2 usage error).
 * ``info``    -- the calibrated hardware model and package layout.
 """
@@ -369,7 +369,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             workers=args.workers,
             messages=args.messages,
             break_rebinding=args.break_rebinding,
-            placement=args.placement,
         )
     except SimulationError as exc:
         print(f"chaos: {exc} (schedules: {', '.join(schedule_names())})",
@@ -490,8 +489,6 @@ def main(argv=None) -> int:
     chaos.add_argument("--break-rebinding", action="store_true",
                        help="intentionally disable lazy rebinding (the "
                             "campaign must then FAIL no-residual-dependency)")
-    chaos.add_argument("--placement", action="store_true",
-                       help="build every cluster with host-state caches")
     chaos.add_argument("--out", default=None,
                        help="write the merged JSON payload here")
     chaos.add_argument("--report", default=None, metavar="PATH",
@@ -524,10 +521,13 @@ def main(argv=None) -> int:
     diff.add_argument("--json", action="store_true",
                       help="emit the full diff as JSON instead of a table")
     verify = sub.add_parser(
-        "verify", help="differential toggle-matrix verification"
+        "verify", help="differential verification over 12 fixed cells"
     )
     verify.add_argument("--seed", type=int, default=0,
-                        help="base scenario seed (every cell replays it)")
+                        help="base seed: moves the 4 perturber seeds and "
+                             "the 7 fault cells (a lossless run does not "
+                             "depend on it, so the baseline cell replays "
+                             "one trajectory at every seed)")
     verify.add_argument("--messages", type=int, default=10,
                         help="client requests per cell run")
     verify.add_argument("--break-rebinding", action="store_true",

@@ -22,18 +22,15 @@ only promises that the names below stay put across releases.  See
 
 from __future__ import annotations
 
-# Cluster assembly and the placement plane.
+# Cluster assembly and host selection.
 from repro.cluster import (
     Cluster,
     build_cluster,
     install_load_balancer,
-    CachedBestFit,
     FirstResponder,
     HostDigest,
-    HostStateCache,
     PlacementPolicy,
     RandomK,
-    install_host_state_cache,
     make_policy,
 )
 
@@ -71,13 +68,10 @@ __all__ = [
     "Cluster",
     "build_cluster",
     "install_load_balancer",
-    "CachedBestFit",
     "FirstResponder",
     "HostDigest",
-    "HostStateCache",
     "PlacementPolicy",
     "RandomK",
-    "install_host_state_cache",
     "make_policy",
     # execution
     "ExecHandle",

@@ -21,26 +21,20 @@ from repro.cluster.supervisor import (
     install_cluster_supervisor,
 )
 from repro.cluster.placement import (
-    CachedBestFit,
     FirstResponder,
     HostDigest,
-    HostStateCache,
     PlacementPolicy,
     RandomK,
-    install_host_state_cache,
     make_policy,
 )
 
 __all__ = [
     "Cluster",
     "build_cluster",
-    "CachedBestFit",
     "FirstResponder",
     "HostDigest",
-    "HostStateCache",
     "PlacementPolicy",
     "RandomK",
-    "install_host_state_cache",
     "make_policy",
     "Owner",
     "OwnerActivityModel",

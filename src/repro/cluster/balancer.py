@@ -51,8 +51,6 @@ class BalancerStats:
     moves_failed: int = 0
     #: Hosts dropped from a survey round because they never answered.
     unreachable: int = 0
-    #: Survey answers taken from the placement cache instead of a query.
-    cache_hits: int = 0
     #: (time, pid, from_host, to_host) of each successful move.
     history: List[Tuple[int, Pid, str, Optional[str]]] = field(default_factory=list)
 
@@ -73,16 +71,6 @@ class LoadBalancer:
 
     # ---------------------------------------------------------------- body
 
-    def _cache_view(self):
-        """The placement cache on the balancer's own workstation, if the
-        cluster installed one -- its fresh digests answer the survey's
-        remote-count question without a query message."""
-        caches = getattr(self.cluster, "host_caches", None)
-        if not caches:
-            return None
-        host = self.pcb.logical_host.kernel.name if self.pcb else None
-        return caches.get(host) or next(iter(caches.values()), None)
-
     def body(self):
         """Daemon loop: survey, pick the most loaded host, rebalance.
 
@@ -98,18 +86,9 @@ class LoadBalancer:
             self.stats.rounds += 1
             pm_pids = {name: pm.pcb.pid
                        for name, pm in self.cluster.program_managers.items()}
-            cache = self._cache_view()
             loads: Dict[str, Message] = {}
             counts: Dict[str, int] = {}
             for name, pm_pid in sorted(pm_pids.items()):
-                digest = cache.fresh_digest(name) if cache is not None else None
-                if digest is not None:
-                    # A fresh cached digest answers the count question;
-                    # the full listing is only fetched if this host is
-                    # actually chosen for a move.
-                    counts[name] = digest.remote
-                    self.stats.cache_hits += 1
-                    continue
                 try:
                     loads[name] = yield Send(pm_pid, Message("query-programs"))
                 except SendTimeoutError:
@@ -127,16 +106,8 @@ class LoadBalancer:
                     break
                 if count <= policy.overload_threshold:
                     break  # sorted descending: nobody else is overloaded
-                listing = loads.get(name)
-                if listing is None:
-                    try:
-                        listing = yield Send(pm_pids[name],
-                                             Message("query-programs"))
-                    except SendTimeoutError:
-                        self.stats.unreachable += 1
-                        continue
-                moved = yield from self._move_one_off(pm_pids[name], listing,
-                                                      name)
+                moved = yield from self._move_one_off(pm_pids[name],
+                                                      loads[name], name)
                 if moved:
                     moves += 1
 

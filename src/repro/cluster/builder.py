@@ -39,9 +39,6 @@ class Cluster:
     program_managers: Dict[str, ProgramManager] = field(default_factory=dict)
     #: Dedicated server machines (file/name servers run here).
     server_machines: List[Workstation] = field(default_factory=list)
-    #: Per-workstation host-state caches (only when the placement plane
-    #: is enabled; see :mod:`repro.cluster.placement`).
-    host_caches: Dict[str, "HostStateCache"] = field(default_factory=dict)
 
     def station(self, name: str) -> Workstation:
         """A workstation by name."""
@@ -77,7 +74,7 @@ class Cluster:
             name_cache=name_cache,
             home=home_name,
             sim=self.sim,
-            host_cache=self.host_caches.get(home_name),
+            program_managers=self.program_managers,
         )
 
     def spawn_session(self, workstation: Workstation, body_factory, name: str = "session") -> Pcb:
@@ -117,12 +114,6 @@ class Cluster:
         self.program_managers[name] = install_program_manager(fresh, policy)
         fresh.kernel.program_registry = self.registry
         fresh.kernel.file_server_pid = self.file_servers[0].pcb.pid
-        if name in self.host_caches:
-            # The old cache daemon died with the machine; boot a fresh
-            # one (its view starts empty, like any rebooted host's).
-            from repro.cluster.placement import install_host_state_cache
-
-            self.host_caches[name] = install_host_state_cache(self, fresh)
         return fresh
 
     # -------------------------------------------------------------- metrics
@@ -144,15 +135,13 @@ def build_cluster(
     loss: Optional[LossModel] = None,
     faults=None,
     accept_policy: Optional[AcceptPolicy] = None,
-    placement: bool = False,
     perturber=None,
 ) -> Cluster:
     """Assemble a cluster: ``n_workstations`` user machines plus
     ``n_file_servers`` dedicated server machines, all booted with their
     standard per-host services.  ``faults`` installs a
     :class:`repro.faults.FaultPlane` on the Ethernet (the composable
-    superset of ``loss``).  ``placement`` installs per-host load caches
-    (:mod:`repro.cluster.placement`).  ``perturber`` goes to the
+    superset of ``loss``).  ``perturber`` goes to the
     :class:`Simulator` (see :mod:`repro.verify.perturb`)."""
     if n_workstations < 1 or n_file_servers < 1:
         raise SimulationError("need at least one workstation and one file server")
@@ -189,10 +178,4 @@ def build_cluster(
         machine.kernel.program_registry = registry
         machine.kernel.file_server_pid = fs_pid
     cluster.server_machines.extend(server_machines)
-
-    if placement:
-        from repro.cluster.placement import install_host_state_cache
-
-        for ws in cluster.workstations:
-            cluster.host_caches[ws.name] = install_host_state_cache(cluster, ws)
     return cluster

@@ -1,63 +1,42 @@
-"""The placement plane: cached host selection and pluggable policies.
+"""Host selection for ``@ *`` execution: the paper's multicast and
+power-of-d probing.
 
 The paper selects execution hosts with one multicast candidate query
-answered by the first idle responder (§4).  That is exact but expensive:
-every ``@ *`` exec storms the whole program-manager group, so selection
-traffic grows with the cluster.  This module adds the scalable
-alternative on top of the same public facilities:
+answered by the first willing responder (§2.1, §4).  That is exact, but
+every ``@ *`` exec reaches every program manager, so selection traffic
+grows with the cluster.  Two policies share one client loop
+(:func:`repro.execution.api.exec_program`):
 
-* :class:`HostStateCache` -- a per-workstation daemon keeping a TTL'd
-  view of cluster load.  It is fed two ways: *piggy-backed* load digests
-  that program managers attach to the replies they already send
-  (weightless on the simulated wire, so always on), and periodic
-  *anti-entropy* ``probe-load`` refreshes of the stalest entries (real
-  messages, so installed only by ``build_cluster(placement=True)``).
+* :class:`FirstResponder` -- the paper's multicast, the default.
+* :class:`RandomK` -- power-of-d choices: sample ``k`` hosts from the
+  live program-manager roster, probe each one's load with a unicast
+  ``probe-load``, and place on the least-loaded willing host -- O(k)
+  messages.  When no probed host is willing it falls back to the
+  multicast, so placement always ends with the §4 semantics.
 
-* Pluggable placement policies for ``@ *`` execution:
-  :class:`FirstResponder` (the paper's multicast, byte-identical default),
-  :class:`RandomK` (power-of-d-choices: probe ``k`` cached-idle hosts,
-  place on the least loaded prober that accepts -- O(k) messages), and
-  :class:`CachedBestFit` (no probes at all: trust the cached view, let
-  admission control catch staleness).
-
-Every policy degrades to the paper's multicast when the cached view is
-empty or stale, so placement always terminates with the §4 semantics.
-Stale-view declines are handled by admission control in the client loop
-(:func:`repro.execution.api.exec_program`): a ``create-program`` carrying
-``admission=True`` is re-checked against the host's accept policy and
-politely declined (with a fresh digest) instead of failing, and the
-client retries elsewhere under a bounded backoff budget.
+No policy keeps a view of cluster load between execs: every answer is
+live.  A probed answer can still go stale before ``create-program``
+arrives, so RandomK's requests carry an admission check: the target
+re-validates willingness and politely declines (``exec-declined``)
+instead of failing, and the client retries elsewhere under a bounded
+backoff budget.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.errors import NoSuchProcessError, SendTimeoutError
 from repro.ipc.messages import Message
 from repro.kernel.ids import Pid
-from repro.kernel.process import Delay, GetReplies, Pcb, Send
-from repro.services.service import install_service
-
-#: How long a cached digest counts as fresh (simulated µs).
-DEFAULT_TTL_US = 2_000_000
-
-#: Anti-entropy period of the cache daemon (simulated µs).
-DEFAULT_REFRESH_US = 1_000_000
-
-#: How many stale entries one anti-entropy round refreshes.
-DEFAULT_REFRESH_FANOUT = 2
-
-#: A host with fewer program processes than this counts as "idle" for
-#: probe-candidate selection (matches AcceptPolicy.max_program_processes).
-DEFAULT_IDLE_LOAD = 3
+from repro.kernel.process import Send
 
 
 @dataclass(frozen=True)
 class HostDigest:
-    """One host's load summary as last heard (the piggy-backed unit)."""
+    """One host's load as a ``probe-load`` reply reports it (see
+    :meth:`repro.services.program_manager.ProgramManager.load_digest`)."""
 
     host: str
     pm: Pid
@@ -80,175 +59,28 @@ class HostDigest:
             return None
 
 
-@dataclass
-class CacheStats:
-    """What one host-state cache observed and did."""
-
-    observations: int = 0
-    refreshes: int = 0
-    refresh_failures: int = 0
-    drops: int = 0
-
-
-class HostStateCache:
-    """A slightly-stale, TTL'd view of every workstation's load.
-
-    Purely passive state plus one daemon process: :meth:`observe` folds
-    in digests piggy-backed on replies the caller already received (no
-    traffic of its own), and :meth:`body` is the anti-entropy loop that
-    keeps the view from decaying when nobody happens to be execing.
-    """
-
-    def __init__(
-        self,
-        cluster,
-        owner_host: str,
-        ttl_us: int = DEFAULT_TTL_US,
-        refresh_interval_us: int = DEFAULT_REFRESH_US,
-        refresh_fanout: int = DEFAULT_REFRESH_FANOUT,
-    ):
-        self.cluster = cluster
-        self.owner_host = owner_host
-        self.ttl_us = ttl_us
-        self.refresh_interval_us = refresh_interval_us
-        self.refresh_fanout = refresh_fanout
-        self.sim = cluster.sim
-        self.entries: Dict[str, HostDigest] = {}
-        self.stats = CacheStats()
-        self.pcb: Optional[Pcb] = None
-        self._running = True
-        self._m_obs = self.sim.metrics.counter(
-            "placement.cache.observations", owner_host)
-        self._m_refresh = self.sim.metrics.counter(
-            "placement.cache.refreshes", owner_host)
-
-    # ----------------------------------------------------------- passive side
-
-    def observe(self, digest: Optional[HostDigest]) -> None:
-        """Fold one digest into the view (newest timestamp wins)."""
-        if digest is None:
-            return
-        current = self.entries.get(digest.host)
-        if current is not None and current.ts_us > digest.ts_us:
-            return
-        self.entries[digest.host] = digest
-        self.stats.observations += 1
-        if self.sim.metrics.active:
-            self._m_obs.inc()
-
-    def observe_reply(self, msg: Message) -> None:
-        """Fold in the digest piggy-backed on a reply, if any."""
-        fields = msg.get("digest")
-        if fields:
-            self.observe(HostDigest.from_fields(fields))
-
-    def drop(self, host: str) -> None:
-        """Forget a host (it stopped answering)."""
-        if self.entries.pop(host, None) is not None:
-            self.stats.drops += 1
-
-    # ------------------------------------------------------------- view side
-
-    def fresh_entries(self, now: Optional[int] = None) -> List[HostDigest]:
-        """All entries within TTL, sorted by host name."""
-        now = self.sim.now if now is None else now
-        horizon = now - self.ttl_us
-        return [d for _, d in sorted(self.entries.items())
-                if d.ts_us >= horizon]
-
-    def fresh_digest(self, host: str,
-                     now: Optional[int] = None) -> Optional[HostDigest]:
-        """The entry for ``host`` if it is still fresh, else None."""
-        now = self.sim.now if now is None else now
-        d = self.entries.get(host)
-        if d is None or d.ts_us < now - self.ttl_us:
-            return None
-        return d
-
-    def idle_hosts(self, now: Optional[int] = None,
-                   idle_load: int = DEFAULT_IDLE_LOAD) -> List[HostDigest]:
-        """Fresh entries that look like they would accept work."""
-        return [d for d in self.fresh_entries(now) if d.load < idle_load]
-
-    def best_fit(self, now: Optional[int] = None,
-                 exclude: Tuple[str, ...] = ()) -> Optional[HostDigest]:
-        """The best-looking fresh host: least loaded, then most free
-        memory, then name (a total order, so deterministic)."""
-        candidates = [d for d in self.fresh_entries(now)
-                      if d.host not in exclude]
-        if not candidates:
-            return None
-        return min(candidates, key=_fit_key)
-
-    # ------------------------------------------------------------ daemon side
-
-    def stop(self) -> None:
-        """Ask the anti-entropy daemon to exit after the current round."""
-        self._running = False
-
-    def _roster(self) -> Dict[str, Pid]:
-        """Live program managers by host, re-resolved every round so a
-        rebooted workstation's fresh manager is probed, not its ghost."""
-        return {name: pm.pcb.pid
-                for name, pm in self.cluster.program_managers.items()}
-
-    def _stalest(self, roster: Dict[str, Pid]) -> List[Tuple[str, Pid]]:
-        """The ``refresh_fanout`` hosts we know least about (unknown
-        hosts first, then oldest timestamp; name breaks ties)."""
-        def age_key(item):
-            name, _ = item
-            d = self.entries.get(name)
-            return (0 if d is None else 1, d.ts_us if d else 0, name)
-
-        # The key is a total order (names are unique), so this equals
-        # sorted(...)[:refresh_fanout] without sorting the whole roster.
-        return heapq.nsmallest(self.refresh_fanout, roster.items(), key=age_key)
-
-    def body(self):
-        """Anti-entropy loop: periodically probe the stalest hosts."""
-        while self._running:
-            yield Delay(self.refresh_interval_us)
-            if not self._running:
-                return
-            roster = self._roster()
-            for name, pm_pid in self._stalest(roster):
-                try:
-                    reply = yield Send(
-                        pm_pid, Message("probe-load", refresh=True))
-                except (SendTimeoutError, NoSuchProcessError):
-                    self.stats.refresh_failures += 1
-                    self.drop(name)
-                    continue
-                self.stats.refreshes += 1
-                if self.sim.metrics.active:
-                    self._m_refresh.inc()
-                self.observe_reply(reply)
-
-
 def _fit_key(d: HostDigest):
     """Total order for 'best' host: load asc, free memory desc, name."""
     return (d.load, -d.memory_free, d.host)
-
-
-def install_host_state_cache(cluster, workstation,
-                             **kwargs) -> HostStateCache:
-    """Run a host-state cache daemon on ``workstation``."""
-    cache = HostStateCache(cluster, workstation.name, **kwargs)
-    cache.pcb = install_service(
-        workstation, cache.body(), f"loadcache@{workstation.name}",
-    )
-    return cache
 
 
 # ------------------------------------------------------------------ policies
 
 @dataclass(frozen=True)
 class Selection:
-    """A placement decision: the manager to ask, and (when known from
-    the cached view rather than a reply) which host it runs on."""
+    """A placement decision: the manager to ask, and (when a probe or
+    reply named it) which host it runs on."""
 
     pm: Pid
     host: Optional[str] = None
+
+
+def _multicast(spec):
+    """The §4 candidate query: the first willing responder's manager."""
+    from repro.execution.api import select_candidate_host
+
+    candidate = yield from select_candidate_host(spec.memory_needed)
+    return Selection(pm=candidate["pm"], host=candidate.get("host"))
 
 
 class PlacementPolicy:
@@ -256,10 +88,10 @@ class PlacementPolicy:
     send probe messages) and stateless across calls except for their
     seeded random stream, so they are safe to share between specs.
 
-    ``admission=True`` policies place on a *cached* belief rather than a
-    fresh reply, so their ``create-program`` requests carry an admission
-    check: the target re-validates willingness and politely declines
-    stale-view placements instead of failing them.
+    ``admission=True`` policies place on a probed answer that may be
+    stale by the time the host is asked to create the program, so their
+    ``create-program`` requests carry an admission check: the target
+    re-validates willingness and politely declines instead of failing.
     """
 
     name = "policy"
@@ -280,44 +112,23 @@ class PlacementPolicy:
         return 0
 
     def _fallback(self, ctx, spec):
-        """Degrade to the paper's multicast first-responder selection.
-
-        One multicast makes every willing host answer, and the kernel
-        retains the straggler replies (V's GetReply facility) -- so a
-        single cold-start fallback warms the whole cached view for free
-        instead of wasting the cluster-wide query on one answer.
-        """
-        from repro.execution.api import select_candidate_host
-
+        """Degrade to the paper's multicast first-responder selection."""
         m = ctx.sim.metrics if ctx.sim is not None else None
         if m is not None and m.active:
             m.counter("placement.fallbacks").inc()
-        candidate = yield from select_candidate_host(spec.memory_needed)
-        cache = ctx.host_cache
-        if cache is not None:
-            cache.observe_reply(candidate)
-            stragglers = yield GetReplies()
-            for _replier, msg in stragglers:
-                cache.observe_reply(msg)
-        return Selection(pm=candidate["pm"], host=candidate.get("host"))
+        return (yield from _multicast(spec))
 
 
 class FirstResponder(PlacementPolicy):
     """The paper's §4 selection: multicast a candidate query to the
     program-manager group, take whoever answers first.  This is the
-    default and its trajectory is byte-identical to the pre-placement
-    client (proved by the verify matrix's baseline cell)."""
+    default ``ExecSpec(where="*")`` policy."""
 
     name = "first_responder"
     admission = False
 
     def select(self, ctx, spec, attempt: int, exclude):
-        from repro.execution.api import select_candidate_host
-
-        candidate = yield from select_candidate_host(spec.memory_needed)
-        if ctx.host_cache is not None:
-            ctx.host_cache.observe_reply(candidate)
-        return Selection(pm=candidate["pm"], host=candidate.get("host"))
+        return (yield from _multicast(spec))
 
     def should_retry(self, spec, reply: Message, attempt: int) -> bool:
         # Candidate answers are optimistic: by creation time the winner
@@ -327,21 +138,21 @@ class FirstResponder(PlacementPolicy):
 
 
 class RandomK(PlacementPolicy):
-    """Power-of-d-choices probing: sample ``k`` cached-idle hosts, probe
-    their live load, place on the least-loaded prober that is willing.
+    """Power-of-d-choices probing: sample ``k`` hosts from the live
+    program-manager roster (``ctx.program_managers``), probe their load,
+    and place on the least-loaded prober that is willing.
 
-    O(k) selection messages instead of a cluster-wide multicast; the
-    probes refresh the cache as a side effect.  Falls back to the
-    multicast when the cached view has no fresh idle entries or no
-    probed host is willing.
+    O(k) selection messages instead of a cluster-wide multicast.  The
+    roster is looked up at every probe, so a rebooted host's fresh
+    manager is the one probed.  Falls back to the multicast when no
+    probed host is willing (or the context carries no roster).
     """
 
     name = "random_k"
     admission = True
 
-    def __init__(self, k: int = 3, idle_load: int = DEFAULT_IDLE_LOAD):
+    def __init__(self, k: int = 3):
         self.k = k
-        self.idle_load = idle_load
 
     def _stream(self, ctx):
         """A seed-isolated stream per requesting process: parallel sweep
@@ -349,62 +160,30 @@ class RandomK(PlacementPolicy):
         return ctx.sim.rand.stream(f"placement.randomk.{ctx.self_pid}")
 
     def select(self, ctx, spec, attempt: int, exclude):
-        cache = getattr(ctx, "host_cache", None)
-        if cache is None or ctx.sim is None:
-            result = yield from self._fallback(ctx, spec)
-            return result
-        candidates = [d for d in cache.idle_hosts(idle_load=self.idle_load)
-                      if d.host not in exclude]
-        if not candidates:
-            result = yield from self._fallback(ctx, spec)
-            return result
-        k = min(self.k, len(candidates))
-        sample = candidates if k == len(candidates) else self._stream(
-            ctx).sample(candidates, k)
+        roster = ctx.program_managers
+        names = sorted(n for n in roster or () if n not in exclude)
+        if not names or ctx.sim is None:
+            return (yield from self._fallback(ctx, spec))
+        if len(names) > self.k:
+            names = self._stream(ctx).sample(names, self.k)
         m = ctx.sim.metrics
         best: Optional[HostDigest] = None
-        for d in sorted(sample, key=_fit_key):
+        for name in names:
             try:
-                reply = yield Send(d.pm, Message(
+                reply = yield Send(roster[name].pcb.pid, Message(
                     "probe-load", memory_needed=spec.memory_needed))
             except (SendTimeoutError, NoSuchProcessError):
-                cache.drop(d.host)
                 continue
             if m.active:
                 m.counter("placement.probes").inc()
-            cache.observe_reply(reply)
             live = HostDigest.from_fields(reply.get("digest") or {})
             if not reply.get("willing", False) or live is None:
                 continue
             if best is None or _fit_key(live) < _fit_key(best):
                 best = live
         if best is None:
-            result = yield from self._fallback(ctx, spec)
-            return result
+            return (yield from self._fallback(ctx, spec))
         return Selection(pm=best.pm, host=best.host)
-
-    def backoff_us(self, attempt: int) -> int:
-        return 2_000 << attempt
-
-
-class CachedBestFit(PlacementPolicy):
-    """Zero-probe placement: trust the cached view outright and pick its
-    least-loaded fresh host.  Cheapest possible selection (no messages
-    at all); staleness is caught by the admission check on the
-    ``create-program`` itself, whose polite decline carries a fresh
-    digest -- so a retry already sees corrected state."""
-
-    name = "best_fit"
-    admission = True
-
-    def select(self, ctx, spec, attempt: int, exclude):
-        cache = getattr(ctx, "host_cache", None)
-        best = cache.best_fit(exclude=tuple(exclude)) if cache else None
-        if best is None:
-            result = yield from self._fallback(ctx, spec)
-            return result
-        return Selection(pm=best.pm, host=best.host)
-        yield  # pragma: no cover - generator marker
 
     def backoff_us(self, attempt: int) -> int:
         return 2_000 << attempt
@@ -414,7 +193,6 @@ class CachedBestFit(PlacementPolicy):
 POLICIES = {
     FirstResponder.name: FirstResponder,
     RandomK.name: RandomK,
-    CachedBestFit.name: CachedBestFit,
 }
 
 

@@ -7,7 +7,7 @@ body.  The execution protocol mirrors §2.1:
 1. the requester selects a program manager -- its own (local), the one
    answering a ``query-host`` for a named machine (``@ machine``), or
    one picked by a placement policy for ``@ *`` (the paper's multicast
-   first-responder query by default; cached probing policies from
+   first-responder query by default; power-of-d probing from
    :mod:`repro.cluster.placement` by choice);
 2. it sends ``create-program``; the program manager builds the address
    space, creates the initial process awaiting its start, and has the
@@ -172,24 +172,17 @@ def exec_program(ctx: ProgramContext, spec: ExecSpec):
 
         handle = yield from exec_program(ctx, ExecSpec("cc68", ("prog.c",),
                                                        where="*"))
+
+    This is the one placement/creation/start loop behind every exec.
+    With the default FirstResponder policy it replays the pre-placement
+    client byte for byte: the same candidate query, the same
+    ``create-program``, the same "bytes requested" retry race, no extra
+    messages or delays.  Probing policies add probe messages, admission
+    checks and bounded backoff on stale-probe declines.
     """
     if not isinstance(spec, ExecSpec):
         raise TypeError(
             f"exec_program needs an ExecSpec, got {type(spec).__name__}")
-    handle = yield from _exec_spec(ctx, spec)
-    return handle
-
-
-def _exec_spec(ctx: ProgramContext, spec: ExecSpec):
-    """The one placement/creation/start loop behind every exec.
-
-    With the default FirstResponder policy this replays the
-    pre-placement client byte for byte: the same candidate query, the
-    same ``create-program``, the same "bytes requested" retry race, no
-    extra messages or delays (the verify matrix's baseline cell proves
-    it).  Cache-driven policies add probe messages, admission checks and
-    bounded backoff on stale-view declines.
-    """
     # A sub-program of a remotely executed program is part of the remote
     # job: it inherits remote status (and with it REMOTE priority) even
     # when spawned on the local machine.
@@ -202,7 +195,6 @@ def _exec_spec(ctx: ProgramContext, spec: ExecSpec):
 
         policy = make_policy(spec.policy)
     attempts = spec.retry_budget if placed else 1
-    cache = ctx.host_cache
     trace = sim.trace if sim is not None else None
     metrics = sim.metrics if sim is not None else None
     requested_at = sim.now if sim is not None else 0
@@ -245,25 +237,21 @@ def _exec_spec(ctx: ProgramContext, spec: ExecSpec):
                 raise
             # The selected host never answered -- crashed, partitioned,
             # or too backlogged to reply in time.  Treat it like a
-            # decline: drop it from the cached view and try elsewhere
-            # under the same retry/deadline budget.
+            # decline: exclude it and try elsewhere under the same
+            # retry/deadline budget.
             reply = None
             if selected_host is not None:
                 exclude.add(selected_host)
-                if cache is not None:
-                    cache.drop(selected_host)
             if metrics is not None and metrics.active:
                 metrics.counter("placement.retries").inc()
             if deadline is not None and sim.now >= deadline:
                 break
             continue
-        if cache is not None:
-            cache.observe_reply(reply)
         if reply.kind == "program-created":
             break
         if not placed or not policy.should_retry(spec, reply, attempt):
             break
-        # The chosen host refused (admission caught a stale view) or
+        # The chosen host refused (admission caught a stale probe) or
         # filled up between selection and creation: try elsewhere,
         # excluding it, under the spec's retry/deadline budget.
         refused = reply.get("host") or selected_host
@@ -367,7 +355,7 @@ def _wait_impl(origin_pm: Optional[Pid], pid: Pid):
 
 def run_program(ctx: ProgramContext, spec: ExecSpec):
     """Execute a spec and wait for its exit code (generator helper)."""
-    handle = yield from _exec_spec(ctx, spec)
+    handle = yield from exec_program(ctx, spec)
     code = yield from _wait_impl(handle.origin_pm, handle.pid)
     return code
 

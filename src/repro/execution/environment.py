@@ -48,11 +48,12 @@ class ProgramContext:
     #: of the modelled V environment: workload bodies use it to derive
     #: named random streams and read the clock.
     sim: Any = None
-    #: The home workstation's :class:`repro.cluster.placement.HostStateCache`
-    #: (None unless the cluster installed one).  A shared, slightly-stale
-    #: cluster-load view; placement policies consult it and every exec
-    #: folds piggy-backed digests back into it.
-    host_cache: Any = None
+    #: The cluster's live program-manager table (workstation name ->
+    #: :class:`repro.services.program_manager.ProgramManager`), the
+    #: roster :class:`repro.cluster.placement.RandomK` samples.  Also
+    #: simulation plumbing: the cluster updates it in place when a host
+    #: reboots, so a rebooted host's fresh manager is found.
+    program_managers: Any = None
 
     @property
     def kernel_server(self) -> Pid:
@@ -87,5 +88,5 @@ class ProgramContext:
             home=self.home,
             remote=self.remote,
             sim=self.sim,
-            host_cache=self.host_cache,
+            program_managers=self.program_managers,
         )

@@ -98,8 +98,7 @@ def chaos_scenario(
     ``migrate_at_ms`` (400), ``break_rebinding`` (False -- apply
     :func:`repro.faults.schedule.break_rebinding`, which must trip
     no-residual-dependency),
-    ``placement`` (False -- build the cluster with host-state caches, so
-    they face crashing, lossy hosts), ``storm_rounds`` (0 -- rounds of
+    ``storm_rounds`` (0 -- rounds of
     the same-instant tie storm, see below), ``perturber`` (None -- a
     :class:`repro.verify.perturb.TiePerturber` the cluster's simulator
     is built with), ``postmortem_dir`` (None -- arm a
@@ -134,12 +133,11 @@ def chaos_scenario(
     n_ws = int(config.get("workstations", 4))
     migrate_at_us = int(config.get("migrate_at_ms", 400)) * 1000
     rebinding_broken = bool(config.get("break_rebinding", False))
-    placement = bool(config.get("placement"))
     storm_rounds = int(config.get("storm_rounds", 0))
 
     plane = build_fault_plane(recipe) if schedule is not None else None
     cluster = build_cluster(
-        n_workstations=n_ws, seed=seed, faults=plane, placement=placement,
+        n_workstations=n_ws, seed=seed, faults=plane,
         perturber=config.get("perturber"),
     )
     # The client's workstation is in its owner's use, and its program
@@ -297,7 +295,6 @@ def chaos_scenario(
     result: Dict[str, Any] = {
         "schedule": schedule,
         "break_rebinding": rebinding_broken,
-        "placement": placement,
         "messages": messages,
         "completed": len(completed),
         "served": len(served),
@@ -333,7 +330,6 @@ def campaign_spec(
     workers: int = 1,
     messages: int = 30,
     break_rebinding: bool = False,
-    placement: bool = False,
     collect_metrics: bool = False,
 ) -> SweepSpec:
     """The sweep spec for a chaos campaign: one config per schedule,
@@ -351,7 +347,6 @@ def campaign_spec(
             "schedule": name,
             "messages": messages,
             "break_rebinding": break_rebinding,
-            "placement": placement,
         }
         for name in names
     )

@@ -919,9 +919,6 @@ class Transport:
     def _serve_copyfrom(self, src, seq, pcb, payload, origin_addr) -> None:
         self.copies.serve_copyfrom(src, seq, pcb, payload, origin_addr)
 
-    def _find_copy_target(self, dst: Pid) -> Optional[Pcb]:
-        return self.copies.find_copy_target(dst)
-
     def _on_copy_data(self, packet: Packet) -> None:
         # One hop per copied page: buffer the snapshot for copy-end.
         payload = packet.payload

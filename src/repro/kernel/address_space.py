@@ -377,12 +377,6 @@ class AddressSpace:
             return list(self._views())
         return list(map(self._views().__getitem__, bit_indexes(mask)))
 
-    def collect_dirty_indexes(self) -> List[int]:
-        """Gather-and-clear the dirty set as bare page indexes."""
-        mask = self._dirty
-        self._dirty = 0
-        return bit_indexes(mask)
-
     def clear_referenced(self) -> None:
         """Clear all reference bits (VM clock hand sweep)."""
         self._referenced = 0

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Tuple
 #: 1 = compared and found a real difference (beyond tolerance / at
 #: least one cell broke its equivalence class),
 #: 2 = never compared (usage error: bad arguments, unreadable or
-#: unwritable files, unknown toggle/schedule/mutation names).
+#: unwritable files, unknown schedule/mutation names).
 #: Scripts can therefore distinguish "regression" from "broken
 #: invocation" -- CI gates on 1, not on 2.
 EXIT_OK = 0

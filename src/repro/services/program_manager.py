@@ -113,27 +113,18 @@ class ProgramManager:
         #: per-exec selection message cost (the placement bench's key
         #: metric).
         self.selection_queries = 0
-        #: Background anti-entropy refreshes (``probe-load`` with
-        #: ``refresh=True``) -- cache upkeep, not selection traffic, so
-        #: accounted separately.
-        self.refresh_queries = 0
-        #: Admission-checked creations politely declined (stale views).
+        #: Admission-checked creations politely declined (stale probes).
         self.exec_declines = 0
         m = self.sim.metrics
         self._m_queries = m.counter("placement.queries", self.hostname)
-        self._m_refreshes = m.counter(
-            "placement.refresh_queries", self.hostname)
         self._m_declines = m.counter("placement.declines", self.hostname)
 
     # ------------------------------------------------------------- helpers
 
     def load_digest(self, counts: Optional[Tuple[int, int]] = None) -> dict:
-        """This host's load in the piggy-backed digest format (see
+        """This host's load as a ``probe-load`` reply carries it (see
         :class:`repro.cluster.placement.HostDigest`), from ``counts``, a
-        ``program_counts()`` taken at this instant, or from a fresh one.
-        Attached to replies the manager already sends -- message fields
-        weigh nothing on the simulated wire, so piggy-backing never
-        changes trajectory and stays on unconditionally."""
+        ``program_counts()`` taken at this instant, or from a fresh one."""
         programs, remote = counts or self.kernel.program_counts()
         return {
             "host": self.hostname, "pm": self.pcb.pid,
@@ -187,32 +178,24 @@ class ProgramManager:
                 programs, _ = self.kernel.program_counts()
                 yield Compute(model.host_query_handling_us + 2_000 * programs)
                 # One count after the Compute serves both the decision
-                # and the digest: they are taken at the same instant.
-                counts = self.kernel.program_counts()
+                # and the reported load: they are taken at the same instant.
+                programs, _ = self.kernel.program_counts()
                 if self.policy.willing(self.workstation,
-                                       msg.get("memory_needed", 0), counts[0]):
+                                       msg.get("memory_needed", 0), programs):
                     self.candidate_replies += 1
-                    digest = self.load_digest(counts)
                     yield Reply(sender, Message(
                         "candidate", pm=self.pcb.pid, host=self.hostname,
-                        load=digest["load"], memory_free=digest["memory_free"],
-                        digest=digest,
+                        load=programs, memory_free=self.kernel.memory_free,
                     ))
                 else:
                     yield Decline(sender)
             elif kind == "probe-load":
-                # A unicast load probe (placement policies, anti-entropy
-                # cache refresh).  Unlike find-candidates this *always*
-                # replies -- a Decline on a direct send would strand the
-                # prober until its send timeout.
-                if msg.get("refresh"):
-                    self.refresh_queries += 1
-                    if self.sim.metrics.active:
-                        self._m_refreshes.inc()
-                else:
-                    self.selection_queries += 1
-                    if self.sim.metrics.active:
-                        self._m_queries.inc()
+                # A unicast load probe (RandomK).  Unlike find-candidates
+                # this *always* replies -- a Decline on a direct send
+                # would strand the prober until its send timeout.
+                self.selection_queries += 1
+                if self.sim.metrics.active:
+                    self._m_queries.inc()
                 yield Compute(model.host_query_handling_us)
                 counts = self.kernel.program_counts()
                 willing = self.policy.willing(
@@ -334,23 +317,19 @@ class ProgramManager:
         model = self.kernel.model
         name = msg["program"]
         if msg.get("admission"):
-            # Cache-driven placements (RandomK/CachedBestFit) were chosen
-            # from a possibly stale view, so the target re-validates
-            # willingness and declines *politely* -- with a fresh digest,
-            # so the requester's next attempt already sees the truth.
-            # Paper-exact requests never carry the flag and are
-            # unaffected.
+            # Probed placements (RandomK) were chosen from an answer
+            # that may have gone stale since, so the target re-validates
+            # willingness and declines *politely*.  Paper-exact requests
+            # never carry the flag and are unaffected.
             yield Compute(model.host_query_handling_us)
-            counts = self.kernel.program_counts()
             if not self.policy.willing(self.workstation,
-                                       msg.get("memory_needed", 0), counts[0]):
+                                       msg.get("memory_needed", 0)):
                 self.exec_declines += 1
                 if self.sim.metrics.active:
                     self._m_declines.inc()
                 yield Reply(sender, Message(
                     "exec-declined", pm=self.pcb.pid, host=self.hostname,
-                    error="admission check refused (stale view)",
-                    digest=self.load_digest(counts),
+                    error="admission check refused (stale probe)",
                 ))
                 return
         stat = yield from self._file_server_send(
@@ -402,7 +381,6 @@ class ProgramManager:
         yield Reply(sender, Message(
             "program-created", pid=pcb.pid, lhid=lh.lhid,
             origin_pm=self.pcb.pid, host=self.hostname,
-            digest=self.load_digest(),
         ))
 
     def _program_exited(self, sender, msg):

@@ -1,24 +1,17 @@
-"""The toggle-matrix explorer: cells, equivalence classes, verdicts.
+"""The verify cell list: cells, equivalence classes, verdicts.
 
-A *cell* is one configuration of the differential harness: a toggle
-vector (only the deltas from the shipped defaults), an optional fault
-schedule, an optional schedule perturbation, and the *equivalence
-class* the cell's payload is expected to fall into relative to the
-baseline cell (all defaults, same seed):
+A *cell* is one configuration of the differential harness: an optional
+fault schedule, an optional schedule perturbation, and the
+*equivalence class* the cell's payload is expected to fall into
+relative to the baseline cell (lossless, unperturbed, same seed):
 
-``tolerant``
-    Toggle deltas only (every knob changes which packets exist): the
-    four stable outcome fields must match exactly, invariants must
-    hold, and the KPI scalars must agree within the ``repro diff``
-    tolerance formula (generous by default -- the host-state caches'
-    anti-entropy daemons roughly double the event count by design; the
-    tolerance trips on order-of-magnitude regressions, not
-    protocol-mode differences).  The baseline cell itself falls in this
-    class: it is classified against itself, so only its invariants can
-    fail.
+``baseline``
+    The reference cell itself.  It is classified against itself, so
+    only its invariants (and a crash) can fail it.
 ``perturb``
-    Same toggles, fuzzed same-instant ordering: outcomes and invariants
-    must survive any tie permutation, but event counts may wiggle.
+    Fuzzed same-instant ordering: the four stable outcome fields must
+    match the baseline's exactly and invariants must hold under any tie
+    permutation, but event counts may wiggle.
 ``fault``
     Runs under a fault schedule: only the invariants (and no crash) are
     required -- outcome counts legitimately depend on what the faults
@@ -36,27 +29,15 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
-from repro.obs.diff import _entry
 from repro.sim.random import derive_seed
 from repro.verify.scenario import verify_cell
-
-#: The protocol modes a cell can switch on, all default off.
-#: ``load_cache`` is the scenario's ``placement`` input: the cluster is
-#: built with host-state caches.
-KNOBS = ("load_cache",)
 
 #: Tie-storm rounds every cell runs unless its scenario config says
 #: otherwise (the storm is what makes a tie perturbation visible).
 STORM_ROUNDS = 32
 
-#: Default relative tolerance for ``tolerant``-class KPI comparison.
-#: Load-cache daemon traffic is the widest legitimate gap: the small
-#: test config at seed 11 runs 385 events without the caches and 994
-#: with them (|delta| 609 <= 0.75 x 994).
-DEFAULT_TOLERANCE = 0.75
-
 #: Equivalence classes, weakest guarantee last.
-EXPECT_CLASSES = ("tolerant", "perturb", "fault")
+EXPECT_CLASSES = ("baseline", "perturb", "fault")
 
 
 def _expect_for(schedule: Optional[str], perturb: Optional[dict]) -> str:
@@ -65,28 +46,18 @@ def _expect_for(schedule: Optional[str], perturb: Optional[dict]) -> str:
         return "fault"
     if perturb is not None:
         return "perturb"
-    return "tolerant"
+    return "baseline"
 
 
 def make_cell(
-    toggles: Optional[Dict[str, bool]] = None,
     schedule: Optional[str] = None,
     perturb: Optional[dict] = None,
     label: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """One matrix cell.  ``toggles`` holds only deltas from the shipped
-    defaults (unknown names raise); the equivalence class is derived
-    from the knobs, never guessed by callers."""
-    deltas: Dict[str, bool] = {}
-    for name, value in sorted((toggles or {}).items()):
-        if name not in KNOBS:
-            raise SimulationError(
-                f"unknown toggle {name!r}; known: {', '.join(KNOBS)}"
-            )
-        if value:
-            deltas[name] = True
+    """One matrix cell; the equivalence class is derived from the
+    knobs, never guessed by callers."""
     if label is None:
-        parts = [f"{n}={'on' if v else 'off'}" for n, v in deltas.items()]
+        parts = []
         if schedule is not None:
             parts.append(f"faults:{schedule}")
         if perturb is not None:
@@ -94,7 +65,6 @@ def make_cell(
         label = "+".join(parts) if parts else "baseline"
     return {
         "label": label,
-        "toggles": deltas,
         "schedule": schedule,
         "perturb": perturb,
         "expect": _expect_for(schedule, perturb),
@@ -103,29 +73,27 @@ def make_cell(
 
 # ---------------------------------------------------------------- the cells
 
-#: Perturbed cells per toggle vector.
+#: Perturbed cells in the list.
 PERTURB_SEEDS = 4
 
 
 def matrix(seed: int = 0) -> List[Dict[str, Any]]:
-    """The verify cell list, in a stable order: for each toggle vector
-    of :data:`KNOBS` (the all-defaults one first, so cell 0 is the
-    baseline), its plain cell and :data:`PERTURB_SEEDS` perturbed cells
-    seeded ``derive_seed(seed, "verify:perturb:<i>")``; then one cell
-    per fault schedule.  17 cells for one knob and 7 schedules."""
+    """The verify cell list, in a stable order: the baseline cell, then
+    :data:`PERTURB_SEEDS` perturbed cells seeded
+    ``derive_seed(seed, "verify:perturb:<i>")``, then one cell per fault
+    schedule.  12 cells for 7 schedules.
+
+    ``seed`` reaches only the perturber seeds here; the scenario seed
+    is ``run_matrix``'s ``base_seed``, which the lossless cells' payload
+    does not depend on (see :mod:`repro.verify`)."""
     from repro.faults import FAULT_SCHEDULES
 
-    cells = []
-    for bits in range(1 << len(KNOBS)):
-        toggles = {
-            name: bool(bits >> i & 1) for i, name in enumerate(KNOBS)
-        }
-        cells.append(make_cell(toggles))
-        for i in range(PERTURB_SEEDS):
-            cells.append(make_cell(toggles, perturb={
-                "seed": derive_seed(seed, f"verify:perturb:{i}"),
-                "rate": 0.25,
-            }))
+    cells = [make_cell()]
+    for i in range(PERTURB_SEEDS):
+        cells.append(make_cell(perturb={
+            "seed": derive_seed(seed, f"verify:perturb:{i}"),
+            "rate": 0.25,
+        }))
     for name in sorted(FAULT_SCHEDULES):
         cells.append(make_cell(schedule=name))
     return cells
@@ -137,14 +105,12 @@ def cell_config(cell: Dict[str, Any], base_seed: int,
                 scenario_config: Optional[Dict[str, Any]] = None,
                 break_rebinding: bool = False) -> Dict[str, Any]:
     """The ``verify_cell`` config for one matrix cell: the ``chaos``
-    scenario with the cell's fault schedule (None: lossless), its
-    toggles as scenario inputs, the tie storm on (:data:`STORM_ROUNDS`
-    unless ``scenario_config`` says otherwise) and, for mutation smoke,
-    lazy rebinding broken."""
+    scenario with the cell's fault schedule (None: lossless), the tie
+    storm on (:data:`STORM_ROUNDS` unless ``scenario_config`` says
+    otherwise) and, for mutation smoke, lazy rebinding broken."""
     inner = {"storm_rounds": STORM_ROUNDS}
     inner.update(scenario_config or {})
     inner["schedule"] = cell["schedule"]
-    inner["placement"] = bool(cell["toggles"].get("load_cache"))
     inner["break_rebinding"] = break_rebinding
     return {
         "base_seed": base_seed,
@@ -154,8 +120,7 @@ def cell_config(cell: Dict[str, Any], base_seed: int,
 
 
 def classify(cell: Dict[str, Any], result: Dict[str, Any],
-             baseline: Dict[str, Any],
-             tolerance: float = DEFAULT_TOLERANCE) -> List[str]:
+             baseline: Dict[str, Any]) -> List[str]:
     """The reasons this cell FAILS its equivalence class against the
     baseline result (empty list = the cell holds its promise)."""
     reasons: List[str] = []
@@ -165,24 +130,11 @@ def classify(cell: Dict[str, Any], result: Dict[str, Any],
     if not result.get("invariants_ok"):
         violated = {k: v for k, v in result.get("invariants", {}).items() if v}
         reasons.append(f"invariant violations: {violated}")
-    if expect == "fault":
-        return reasons
-    if result.get("stable") != baseline.get("stable"):
+    if expect == "perturb" and result.get("stable") != baseline.get("stable"):
         reasons.append(
             f"stable outcome fields differ: {result.get('stable')} != "
             f"baseline {baseline.get('stable')}"
         )
-    if expect == "perturb":
-        return reasons
-    # tolerant: KPIs within the repro-diff tolerance formula.
-    for name, a in (baseline.get("kpis") or {}).items():
-        b = (result.get("kpis") or {}).get(name)
-        entry = _entry(a, b, abs_tol=0.0, rel_tol=tolerance)
-        if not entry["within"]:
-            reasons.append(
-                f"KPI {name} outside tolerance: {a} -> {b} "
-                f"(rel_tol={tolerance})"
-            )
     return reasons
 
 
@@ -233,7 +185,6 @@ class VerifyResult:
     def to_json(self) -> Dict[str, Any]:
         return {
             "base_seed": self.base_seed,
-            "tolerance": DEFAULT_TOLERANCE,
             "break_rebinding": self.break_rebinding,
             "cells": self.cells,
             "results": self.results,
@@ -253,8 +204,7 @@ def run_matrix(
     an invariant fails).  ``break_rebinding`` plants the bug in every
     cell (mutation smoke)."""
     cells = list(cells)
-    if not cells or cells[0]["toggles"] or cells[0]["schedule"] \
-            or cells[0]["perturb"]:
+    if not cells or cells[0]["expect"] != "baseline":
         raise SimulationError("matrix cell 0 must be the baseline cell")
     results = [
         verify_cell(cell_config(cell, base_seed,

@@ -20,7 +20,7 @@ microsecond have no defined relative order in a real V kernel.  A
 
 The perturbation is deliberately local: one swap transposes two
 adjacent same-instant entries and nothing else.  A perturbed run is a
-pure function of (toggle vector, scenario seed, perturber seed, rate),
+pure function of (scenario config, scenario seed, perturber seed, rate),
 so replaying a failing cell means rerunning it with the same seed.
 
 Off by default (nothing constructs one outside the verification

@@ -12,11 +12,11 @@ same cell must produce *byte-identical* payloads
 (:func:`canonical_digest`).
 
 ``verify_cell`` runs one cell: it hands the scenario the cell's config
-(fault schedule, placement caches, planted bug, storm, all built by
+(fault schedule, planted bug, storm, all built by
 :func:`repro.verify.matrix.cell_config`) and optionally a schedule
 perturber (which the cluster's simulator is built with), and reports
-the payload plus its digest, the invariant verdict, the stable outcome
-fields and the KPI scalars the classifier needs.  Crashes are returned
+the payload plus its digest, the invariant verdict and the stable
+outcome fields the classifier needs.  Crashes are returned
 as data (``crash``).  Every cell replays ``config["base_seed"]``.
 """
 
@@ -25,11 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 from typing import Any, Dict, Optional
-
-#: KPI scalars compared under the ``repro diff`` tolerance formula for
-#: tolerance-class cells (exact equality is asserted via ``stable``).
-KPI_FIELDS = ("events", "packets")
-
 
 def canonical_digest(payload: Any) -> str:
     """SHA-256 over the canonical JSON encoding of ``payload`` -- the
@@ -82,12 +77,10 @@ def verify_cell(config: Dict[str, Any]) -> Dict[str, Any]:
             "migration_success": bool(migration.get("success")),
             "invariants_ok": bool(payload.get("invariants_ok")),
         }
-        result["kpis"] = {name: payload.get(name) for name in KPI_FIELDS}
         result["invariants"] = payload.get("invariants", {})
         result["invariants_ok"] = bool(payload.get("invariants_ok"))
     else:
         result["stable"] = None
-        result["kpis"] = None
         result["invariants"] = {}
         result["invariants_ok"] = False
     return result

@@ -12,8 +12,7 @@ the cluster-wide selection message cost per exec -- the metrics
 ``tests/properties/test_placement.py`` gates the policies on at 128
 hosts.
 
-The host-state caches are an input of the cluster the scenario builds
-(``build_cluster(placement=...)``), so runs share no process state and
+Each run builds its own cluster, so runs share no process state and
 the scenario composes with the sweep pool's serial ≡ parallel
 byte-identity guarantee.
 """
@@ -72,10 +71,9 @@ def job_storm_scenario(
     Config: ``workstations`` (8), ``jobs`` (3 per workstation),
     ``rate_per_s`` (cluster-wide arrival rate; the default paces jobs
     over ~4 simulated seconds, capped under the file server's image
-    load capacity), ``policy`` ("first_responder",
-    "random_k" or "best_fit"), ``k`` (RandomK's probe count, 3),
-    ``service_ms`` (20, the job's compute time), ``load_cache``
-    (None = on exactly for the cache-driven policies).
+    load capacity), ``policy`` ("first_responder" or "random_k"),
+    ``k`` (RandomK's probe count, 3), ``service_ms`` (20, the job's
+    compute time).
     """
     from repro.cluster import build_cluster
     from repro.cluster.placement import POLICIES
@@ -93,18 +91,14 @@ def job_storm_scenario(
     policy_name = str(config.get("policy", "first_responder"))
     k = int(config.get("k", 3))
     service_us = int(config.get("service_ms", 20)) * 1000
-    load_cache = config.get("load_cache")
     if policy_name not in POLICIES:
         raise ValueError(
             f"unknown placement policy {policy_name!r}; "
             f"known: {', '.join(sorted(POLICIES))}"
         )
-    if load_cache is None:
-        load_cache = policy_name != "first_responder"
 
     cluster = build_cluster(
-        n_workstations=n_ws, seed=seed,
-        registry=_job_registry(service_us), placement=bool(load_cache),
+        n_workstations=n_ws, seed=seed, registry=_job_registry(service_us),
     )
     sim = cluster.sim
     if collect_metrics:
@@ -182,18 +176,8 @@ def job_storm_scenario(
     selection_msgs = sum(
         pm.selection_queries
         for pm in cluster.program_managers.values())
-    refresh_msgs = sum(
-        pm.refresh_queries
-        for pm in cluster.program_managers.values())
     declines = sum(
         pm.exec_declines for pm in cluster.program_managers.values())
-    cache_stats = {}
-    if cluster.host_caches:
-        caches = cluster.host_caches.values()
-        cache_stats = {
-            "observations": sum(c.stats.observations for c in caches),
-            "refreshes": sum(c.stats.refreshes for c in caches),
-        }
 
     latencies.sort()
     completed = len(exit_codes)
@@ -205,7 +189,6 @@ def job_storm_scenario(
         "completed": completed,
         "failed": len(failures),
         "failure_kinds": sorted(set(failures)),
-        "load_cache": bool(load_cache),
         "latency_us": {
             "p50": _percentile(latencies, 0.50),
             "p99": _percentile(latencies, 0.99),
@@ -217,9 +200,7 @@ def job_storm_scenario(
         "selection_msgs": selection_msgs,
         "selection_msgs_per_exec": (
             selection_msgs / n_jobs if n_jobs else 0.0),
-        "anti_entropy_msgs": refresh_msgs,
         "admission_declines": declines,
-        "cache": cache_stats,
         "throughput_jobs_per_s": completed / sim_s,
         "sim_time_us": sim.now,
         "events": sim.event_count,

@@ -1,8 +1,8 @@
 """Pinned payload digests of the ``chaos`` scenario, one per fault
 schedule.
 
-Each run is the scenario at its defaults (storm off, no perturber, no
-placement caches), seed 7, 20 messages: the same kind of unit the
+Each run is the scenario at its defaults (storm off, no perturber),
+seed 7, 20 messages: the same kind of unit the
 chaos campaign and the benchmark's ``chaos_campaign`` workload run.
 Any change that moves a single packet, fault draw or invariant count
 of a storm-off chaos run shows up here.
@@ -15,19 +15,19 @@ from repro.verify.scenario import canonical_digest
 
 DIGESTS = {
     "burst":
-        "e64572258bbf2975023478e1c7e828c4d3f51e0676980004b270b2cc180ce84f",
+        "4b845b2de35e824956d20aefefdf50c3db78a66e720d72e60a4447d1af5f3bd4",
     "corrupt":
-        "2040dfe8b2c0a31d1f18f5f7aafbe186e431fefe0a7625fa5c1bd6942116f8a9",
+        "ee947b41f81a7b90646975032ed852bf56b81b271ba9937e3b06452952ae2e31",
     "crash":
-        "a24e8f610fa3715842c11ec8562ca225a812baba1973c906a34768c8fba925ee",
+        "cd25d342bb7d8ed381fc48264bff13fbe55413503f27e8c0cf53b487130b6d0f",
     "drop":
-        "a5649bbd6859666008592768cfbe68ab2752882c1fcaa8cbe0999961255f306c",
+        "0354cdc55efe81cfd834868d5050f8bccb71dbea25b3aeb203d7addb47eb8920",
     "duplicate":
-        "9da67ab25e1c51b3dd1698ae240c082e322407dea14b6ef5362cf682dd51629f",
+        "eb477c73505d71c2cbe426bc326168c6ce926a72c6481a0bfb7c509ef7be15e8",
     "mixed":
-        "e0a31392b50803efe8f615aefde6248987a52c7e8f798ada7b28124dbdd5782b",
+        "569694e1b742d8e299aad931192455ef92f1f8e0bd9eba1bff088cf729b6b33c",
     "reorder":
-        "7270b687cfeb1f22b88a53a6429ddae0b31586c3dfedbe43911a8dd5b9b63d65",
+        "0ef404222fae28b7df9659c119c6805e45b17ceab6319b00711f3e65e92e4999",
 }
 
 

@@ -2,9 +2,8 @@
 (no services layer) and run process bodies on them.
 
 :func:`make_cluster` is the one factory tests should reach for: bare or
-full-service clusters, optional loss/fault planes, and a ``toggles``
-vector that becomes the inputs of the cluster it builds (the placement
-caches), so no toggle outlives its cluster.
+full-service clusters and optional loss/fault planes, each an input of
+the cluster it builds.
 
 Every cluster the factory builds carries a strict
 :class:`~repro.faults.invariants.InvariantChecker` unless the caller
@@ -15,7 +14,7 @@ dependencies fails at the first breach, whatever it asserts itself.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config import DEFAULT_MODEL, HardwareModel
 from repro.kernel import Priority, Workstation
@@ -70,7 +69,6 @@ def make_cluster(
     *,
     seed: int = 0,
     full: bool = False,
-    toggles: Optional[Dict[str, bool]] = None,
     loss=None,
     faults=None,
     registry=None,
@@ -82,24 +80,20 @@ def make_cluster(
     ``full=False`` (default) returns a :class:`BareCluster` of ``n``
     bare workstations; ``full=True`` returns a service-booted
     :func:`repro.cluster.build_cluster` with ``n`` workstations (plus
-    its file server).  ``toggles`` (a :data:`repro.verify.matrix.KNOBS`
-    name -> bool) switches the protocol mode on: ``load_cache`` builds the
-    cluster with host-state caches (``placement=True``), the one
-    protocol mode.
+    its file server).
     ``invariants`` (default True) installs a strict invariant checker
     on the cluster's simulator.
     """
-    placement = bool((toggles or {}).get("load_cache"))
     if full:
         from repro.cluster import build_cluster
 
         cluster = build_cluster(
             n_workstations=n, seed=seed, registry=registry, loss=loss,
-            faults=faults, model=model, placement=placement,
+            faults=faults, model=model,
         )
-    elif faults is not None or registry is not None or placement:
+    elif faults is not None or registry is not None:
         raise ValueError(
-            "faults/registry/load_cache need a full cluster (full=True)")
+            "faults/registry need a full cluster (full=True)")
     else:
         cluster = BareCluster(n=n, seed=seed, model=model, loss=loss)
     if invariants:

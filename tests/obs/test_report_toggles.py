@@ -12,4 +12,4 @@ def test_verify_report_records_the_modes_its_cells_ran(tmp_path):
     assert rc == 0
     with open(path, encoding="utf-8") as fh:
         report = json.load(fh)
-    assert report["config"] == {"cells": 17, "break_rebinding": False}
+    assert report["config"] == {"cells": 12, "break_rebinding": False}

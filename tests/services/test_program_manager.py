@@ -86,7 +86,6 @@ class TestCandidateReply:
         assert verdict
         # ws0 runs the session, ws1 the longsim: either way one program.
         assert programs == 1
-        assert reply["digest"]["load"] == programs
         assert reply["load"] == programs
 
     def test_host_at_max_program_processes_declines(self):

@@ -39,7 +39,7 @@ def test_verify_exit_ok_on_clean_matrix(tmp_path, capsys):
     code = main(["verify", "--seed", "3", "--out", str(out)] + SMALL)
     assert code == EXIT_OK
     payload = json.loads(out.read_text())
-    assert payload["ok"] and len(payload["cells"]) == 17
+    assert payload["ok"] and len(payload["cells"]) == 12
 
 
 def test_verify_exit_different_on_planted_mutation(tmp_path):
