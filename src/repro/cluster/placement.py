@@ -111,13 +111,6 @@ class PlacementPolicy:
         """Delay before retry ``attempt + 1`` (0 = retry immediately)."""
         return 0
 
-    def _fallback(self, ctx, spec):
-        """Degrade to the paper's multicast first-responder selection."""
-        m = ctx.sim.metrics if ctx.sim is not None else None
-        if m is not None and m.active:
-            m.counter("placement.fallbacks").inc()
-        return (yield from _multicast(spec))
-
 
 class FirstResponder(PlacementPolicy):
     """The paper's §4 selection: multicast a candidate query to the
@@ -158,6 +151,13 @@ class RandomK(PlacementPolicy):
         """A seed-isolated stream per requesting process: parallel sweep
         coordinates must not share probe randomness."""
         return ctx.sim.rand.stream(f"placement.randomk.{ctx.self_pid}")
+
+    def _fallback(self, ctx, spec):
+        """Degrade to the paper's multicast first-responder selection."""
+        m = ctx.sim.metrics if ctx.sim is not None else None
+        if m is not None and m.active:
+            m.counter("placement.fallbacks").inc()
+        return (yield from _multicast(spec))
 
     def select(self, ctx, spec, attempt: int, exclude):
         roster = ctx.program_managers

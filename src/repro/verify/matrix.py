@@ -36,7 +36,7 @@ from repro.verify.scenario import verify_cell
 #: otherwise (the storm is what makes a tie perturbation visible).
 STORM_ROUNDS = 32
 
-#: Equivalence classes, weakest guarantee last.
+#: Equivalence classes, in the order the summary lists them.
 EXPECT_CLASSES = ("baseline", "perturb", "fault")
 
 
