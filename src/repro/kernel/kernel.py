@@ -63,6 +63,13 @@ class Kernel:
         #: Programs that crashed (body raised), for post-mortem tests.
         self.faulted: List[Pcb] = []
         self.alive = True
+        #: :meth:`program_counts`, kept current where it changes: a
+        #: process joins or leaves a hosted logical host (``_tally``), a
+        #: priority changes, the host crashes.  Installing, re-keying or
+        #: removing a logical host moves no count: it is empty when made
+        #: and emptied before it goes.
+        self._programs = 0
+        self._remote = 0
         # Unified-observability instruments (see repro.obs): recorded
         # only while sim.metrics is enabled.
         m = sim.metrics
@@ -160,6 +167,7 @@ class Kernel:
             self.program_manager.on_lh_migrated_away(lh.lhid)
         for pcb in list(lh.processes.values()):
             if migrated:
+                self._tally(pcb, -1)
                 pcb.state = ProcessState.DEAD
                 self.ipc.discard_queued_for(pcb)
                 # The PCB object itself lives on at the new host; just
@@ -208,6 +216,7 @@ class Kernel:
         """Terminate a process and release its kernel state."""
         if not pcb.alive:
             return
+        self._tally(pcb, -1)
         pcb.state = ProcessState.DEAD
         pcb.exit_code = exit_code
         self.scheduler.on_destroy(pcb)
@@ -254,6 +263,7 @@ class Kernel:
         scheduler = self.scheduler
         was_running = scheduler.running is pcb
         was_queued = pcb.state is ProcessState.READY and not pcb.wake_pending
+        self._tally(pcb, -1)
         if was_running or was_queued:
             scheduler.on_destroy(pcb)  # pull out of the run/ready sets
             pcb.priority = priority
@@ -261,6 +271,7 @@ class Kernel:
             scheduler.make_ready(pcb, pcb.resume_value, pcb.resume_throw)
         else:
             pcb.priority = priority
+        self._tally(pcb, 1)
 
     def suspend_process(self, pcb: Pcb) -> None:
         """Stop scheduling a process until resumed (the paper's program
@@ -356,17 +367,20 @@ class Kernel:
     def program_counts(self) -> Tuple[int, int]:
         """``(programs, remote)``: live processes at program priority
         (LOCAL or less urgent), and how many of those are REMOTE.  The
-        load count a program manager answers queries with; one pass over
-        the process tables, no run-queue scan."""
-        programs = remote = 0
-        for lh in self.logical_hosts.values():
-            for pcb in lh.processes.values():
-                priority = pcb.priority
-                if priority >= _LOCAL and pcb.state is not _DEAD:
-                    programs += 1
-                    if priority == _REMOTE:
-                        remote += 1
-        return programs, remote
+        load count a program manager answers queries with; kept current
+        by :meth:`_tally`, so reading it scans nothing."""
+        return self._programs, self._remote
+
+    def _tally(self, pcb: Pcb, sign: int) -> None:
+        """Add (``sign`` 1) or take back (-1) one hosted process's share
+        of :meth:`program_counts`; callers take it back before they
+        change the process's priority or kill it, and add it again
+        after a priority change."""
+        priority = pcb.priority
+        if priority >= _LOCAL and pcb.state is not _DEAD:
+            self._programs += sign
+            if priority == _REMOTE:
+                self._remote += sign
 
     def load_summary(self) -> Dict[str, int]:
         """:meth:`program_counts` plus runnable programs and free memory:
@@ -392,6 +406,7 @@ class Kernel:
             for pcb in list(lh.processes.values()):
                 pcb.state = ProcessState.DEAD
         self.logical_hosts.clear()
+        self._programs = self._remote = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Kernel {self.name} lhs={sorted(self.logical_hosts)}>"

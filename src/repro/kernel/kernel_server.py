@@ -260,8 +260,10 @@ def _h_install_state(kernel, sender, msg):
             return Message("ks-error", error=f"no stub at index {pdesc['index']:#x}")
         stub.body = pdesc["body"]
         stub.name = pdesc["name"]
+        kernel._tally(stub, -1)
         stub.priority = pdesc["priority"]
         stub.state = pdesc["state"]
+        kernel._tally(stub, 1)
         stub.remaining_us = pdesc["remaining_us"]
         stub.resume_value = pdesc["resume_value"]
         stub.resume_throw = pdesc["resume_throw"]

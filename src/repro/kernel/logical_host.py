@@ -78,14 +78,19 @@ class LogicalHost:
             )
         self.processes[index] = pcb
         pcb.logical_host = self
-        if self.kernel is not None and self.kernel.sim.invariants is not None:
-            self.kernel.sim.invariants.note_runnable()
+        kernel = self.kernel
+        if kernel is not None:
+            kernel._tally(pcb, 1)
+            if kernel.sim.invariants is not None:
+                kernel.sim.invariants.note_runnable()
 
     def remove_process(self, pcb: Pcb) -> None:
         """Unregister a PCB."""
         if self.processes.get(pcb.pid.local_index) is not pcb:
             raise NoSuchProcessError(f"{pcb.pid} not in logical host {self.lhid:#x}")
         del self.processes[pcb.pid.local_index]
+        if self.kernel is not None:
+            self.kernel._tally(pcb, -1)
 
     def find_process(self, local_index: int) -> Optional[Pcb]:
         """The PCB at ``local_index``, or None."""

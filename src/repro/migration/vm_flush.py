@@ -84,7 +84,7 @@ class VmFlushMigration(Migration):
 
     def copy_frozen(self, ordinal: int, space):
         """Flush the residual dirty pages; returns the pages flushed."""
-        count, cost = self.pagers[ordinal].flush_all_dirty()
+        count, cost = self.pagers[ordinal].flush_dirty_resident()
         if count:
             yield Delay(cost)
             self.stats.residual_pages += count

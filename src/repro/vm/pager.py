@@ -8,19 +8,21 @@ copying anything -- precisely the paper's residual-dependency principle
 (state at global servers "does not need to move", §6).
 
 Performance.  Every scan here is mask arithmetic on the space's flat
-(bitmap) page table: ``dirty_resident_pages`` intersects two ints,
-``flush`` of the whole dirty set walks only set bits, and the CLOCK
-eviction hand finds its victim with bit-twiddling instead of stepping
-page objects one at a time.
+(bitmap) page table: ``flush_dirty_resident`` walks only the set bits
+of one intersection, and a capped touch takes all of its CLOCK victims
+from one sweep of the hand -- each victim is the lowest set bit of the
+"unreferenced and resident at or after the hand" mask, and the
+reference bits the hand passed are cleared once per lap segment rather
+than once per victim.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.config import HardwareModel
+from repro.config import PAGE_SIZE, HardwareModel
 from repro.errors import KernelError
-from repro.kernel.address_space import AddressSpace, Page, bit_indexes, iter_bits
+from repro.kernel.address_space import AddressSpace, bit_indexes, iter_bits
 
 try:  # Python >= 3.10
     _popcount = int.bit_count
@@ -110,33 +112,135 @@ class Pager:
 
         With a residency cap, each fault beyond the cap first evicts a
         CLOCK victim; dirty victims are written back to the file server,
-        adding their flush time to the fault."""
+        adding their flush time to the fault.  All of one call's victims
+        come from one continuous sweep of the hand (see
+        :meth:`_service_capped`)."""
         space = self.space
         if space is None:
             raise KernelError("pager not attached to a space")
-        cost = 0
-        capped = self.max_resident is not None
-        store = self.store
-        versions = space.versions
-        fault_us_per = self.model.page_fault_service_us
-        for index in indexes:
-            bit = 1 << index
-            if space._resident & bit:
-                continue
-            if capped:
-                while _popcount(space._resident) >= self.max_resident:
-                    cost += self._evict_clock_victim(protect=index)
-            stored = store.get(index)
-            if stored is not None and stored > versions[index]:
-                versions[index] = stored
-                self.double_transfers += 1
-            space._resident |= bit
-            self.faults += 1
-            cost += fault_us_per
+        if self.max_resident is not None:
+            cost = self._service_capped(space, indexes)
+        else:
+            cost = 0
+            store = self.store
+            versions = space.versions
+            fault_us_per = self.model.page_fault_service_us
+            for index in indexes:
+                bit = 1 << index
+                if space._resident & bit:
+                    continue
+                stored = store.get(index)
+                if stored is not None and stored > versions[index]:
+                    versions[index] = stored
+                    self.double_transfers += 1
+                space._resident |= bit
+                self.faults += 1
+                cost += fault_us_per
         self.fault_us += cost
         mr = self._metrics
         if mr is not None and mr.active:
             self._sync_metrics()
+        return cost
+
+    def _service_capped(self, space: AddressSpace, indexes: Iterable[int]) -> int:
+        """The capped fault loop: one CLOCK sweep serves every eviction
+        of the call.
+
+        Second-chance CLOCK steps the hand page by page: a resident,
+        referenced page has its reference bit cleared and is passed; the
+        first resident, unreferenced page is the victim and the hand
+        stops just after it.  Within one call the hand only moves
+        forward until it wraps, so the sweep keeps, as masks:
+
+        * ``ahead`` -- resident, unreferenced pages at or after the hand:
+          the next victim is always its lowest set bit;
+        * ``late`` -- pages faulted in behind the hand in this segment of
+          the sweep (they were not resident when the hand passed them, so
+          their reference bits must survive);
+
+        and clears the reference bits the hand passed once per segment
+        (``[seg_start, hand)`` minus ``late``): at a wrap and at the end
+        of the call.  A wrap rebuilds ``ahead`` over the whole space,
+        which covers both the "victim behind the hand" case and the
+        all-referenced second lap.
+
+        Residency is still tested page by page in touch order: an
+        earlier fault of the same call may evict a page that appears
+        later in ``indexes``, and that page faults in again.
+        ``tests/properties/_sequential_pager.py`` keeps the
+        per-victim loop this replaces, as the oracle."""
+        cap = self.max_resident
+        n = space._n_pages
+        full = space._full_mask
+        store = self.store
+        versions = space.versions
+        fault_us_per = self.model.page_fault_service_us
+        flush_us_per = self.model.page_flush_us_per_page
+        resident = space._resident
+        referenced = space._referenced
+        dirty = space._dirty
+        count = _popcount(resident)
+        hand = seg_start = self._clock_hand
+        ahead = ((resident & ~referenced) >> hand) << hand
+        late = 0
+        cost = faults = evictions = writebacks = 0
+        try:
+            for index in indexes:
+                bit = 1 << index
+                if resident & bit:
+                    continue
+                while count >= cap:
+                    if not ahead:
+                        # Wrap: the hand passed [seg_start, n) -- every
+                        # resident page there that was not faulted in
+                        # behind the hand loses its reference bit.
+                        if not resident:
+                            raise KernelError(
+                                f"{self.name}: no evictable page "
+                                f"(cap {cap} too small?)"
+                            )
+                        referenced &= ~(resident & ~late
+                                        & (full ^ ((1 << seg_start) - 1)))
+                        hand = seg_start = 0
+                        late = 0
+                        ahead = resident & ~referenced
+                        continue
+                    low = ahead & -ahead
+                    ahead ^= low
+                    resident ^= low
+                    victim = low.bit_length() - 1
+                    if dirty & low:
+                        store[victim] = versions[victim]
+                        dirty ^= low
+                        writebacks += 1
+                        cost += flush_us_per
+                    evictions += 1
+                    count -= 1
+                    hand = victim + 1
+                stored = store.get(index)
+                if stored is not None and stored > versions[index]:
+                    versions[index] = stored
+                    self.double_transfers += 1
+                resident |= bit
+                count += 1
+                faults += 1
+                cost += fault_us_per
+                if index >= hand:
+                    if not referenced & bit:
+                        ahead |= bit
+                else:
+                    late |= bit
+        finally:
+            space._resident = resident
+            space._referenced = referenced & ~(
+                resident & ~late & (((1 << hand) - 1) ^ ((1 << seg_start) - 1))
+            )
+            space._dirty = dirty
+            self._clock_hand = hand % n
+            self.faults += faults
+            self.evictions += evictions
+            self.flushed_pages += writebacks
+            self.writeback_evictions += writebacks
         return cost
 
     def service_faults_span(self, offset: int, nbytes: int) -> int:
@@ -150,95 +254,38 @@ class Pager:
             raise KernelError("pager not attached to a space")
         if nbytes <= 0:
             return 0
-        if self.max_resident is None:
-            missing = space.span_mask(offset, nbytes) & ~space._resident
-            if not missing:
-                return 0
-            cost = 0
-            store = self.store
-            versions = space.versions
-            for index in iter_bits(missing):
-                stored = store.get(index)
-                if stored is not None and stored > versions[index]:
-                    versions[index] = stored
-                    self.double_transfers += 1
-                self.faults += 1
-                cost += self.model.page_fault_service_us
-            space._resident |= missing
-            self.fault_us += cost
-            mr = self._metrics
-            if mr is not None and mr.active:
-                self._sync_metrics()
-            return cost
-        return self.service_faults(self.indexes_for_touch(offset, nbytes))
+        if self.max_resident is not None:
+            first = offset // PAGE_SIZE
+            last = (offset + nbytes - 1) // PAGE_SIZE
+            return self.service_faults(range(first, last + 1))
+        missing = space.span_mask(offset, nbytes) & ~space._resident
+        if not missing:
+            return 0
+        cost = 0
+        store = self.store
+        versions = space.versions
+        for index in iter_bits(missing):
+            stored = store.get(index)
+            if stored is not None and stored > versions[index]:
+                versions[index] = stored
+                self.double_transfers += 1
+            self.faults += 1
+            cost += self.model.page_fault_service_us
+        space._resident |= missing
+        self.fault_us += cost
+        mr = self._metrics
+        if mr is not None and mr.active:
+            self._sync_metrics()
+        return cost
 
     def resident_count(self) -> int:
         """Pages currently in physical memory."""
         return _popcount(self.space._resident)
 
-    def _evict_clock_victim(self, protect: int) -> int:
-        """Second-chance (CLOCK) eviction: sweep the reference bits,
-        evict the first unreferenced resident page (never ``protect``).
-        Returns the time cost (a dirty victim is flushed first).
-
-        The sweep runs on the bitmasks, not page by page.  Its
-        observable effects are (a) reference bits of the resident,
-        non-protected pages it passes get cleared and (b) the first such
-        page found unreferenced is evicted; both fall out of mask
-        arithmetic on the region between the hand and the victim.
-        """
-        space = self.space
-        n = space.n_pages
-        protect_bit = 1 << protect
-        candidates = space._resident & ~protect_bit
-        if not candidates:
-            raise KernelError(
-                f"{self.name}: no evictable page (cap {self.max_resident} too small?)"
-            )
-        hand = self._clock_hand
-        at_or_after = space.full_mask & ~((1 << hand) - 1)
-        referenced = space._referenced
-        unref = candidates & ~referenced
-
-        ahead = unref & at_or_after
-        if ahead:
-            victim = (ahead & -ahead).bit_length() - 1
-            passed = at_or_after & ((1 << victim) - 1)
-        else:
-            behind = unref & ~at_or_after
-            if behind:
-                # Wrapped once: swept [hand, n) then [0, victim).
-                victim = (behind & -behind).bit_length() - 1
-                passed = at_or_after | ((1 << victim) - 1)
-            else:
-                # Every candidate is referenced: the first lap clears
-                # them all, the second lap evicts the first candidate at
-                # or after the hand (wrapping).
-                passed = space.full_mask
-                ahead2 = candidates & at_or_after
-                pick = ahead2 if ahead2 else candidates
-                victim = (pick & -pick).bit_length() - 1
-        space._referenced = referenced & ~(candidates & passed)
-
-        victim_bit = 1 << victim
-        cost = 0
-        if space._dirty & victim_bit:
-            self.store[victim] = space.versions[victim]
-            space._dirty &= ~victim_bit
-            self.flushed_pages += 1
-            self.writeback_evictions += 1
-            cost += self.model.page_flush_us_per_page
-        space._resident &= ~victim_bit
-        self.evictions += 1
-        self._clock_hand = (victim + 1) % n
-        return cost
-
     def indexes_for_touch(self, offset: int, nbytes: int) -> List[int]:
         """Page indexes covered by a byte-range touch."""
         if nbytes <= 0:
             return []
-        from repro.config import PAGE_SIZE
-
         first = offset // PAGE_SIZE
         last = (offset + nbytes - 1) // PAGE_SIZE
         return list(range(first, last + 1))
@@ -252,31 +299,6 @@ class Pager:
         if space is None:
             return 0
         return _popcount(space._dirty & space._resident)
-
-    def dirty_resident_pages(self) -> List[Page]:
-        """Pages that would need flushing before the space could be
-        dropped from this host."""
-        space = self.space
-        if space is None:
-            return []
-        views = space._views()
-        return list(map(views.__getitem__,
-                        bit_indexes(space._dirty & space._resident)))
-
-    def flush(self, pages: Iterable[Page]) -> Tuple[int, int]:
-        """Write the given pages to the file server; clears their dirty
-        bits and returns ``(n_pages, flush_time_us)`` (the caller spends
-        the time, e.g. with a Delay)."""
-        count = 0
-        for page in pages:
-            self.store[page.index] = page.version
-            page.dirty = False
-            count += 1
-        self.flushed_pages += count
-        mr = self._metrics
-        if mr is not None and mr.active:
-            self._sync_metrics()
-        return count, count * self.model.page_flush_us_per_page
 
     def flush_dirty_resident(self) -> Tuple[int, int]:
         """Flush every resident dirty page; O(dirty)."""
@@ -296,23 +318,6 @@ class Pager:
         if mr is not None and mr.active:
             self._sync_metrics()
         return count, count * self.model.page_flush_us_per_page
-
-    def flush_all_dirty(self) -> Tuple[int, int]:
-        """Flush every resident dirty page."""
-        return self.flush_dirty_resident()
-
-    def evict_clean(self) -> int:
-        """Drop resident pages whose stored copy is current (they can
-        fault back in); returns how many were evicted."""
-        space = self.space
-        store = self.store
-        versions = space.versions
-        evicted_mask = 0
-        for index in iter_bits(space._resident & ~space._dirty):
-            if store.get(index) == versions[index]:
-                evicted_mask |= 1 << index
-        space._resident &= ~evicted_mask
-        return _popcount(evicted_mask)
 
 
 def attach_pager(

@@ -27,10 +27,8 @@ class TestPagerMechanics:
 
     def test_fault_installs_stored_version_and_costs_time(self):
         space, pager = self.make_space()
-        space.pages[3].version = 7
-        pager.flush([space.pages[3]])
+        pager.store[3] = 7          # the file server's copy
         space.pages[3].resident = False
-        space.pages[3].version = 0  # simulate a fresh destination page
         cost = pager.service_faults([3])
         assert cost == DEFAULT_MODEL.page_fault_service_us
         assert space.pages[3].resident
@@ -46,27 +44,21 @@ class TestPagerMechanics:
     def test_flush_clears_dirty_and_counts(self):
         space, pager = self.make_space()
         space.touch_pages([0, 1, 2])
-        count, cost = pager.flush_all_dirty()
+        count, cost = pager.flush_dirty_resident()
         assert count == 3
         assert cost == 3 * DEFAULT_MODEL.page_flush_us_per_page
         assert space.dirty_pages() == []
         assert pager.store == {0: 1, 1: 1, 2: 1}
 
-    def test_dirty_resident_pages_excludes_nonresident(self):
+    def test_flush_skips_nonresident_dirty_pages(self):
         space, pager = self.make_space()
         space.touch_pages([0, 1])
         space.pages[1].resident = False
-        assert [p.index for p in pager.dirty_resident_pages()] == [0]
-
-    def test_evict_clean_drops_only_current_pages(self):
-        space, pager = self.make_space(4)
-        space.touch_pages([0, 1])
-        pager.flush([space.pages[0]])
-        space.pages[1].dirty = False  # clean but never flushed: not evictable
-        evicted = pager.evict_clean()
-        assert evicted >= 1
-        assert not space.pages[0].resident
-        assert space.pages[1].resident
+        assert pager.dirty_resident_count() == 1
+        assert pager.flush_dirty_resident() == (
+            1, DEFAULT_MODEL.page_flush_us_per_page)
+        assert pager.store == {0: 1}
+        assert space.pages[1].dirty
 
     def test_touch_indexes_helper(self):
         space, pager = self.make_space()
