@@ -8,6 +8,17 @@ run with an acknowledgement hand-shake, and recovers lost packets by
 **selective retransmission**: the receiver NAKs exactly the missing page
 indexes rather than forcing a restart of a multi-second stream.
 
+Every ``copy-data`` and ``copyfrom-data`` frame carries one page as a
+``(stream_key, index, version)`` tuple, with ``stream_key = (src_pid,
+seq)`` built once per stream.  The receiving end buffers the tuples and
+turns a run's pages into :class:`PageSnapshot` objects once, at the
+run's end frame.  A lossless segment folds ``copy-data`` frames
+(``Transport.rx_folds``, :mod:`repro.net.ethernet`): they get no event
+of their own and are processed before the receiving NIC's next landing,
+which for a stream that runs to the end is its ``copy-end``.  A stream
+that stops without one settles its folded pages from the pacing event
+that finds it stopped.
+
 The engine is owned by (and operates on the private state of) one
 :class:`~repro.ipc.transport.Transport`; it exists as its own module
 because the streaming/recovery logic is a protocol of its own.
@@ -24,7 +35,8 @@ from repro.net.packet import Packet
 
 
 class PageSnapshot:
-    """An (index, version) capture of one page at its send instant."""
+    """An (index, version) capture of one page at its send instant, as
+    a copy run's receiver applies or returns it."""
 
     __slots__ = ("index", "version")
 
@@ -54,16 +66,14 @@ class CopyEngine:
         #: The per-page pace, computed once (the model is frozen).
         self._page_us = self.model.bulk_copy_us(PAGE_SIZE)
         self.nic = transport.nic
-        # ---- plain-int data-plane counters (benchmark A/B payloads)
-        #: Pacing timers scheduled for outbound copy streams.
-        self.pacing_events = 0
         # Pages/bytes this host pushed out via copy ops (repro.obs).
         m = self.sim.metrics
         self.metrics = m
         host = transport.kernel.name
         self._m_pages = m.counter("ipc.copy_pages", host)
         self._m_bytes = m.counter("ipc.copy_bytes", host)
-        #: In-progress inbound copies: (src, seq) -> buffered snapshots.
+        #: In-progress inbound copies: stream key (src, seq) -> its
+        #: page frames ``(stream_key, index, version)`` in arrival order.
         self.inbound: Dict[Tuple[Pid, int], list] = {}
         #: CopyFrom requests we served: (src, seq) -> source pid, kept for
         #: selective retransmission of lost reply pages.
@@ -85,29 +95,30 @@ class CopyEngine:
 
     def start_stream(self, record, address) -> None:
         """Begin (or restart, after a retransmission) a paced CopyTo."""
-        self._send_page(record, address, record.pages, 0)
+        self._send_page(record, address, record.pages, 0, record.key)
 
-    def _send_page(self, record, address, pages, i: int) -> None:
+    def _send_page(self, record, address, pages, i: int, key) -> None:
         if record.completed:
+            # Stopped without a copy-end: the pages already sent must
+            # not wait for one at the receiver.
+            ethernet = self.nic.ethernet
+            if ethernet is not None:
+                ethernet.settle(self.nic.address, address)
             return
         if i >= len(pages):
             self._send_end(record, address)
             return
         page = pages[i]
         index = page.index
-        snapshot = PageSnapshot(index, page.space.versions[index])
         if self.metrics.active:
             self._m_pages.inc()
             self._m_bytes.inc(PAGE_SIZE)
         self.nic.emit(
-            address, "copy-data",
-            {"src": record.src_pid, "dst": record.dst, "seq": record.seq,
-             "snapshot": snapshot},
+            address, "copy-data", (key, index, page.space.versions[index]),
             PAGE_SIZE,
         )
-        self.pacing_events += 1
         self._sched(self._page_us, self._send_page, record, address, pages,
-                    i + 1)
+                    i + 1, key)
 
     def _send_end(self, record, address) -> None:
         indexes = record.page_indexes
@@ -132,21 +143,21 @@ class CopyEngine:
         by_index = {page.index: page for page in record.pages}
         pages = [by_index[i] for i in payload["missing"] if i in by_index]
         if pages:
-            self._send_page(record, packet.src, pages, 0)
+            self._send_page(record, packet.src, pages, 0, record.key)
 
     def on_copy_end(self, packet: Packet) -> None:
         payload = packet.payload
         src: Pid = payload["src"]
         dst: Pid = payload["dst"]
         seq: int = payload["seq"]
-        snapshots = self.inbound.get((src, seq), [])
-        received = {snap.index for snap in snapshots}
-        if len(received) < payload["count"]:
+        key = (src, seq)
+        newest = self._newest(self.inbound.get(key, ()))
+        if len(newest) < payload["count"]:
             # Lost data packets: ask for exactly the missing pages.
             # Distinct indexes are what count: earlier restarts deliver
             # duplicates that must not mask a still-missing page.
             missing = tuple(
-                i for i in payload.get("indexes", ()) if i not in received
+                i for i in payload.get("indexes", ()) if i not in newest
             )
             if missing:
                 self.nic.emit(
@@ -156,6 +167,7 @@ class CopyEngine:
             return
         pcb = self.find_copy_target(dst)
         if pcb is None:
+            self.inbound.pop(key, None)
             self.transport._send_nak("nak-dead", src, seq, dst, packet.src)
             return
         lh = pcb.logical_host
@@ -169,8 +181,10 @@ class CopyEngine:
                 packet.src, "reply-pending", {"src": src, "seq": seq}
             )
             return
-        pcb.space.apply_copy(self._dedupe(snapshots).values())
-        self.inbound.pop((src, seq), None)
+        pcb.space.apply_copy(
+            [PageSnapshot(index, version) for index, version in newest.items()]
+        )
+        self.inbound.pop(key, None)
         self.nic.emit(
             packet.src, "copy-ack",
             {"src": src, "seq": seq, "count": payload["count"]},
@@ -213,49 +227,43 @@ class CopyEngine:
 
     def serve_copyfrom(self, src: Pid, seq: int, pcb, payload, origin_addr) -> None:
         """Answer a CopyFrom: stream the requested pages back."""
-        indexes = payload["indexes"]
-        snapshots = self._snapshot(pcb, indexes)
+        # (index, version) captures of the requested pages; indexes
+        # outside the space (the list comes from a remote kernel) are
+        # skipped.
+        items = pcb.space.version_items(payload["indexes"])
         if origin_addr is None:
             record = self.transport._clients.get((src, seq))
             if record is not None:
-                cost = self.model.local_copy_us_per_page * len(snapshots)
+                cost = self.model.local_copy_us_per_page * len(items)
                 self._sched(
-                    cost, self.transport._complete_client, record, snapshots
+                    cost, self.transport._complete_client, record,
+                    [PageSnapshot(i, v) for i, v in items],
                 )
             return
         self.served_copyfrom.setdefault((src, seq), pcb.pid)
-        self._stream_reply(src, seq, snapshots, origin_addr, 0)
+        self._stream_reply((src, seq), items, origin_addr, 0)
 
-    @staticmethod
-    def _snapshot(pcb, indexes):
-        """Captures of the requested pages; indexes outside the space
-        (the list comes from a remote kernel) are skipped."""
-        return [PageSnapshot(i, v) for i, v in pcb.space.version_items(indexes)]
-
-    def _stream_reply(self, src, seq, snapshots, address, i) -> None:
-        if i < len(snapshots):
+    def _stream_reply(self, key, items, address, i) -> None:
+        if i < len(items):
             if self.metrics.active:
                 self._m_pages.inc()
                 self._m_bytes.inc(PAGE_SIZE)
+            index, version = items[i]
             self.nic.emit(
-                address, "copyfrom-data",
-                {"src": src, "seq": seq, "snapshot": snapshots[i]},
-                PAGE_SIZE,
+                address, "copyfrom-data", (key, index, version), PAGE_SIZE,
             )
-            self.pacing_events += 1
             self._sched(
-                self._page_us,
-                self._stream_reply, src, seq, snapshots, address, i + 1,
+                self._page_us, self._stream_reply, key, items, address, i + 1,
             )
             return
-        self._end_reply(src, seq, snapshots, address)
+        self._end_reply(key, items, address)
 
-    def _end_reply(self, src, seq, snapshots, address) -> None:
+    def _end_reply(self, key, items, address) -> None:
+        indexes = tuple(index for index, _ in items)
         self.nic.emit(
             address, "copyfrom-end",
-            {"src": src, "seq": seq,
-             "count": len({s.index for s in snapshots}),
-             "indexes": tuple(s.index for s in snapshots)},
+            {"src": key[0], "seq": key[1], "count": len(set(indexes)),
+             "indexes": indexes},
         )
 
     def on_copyfrom_nak(self, packet: Packet) -> None:
@@ -268,24 +276,25 @@ class CopyEngine:
         pcb = self.find_copy_target(served_pid)
         if pcb is None:
             return
-        snapshots = self._snapshot(pcb, payload["missing"])
-        self._stream_reply(payload["src"], payload["seq"], snapshots,
+        items = pcb.space.version_items(payload["missing"])
+        self._stream_reply((payload["src"], payload["seq"]), items,
                            packet.src, 0)
 
     def on_copyfrom_data(self, packet: Packet) -> None:
-        record = self._client(packet.payload)
+        page = packet.payload
+        record = self.transport._clients.get(page[0])
         if record is not None and not record.completed:
-            record.received_snapshots.append(packet.payload["snapshot"])
+            record.received_pages.append(page)
 
     def on_copyfrom_end(self, packet: Packet) -> None:
         payload = packet.payload
         record = self._client(payload)
         if record is None or record.completed:
             return
-        received = {snap.index for snap in record.received_snapshots}
-        if len(received) < payload["count"]:
+        newest = self._newest(record.received_pages)
+        if len(newest) < payload["count"]:
             missing = tuple(
-                i for i in payload.get("indexes", ()) if i not in received
+                i for i in payload.get("indexes", ()) if i not in newest
             )
             if missing:
                 self.nic.emit(
@@ -294,17 +303,16 @@ class CopyEngine:
                      "missing": missing},
                 )
             return
-        deduped = self._dedupe(record.received_snapshots)
         self.transport._complete_client(
-            record, sorted(deduped.values(), key=lambda s: s.index)
+            record, [PageSnapshot(i, newest[i]) for i in sorted(newest)]
         )
 
     @staticmethod
-    def _dedupe(snapshots) -> Dict[int, PageSnapshot]:
-        """Newest version per page index wins."""
-        deduped: Dict[int, PageSnapshot] = {}
-        for snap in snapshots:
-            existing = deduped.get(snap.index)
-            if existing is None or snap.version > existing.version:
-                deduped[snap.index] = snap
-        return deduped
+    def _newest(pages) -> Dict[int, int]:
+        """Page index -> newest version among a run's page frames, in
+        first-arrival order (restarts deliver duplicates)."""
+        newest: Dict[int, int] = {}
+        for _, index, version in pages:
+            if newest.get(index, -1) < version:
+                newest[index] = version
+        return newest

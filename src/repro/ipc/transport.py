@@ -45,7 +45,7 @@ from repro.net.addresses import BROADCAST, HostAddress
 from repro.net.packet import Packet
 
 
-from repro.ipc.copyops import CopyEngine, PageSnapshot
+from repro.ipc.copyops import CopyEngine
 
 
 class ClientRecord:
@@ -60,7 +60,7 @@ class ClientRecord:
         "pcb", "src_pid", "dst", "seq", "message", "op", "pages", "indexes",
         "page_indexes", "completed", "retries_left", "used_rebind_fallback",
         "timer", "is_group", "first_reply_at", "extra_replies",
-        "received_snapshots", "issued_at", "span_id",
+        "received_pages", "issued_at", "span_id",
     )
 
     def __init__(self, pcb: Pcb, dst: Pid, message: Optional[Message], op: str):
@@ -82,7 +82,8 @@ class ClientRecord:
         self.is_group = dst.is_group and dst.is_global_group
         self.first_reply_at: Optional[int] = None
         self.extra_replies: List[Tuple[Pid, Message]] = []
-        self.received_snapshots: List[PageSnapshot] = []
+        #: CopyFrom page frames ``(stream_key, index, version)`` so far.
+        self.received_pages: List[tuple] = []
         self.issued_at = 0
         #: Causal span covering the whole op (0 = tracing off); migrates
         #: with the record so the span closes at the destination host.
@@ -138,6 +139,14 @@ class ServerRecord:
 
 class Transport:
     """One kernel's end of the IPC protocol."""
+
+    #: Frame kinds the segment may fold (the NIC receiver contract, see
+    #: repro.net.nic): a ``copy-data`` frame only buffers its page in
+    #: ``CopyEngine.inbound``, which nothing reads before its stream's
+    #: ``copy-end``, a later frame to the same NIC.  ``copyfrom-data``
+    #: does not fold: its handler reads the client record when it is
+    #: processed, and the record can complete or leave in between.
+    rx_folds = frozenset({"copy-data"})
 
     def __init__(self, sim, kernel, nic, model):
         self.sim = sim
@@ -920,10 +929,15 @@ class Transport:
         self.copies.serve_copyfrom(src, seq, pcb, payload, origin_addr)
 
     def _on_copy_data(self, packet: Packet) -> None:
-        # One hop per copied page: buffer the snapshot for copy-end.
-        payload = packet.payload
-        key = (payload["src"], payload["seq"])
-        self.copies.inbound.setdefault(key, []).append(payload["snapshot"])
+        # One page per frame: buffer ``(stream_key, index, version)``
+        # for the stream's copy-end.
+        page = packet.payload
+        inbound = self.copies.inbound
+        pages = inbound.get(page[0])
+        if pages is None:
+            inbound[page[0]] = [page]
+        else:
+            pages.append(page)
 
     def _on_copy_nak(self, packet: Packet) -> None:
         self.copies.on_copy_nak(packet)

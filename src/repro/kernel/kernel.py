@@ -167,14 +167,13 @@ class Kernel:
             self.program_manager.on_lh_migrated_away(lh.lhid)
         for pcb in list(lh.processes.values()):
             if migrated:
-                self._tally(pcb, -1)
+                lh.remove_process(pcb)
                 pcb.state = ProcessState.DEAD
                 self.ipc.discard_queued_for(pcb)
                 # The PCB object itself lives on at the new host; just
                 # unhook it from this kernel's scheduler and groups.
                 self.scheduler.on_destroy(pcb)
                 self.groups.leave_all(pcb.pid)
-                lh.processes.pop(pcb.pid.local_index, None)
             else:
                 self.destroy_process(pcb, exit_code=-1)
         for space in list(lh.spaces):
@@ -216,15 +215,17 @@ class Kernel:
         """Terminate a process and release its kernel state."""
         if not pcb.alive:
             return
-        self._tally(pcb, -1)
+        lh = pcb.logical_host
+        if lh is not None:
+            lh.remove_process(pcb)
+        else:
+            self._tally(pcb, -1)
         pcb.state = ProcessState.DEAD
         pcb.exit_code = exit_code
         self.scheduler.on_destroy(pcb)
         self.ipc.purge_process(pcb)
         self.groups.leave_all(pcb.pid)
-        lh = pcb.logical_host
         if lh is not None:
-            lh.processes.pop(pcb.pid.local_index, None)
             # Release the address space if no other live process shares
             # it (a compiler phase exiting inside cc68's logical host
             # must not leave its space allocated, §3 footnote 6).
@@ -397,9 +398,12 @@ class Kernel:
 
     def crash(self) -> None:
         """Power the workstation off abruptly: all state is lost and the
-        NIC goes silent.  Used by failure-injection experiments."""
-        self.alive = False
+        NIC goes silent.  Used by failure-injection experiments.  The
+        receiver goes first: frames the kernel processed before now,
+        folded ones included (:mod:`repro.net.ethernet`), ran while it
+        was alive."""
         self.nic.remove_handler()
+        self.alive = False
         if self.nic.ethernet is not None:
             self.nic.ethernet.detach(self.nic)
         for lh in list(self.logical_hosts.values()):

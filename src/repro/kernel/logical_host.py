@@ -85,7 +85,9 @@ class LogicalHost:
                 kernel.sim.invariants.note_runnable()
 
     def remove_process(self, pcb: Pcb) -> None:
-        """Unregister a PCB."""
+        """Unregister a PCB and take back its share of the kernel's
+        program counts: the one membership rule of process removal, so
+        it runs before the PCB is marked dead."""
         if self.processes.get(pcb.pid.local_index) is not pcb:
             raise NoSuchProcessError(f"{pcb.pid} not in logical host {self.lhid:#x}")
         del self.processes[pcb.pid.local_index]

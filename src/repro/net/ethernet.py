@@ -37,29 +37,65 @@ protocol-processing delay first (``rx_delay_us``, see
   frame (``received`` and the rx metric tick then, at processing time),
   adds the elided arrival to the event count -- the arrival is still one
   modelled event, so event counts and budgets equal the hop's -- and
-  calls ``rx_frame``.  Every copied page takes this path: two scheduled
-  events per page, the pacing timer and the landing.  A landing or rx
-  step for the instant of the open landing, with ``sim._seq``
-  unchanged, coalesces with it: the queued Timer is rewritten in place
-  into an rx batch (same time, same heap key), so the proof above holds.
-  Whether the frame is received is still decided by the NIC's state at
-  its arrival.  Each NIC keeps its landings in transmit order
-  (``Nic._inflight``); a receiver install/remove or an attach/detach
-  takes back those whose frame has not yet arrived
-  (:meth:`Ethernet._revoke`) and sends each through the ``_deliver``
-  hop at its arrival instant, which decides as before.  A frame due at
-  the very instant of the change has arrived iff its landing was
-  scheduled before the event making the change (``Simulator._key``).
-  A frame that arrived is processed by the receiver it arrived for, as
-  on the hop.  One order difference remains: a landing takes its heap
-  key when the frame is sent, the hop's rx step took it at arrival, so
-  an event scheduled in between for the same processing instant now
-  runs after the frame's processing instead of before.  Lossy,
-  fault-plane and broadcast frames, and unicasts to a NIC with no
-  receiver when sent, take the tx-done ``_deliver`` hop, a unicast
-  there through ``_deliver_one``/``_arrive``, so loss draws and
+  calls ``rx_frame``.  A landing or rx step for the instant of the open
+  landing, with ``sim._seq`` unchanged, coalesces with it: the queued
+  Timer is rewritten in place into an rx batch (same time, same heap
+  key), so the proof above holds.  Whether the frame is received is
+  still decided by the NIC's state at its arrival.  Each NIC keeps its
+  landings in transmit order (``Nic._inflight``); a receiver
+  install/remove or an attach/detach takes back those whose frame has
+  not yet arrived (:meth:`Ethernet._revoke`) and sends each through the
+  ``_deliver`` hop at its arrival instant, which decides as before.  A
+  frame due at the very instant of the change has arrived iff its
+  landing was scheduled before the event making the change
+  (``Simulator._key``).  A frame that arrived is processed by the
+  receiver it arrived for, as on the hop.  One order difference remains:
+  a landing takes its heap key when the frame is sent, the hop's rx step
+  took it at arrival, so an event scheduled in between for the same
+  processing instant now runs after the frame's processing instead of
+  before.  Lossy, fault-plane and broadcast frames, and unicasts to a
+  NIC with no receiver when sent, take the tx-done ``_deliver`` hop, a
+  unicast there through ``_deliver_one``/``_arrive``, so loss draws and
   duplicate/delay timers stay where they were.  The NIC table is keyed
   by the address's int value and wire times are cached per frame size.
+* **Folded landings: no event at all.**  A receiver may declare kinds
+  whose processing only buffers state that a later frame of the same
+  stream reads (``rx_folds``, see :mod:`repro.net.nic`); the transport
+  declares ``copy-data``, whose pages nothing reads before the stream's
+  ``copy-end``.  A landing of such a kind is *folded*: ``transmit``
+  queues ``(time, seq, packet, done, rx)`` on ``Nic._inflight`` --
+  ``seq`` is ``sim._seq`` at the send, the heap-key position its landing
+  would have had -- and schedules nothing.  Every copied page is then
+  one scheduled event (the sender's pacing timer) and three modelled
+  ones (the pacing timer, the arrival, the landing).  A folded landing
+  is processed, in transmit order, at the first of:
+
+  (a) the NIC's next real landing firing (:meth:`_fold_ahead`).  The
+      bus is FIFO and one receiver charges one delay, so every folded
+      landing queued ahead of it was due earlier; a stream that runs to
+      the end closes with its ``copy-end``, a real landing;
+  (b) a receiver install/remove or an attach/detach of the NIC
+      (:meth:`_revoke`): a frame whose processing instant has passed is
+      processed now by the receiver it arrived for, one that arrived but
+      is not yet due gets its own landing event, one still on the wire
+      takes the hop, as a real landing would.  ``Kernel.crash`` removes
+      its receiver before it marks itself dead, so the frames processed
+      before the crash still run their handler;
+  (c) the stream stopping without its closing frame: the sender's pacing
+      event that finds the stream stopped calls :meth:`settle`, and
+      detaching the sender's NIC settles every folded landing it sent.
+      Settling processes the due ones and gives the rest their own
+      landing events.
+
+  Processing a folded landing equals a fired landing: ``received`` and
+  the rx metric tick, the event count rises by two (the landing and the
+  elided arrival), the handler runs iff its kernel was alive at the
+  frame's processing instant, and the simulator's invariant checker and
+  profiler slot run once each (the profiler slot with no time: the
+  enclosing event's clock already runs).  ``copyfrom-data`` does not
+  fold: its handler reads the client record when it is processed.  Only
+  the lossless unicast landing path folds; lossy, fault-plane and
+  broadcast frames never reach it.
 """
 
 from __future__ import annotations
@@ -138,12 +174,18 @@ class Ethernet:
 
     def detach(self, nic: "Nic") -> None:
         """Disconnect a NIC (host crash/power-off); in-flight frames to it
-        are lost."""
+        are lost.  Frames it sent are still delivered, but no closing
+        frame of its streams can follow them now, so its folded
+        landings get events of their own."""
         if nic._inflight:
             self._revoke(nic)
         self._nics.pop(nic.address.value, None)
         self._receivers.clear()
         nic.ethernet = None
+        src = nic.address.value
+        for other in self._nics.values():
+            if other._inflight:
+                self._settle(other, src)
 
     def _receivers_of(self, src: HostAddress) -> List["Nic"]:
         """The NICs a broadcast from ``src`` reaches, address-sorted;
@@ -211,6 +253,11 @@ class Ethernet:
             if nic is not None:
                 rx = nic.rx
                 if rx is not None:
+                    if packet.kind in rx[4]:
+                        # Fold it: no event of its own (module docstring).
+                        nic._inflight.append(
+                            (done + rx[1], self.sim._seq, packet, done, rx))
+                        return
                     self._land_at(done, nic, rx, packet)
                     return
         self._sched(done - now, self._deliver, packet)
@@ -375,15 +422,74 @@ class Ethernet:
         if inflight[0] is landing:
             inflight.popleft()
         else:
-            # A receiver reinstalled with a shorter delay lands a later
-            # frame before an earlier one.
-            inflight.remove(landing)
+            self._fold_ahead(nic, landing)
         nic.received += 1
         if self.metrics.active:
             nic._m_rx.inc()
         self.sim._event_count += 1
         rx = landing[7]
         rx[0](packet, rx[3])
+
+    def _fold_ahead(self, nic, landing: list) -> None:
+        """Take ``landing`` out of ``nic``'s queue and first process the
+        folded landings ahead of it, in transmit order: they were due
+        earlier (rule (a) of the module docstring).  A real landing
+        ahead of it stays queued: a receiver reinstalled with a shorter
+        delay lands a later frame before an earlier one."""
+        inflight = nic._inflight
+        folded = []
+        kept = []
+        entry = inflight.popleft()
+        while entry is not landing:
+            if type(entry) is tuple:
+                folded.append(entry)
+            else:
+                kept.append(entry)
+            entry = inflight.popleft()
+        if kept:
+            inflight.extendleft(reversed(kept))
+        self._fold_in(nic, folded)
+
+    def _fold_in(self, nic, entries: list) -> None:
+        """Process folded landings ``(time, seq, packet, done, rx)`` now,
+        in order, each exactly as its own landing event would have:
+        count the frame, count the landing and the elided arrival as two
+        events, run the receiver, then the simulator's per-event hooks.
+        The profiler slot gets no time: the enclosing event's clock
+        already runs."""
+        sim = self.sim
+        counting = self.metrics.active
+        profiler = sim._profiler
+        invariants = sim.invariants
+        land = self._land
+        for _, _, packet, _, rx in entries:
+            nic.received += 1
+            if counting:
+                nic._m_rx.inc()
+            sim._event_count += 2
+            rx[0](packet, rx[3])
+            if profiler is not None:
+                profiler._account(land, 0.0)
+            if invariants is not None:
+                invariants.after_event(sim)
+
+    def _is_due(self, entry: tuple) -> bool:
+        """Whether a folded landing's processing instant has passed: it
+        is earlier than now, or now with a landing event that would have
+        fired before the current one (taken when the frame was sent,
+        like ``Simulator._key`` order)."""
+        sim = self.sim
+        time = entry[0]
+        return time < sim._now or (time == sim._now and entry[1] < sim._key)
+
+    def _unfold(self, nic, entry: tuple) -> list:
+        """Give a folded landing that is not yet due an event of its own
+        at its processing instant.  It keeps the fold's send seq, which
+        is what the arrival test of :meth:`_revoke` reads."""
+        time, seq, packet, done, rx = entry
+        landing = [time, seq, None, packet, nic, done, None, rx]
+        landing[2] = self._sched(time - self.sim._now, self._land, landing)
+        return landing
 
     def _revoke(self, nic) -> None:
         """``nic``'s receiver or attachment changed: take back its direct
@@ -392,21 +498,64 @@ class Ethernet:
         decided by the NIC's state then.  A frame due at this very
         instant has arrived iff its landing was scheduled before the
         event making the change (the heap key order its hop would have
-        had)."""
+        had).  Folded landings settle here (rule (b)): a due one is
+        processed now, by the receiver it arrived for; one that arrived
+        but is not yet due gets its own event; one still on the wire
+        takes the hop."""
         inflight = nic._inflight
         sim = self.sim
         now = sim._now
+        key = sim._key
+        kept = []
+        due = []
         revoked = []
-        while inflight:
-            landing = inflight[-1]
-            done = landing[5]
-            if done < now or (done == now and landing[1] < sim._key):
-                break
-            inflight.pop()
-            revoked.append((done, landing[3]))
-            self._unland(landing)
-        for done, packet in reversed(revoked):
+        for entry in inflight:
+            if type(entry) is tuple:
+                done = entry[3]
+                if self._is_due(entry):
+                    due.append(entry)
+                elif done < now or (done == now and entry[1] < key):
+                    kept.append(self._unfold(nic, entry))
+                else:
+                    revoked.append((done, entry[2]))
+            else:
+                done = entry[5]
+                if done < now or (done == now and entry[1] < key):
+                    kept.append(entry)
+                else:
+                    revoked.append((done, entry[3]))
+                    self._unland(entry)
+        inflight.clear()
+        inflight.extend(kept)
+        self._fold_in(nic, due)
+        for done, packet in revoked:
             self._sched(done - now, self._deliver, packet)
+
+    def settle(self, src: HostAddress, dst: HostAddress) -> None:
+        """A stream from ``src`` to ``dst`` stopped without its closing
+        frame (rule (c)): the folded landings it left at ``dst``'s NIC
+        will see no later landing of it, so give them their own."""
+        nic = self._nics.get(dst.value)
+        if nic is not None and nic._inflight:
+            self._settle(nic, src.value)
+
+    def _settle(self, nic, src: int) -> None:
+        """Process the folded landings from address value ``src`` queued
+        at ``nic`` that are due and give the others events of their own,
+        keeping transmit order."""
+        inflight = nic._inflight
+        kept = []
+        due = []
+        for entry in inflight:
+            if type(entry) is not tuple or entry[2].src.value != src:
+                kept.append(entry)
+            elif self._is_due(entry):
+                due.append(entry)
+            else:
+                kept.append(self._unfold(nic, entry))
+        inflight.clear()
+        inflight.extend(kept)
+        self._fold_in(nic, due)
 
     def _unland(self, landing: list) -> None:
         """Remove a revoked landing from its event: cancel the event if

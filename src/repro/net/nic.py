@@ -13,7 +13,13 @@ is the production receiver, ``tests/net`` has small doubles):
   one frame on every receiver in ``receivers`` (a sequence, in delivery
   order).  The segment calls it once per frame per run of receivers that
   share ``rx_frame`` and ``rx_delay_us``, so a broadcast reaching a
-  hundred kernels costs one call, not a hundred.
+  hundred kernels costs one call, not a hundred;
+* ``rx_folds`` (optional, default none) -- the frame kinds whose
+  processing only buffers state that a later frame of the same stream
+  from the same source reads.  The segment may process such a frame
+  after its processing instant, as late as just before the next unicast
+  it lands at this receiver (:mod:`repro.net.ethernet`, "Folded
+  landings").
 
 Whether a frame is received is decided by the NIC's state when the
 frame arrives (the end of its wire time): with no receiver installed,
@@ -23,8 +29,8 @@ receiver has been removed since.  ``received`` and
 ``dropped_no_handler`` count each frame once: at arrival on lossy,
 fault-plane and broadcast delivery, at processing for a lossless
 unicast, which the segment lands in one event at its processing instant
-(:mod:`repro.net.ethernet`).  Such a landing is kept in the NIC's
-in-flight FIFO until it is processed.  Installing or removing the
+or folds into a later one (:mod:`repro.net.ethernet`).  Such a landing
+is kept in the NIC's in-flight FIFO until it is processed.  Installing or removing the
 receiver, and attaching or detaching the NIC, hands the landings whose
 frame has not yet arrived back to the segment, which delivers each
 through its ordinary arrival step instead, so the decision still falls
@@ -39,6 +45,9 @@ from typing import Optional
 from repro.net.addresses import HostAddress
 from repro.net.packet import Packet
 
+#: The fold kinds of a receiver that declares none.
+_NO_FOLDS = frozenset()
+
 
 class Nic:
     """A network interface at a fixed host address."""
@@ -47,12 +56,13 @@ class Nic:
         self.sim = sim
         self.address = address
         self.ethernet = None  # set by Ethernet.attach
-        #: ``(rx_frame, rx_delay_us, receiver, (receiver,))`` of the
-        #: installed receiver, read once per frame by the segment; None =
-        #: no driver.
+        #: ``(rx_frame, rx_delay_us, receiver, (receiver,), rx_folds)``
+        #: of the installed receiver, read once per frame by the segment;
+        #: None = no driver.
         self.rx: Optional[tuple] = None
         #: The segment's direct landings to this NIC that have not yet
-        #: been processed, in transmit order (see the module docstring).
+        #: been processed, real and folded, in transmit order (see the
+        #: module docstring).
         self._inflight: deque = deque()
         self.received = 0
         self.dropped_no_handler = 0
@@ -65,7 +75,7 @@ class Nic:
         """Install the frame receiver (the kernel's entry point; see the
         module docstring for the contract)."""
         self.rx = (receiver.rx_frame, receiver.rx_delay_us, receiver,
-                   (receiver,))
+                   (receiver,), getattr(receiver, "rx_folds", _NO_FOLDS))
         self._revoke()
 
     def remove_handler(self) -> None:

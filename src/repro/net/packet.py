@@ -3,9 +3,12 @@
 A packet carries an opaque ``payload`` (constructed by the IPC transport)
 plus the addressing and size information the bus needs.  ``size_bytes``
 counts payload data only; framing overhead is added by the wire-time
-model in :class:`repro.config.HardwareModel`.  A copy-data frame
-carries exactly one page, so a bulk copy costs one frame (and one
-pacing timer) per page.
+model in :class:`repro.config.HardwareModel`.  A copy-data or
+copyfrom-data frame carries exactly one page as a ``(stream_key, index,
+version)`` tuple, so a bulk copy costs one frame and one pacing timer
+per page.  On a lossless segment a copy-data frame is also folded
+(:mod:`repro.net.ethernet`): it schedules no event of its own, so a
+copied page is one scheduled event and three modelled ones.
 """
 
 from __future__ import annotations

@@ -9,6 +9,11 @@ indistinguishable -- the same handler calls at the same instants and
 the same counters and event count -- including when the destination is
 detached or its receiver is removed or swapped while frames are on the
 wire, waiting for processing, or already processed.
+
+A receiver that declares fold kinds gets those frames folded: no event
+of their own, processed before the NIC's next landing or at a change.
+Each receiver then processes the same frames in the same order, with
+the same counters and event count, as when they are landed.
 """
 
 import pytest
@@ -43,6 +48,11 @@ def _frames():
     return frames + [(1, 2, 12), (1, 2, 13)]
 
 
+#: The last frame to each NIC: kind ``end``, every other frame is ``u``
+#: -- a stream whose ``u`` frames a folding receiver may fold.
+LAST = {9, 11, 13}
+
+
 #: NIC 2 frames whose arrival and processing the change instants
 #: straddle: frame 4, with frames 7 and 10 still to come, and frame 10,
 #: the last one from NIC 0 (NIC 1's frames land after it, and under a
@@ -65,7 +75,7 @@ INSTANTS = ("before-arrival", "before-processing", "after-processing")
 SECOND_SOURCE_AT = 11 * WIRE + 2
 
 
-def _change(case, net, nics, calls, sim):
+def _change(case, net, nics, calls, sim, folds=()):
     """Apply ``case`` to NIC 2 now."""
     nic = nics[2]
     if case == "detach":
@@ -78,13 +88,13 @@ def _change(case, net, nics, calls, sim):
     elif case == "reinstall":
         nic.remove_handler()
         install(nic, lambda p: calls.append(("2'", p.payload, sim.now)),
-                SHORT_DELAY)
+                SHORT_DELAY, folds)
 
 
-def _run(loss, case, instant):
-    """Run the traffic with ``case`` applied at ``instant``; returns the
-    observables, how many events were scheduled, the segment and its
-    NICs."""
+def _run(loss, case, instant, folds=()):
+    """Run the traffic with ``case`` applied at ``instant``, receivers
+    folding the kinds in ``folds``; returns the observables, how many
+    events were scheduled, the segment and its NICs."""
     sim = Simulator(seed=4)
     scheduled = []
     schedule = sim.schedule
@@ -103,12 +113,13 @@ def _run(loss, case, instant):
     # and the next one, to NIC 2, are processed at the same instant.
     for i, delay in ((1, 0), (2, DELAY), (3, DELAY + WIRE)):
         install(nics[i], lambda p, i=i: calls.append((str(i), p.payload,
-                                                      sim.now)), delay)
+                                                      sim.now)), delay, folds)
     if case is not None:
-        sim.schedule(instant, _change, case, net, nics, calls, sim)
+        sim.schedule(instant, _change, case, net, nics, calls, sim, folds)
     for src, dst, n in _frames():
         at = 0 if src == 0 else SECOND_SOURCE_AT
-        sim.schedule(at, nics[src].emit, nics[dst].address, "u", n)
+        sim.schedule(at, nics[src].emit, nics[dst].address,
+                     "end" if n in LAST else "u", n)
     sim.run()
     observed = dict(
         calls=calls,
@@ -204,3 +215,86 @@ def test_a_frame_due_at_the_change_instant_keeps_its_tie_order():
                             nics[1].dropped_no_handler, sim.event_count))
         assert results[0] == results[1]
         assert results[0][2] == (1 if removal_first else 0)
+
+
+def _untimed(observed):
+    """``observed`` without what a fold may move: the instant a folded
+    (``u``) frame is processed, hence the order of calls across
+    receivers, and ``rx_coalesced``.  Each receiver's own calls keep
+    their order."""
+    observed = dict(observed)
+    del observed["rx_coalesced"]
+    calls = [(name, n, at if n in LAST else None)
+             for name, n, at in observed["calls"]]
+    observed["calls"] = sorted(calls, key=lambda call: call[0])
+    return observed
+
+
+@pytest.mark.parametrize(
+    "case,instant,pivot", CASES,
+    ids=["unchanged"] + [f"{c}@{i}-{p}" for c, i, p in CASES[1:]])
+def test_folded_landings_match_direct_ones(case, instant, pivot):
+    """Receivers that fold ``u`` frames: each receiver processes the same
+    frames in the same order, the closing frames at the same instants,
+    with the same counters and event count, and fewer events are
+    scheduled; nothing is left folded."""
+    at = _instant(instant, pivot) if case else None
+    folded, folded_scheduled, net, nics = _run(None, case, at, ("u",))
+    direct, direct_scheduled, _, _ = _run(None, case, at)
+    assert _untimed(folded) == _untimed(direct)
+    assert folded_scheduled < direct_scheduled
+    assert all(not nic._inflight for nic in nics)
+    assert net._rx_open is None
+
+
+#: Crash instants at a tie: the arrival of frame 4, and the processing
+#: instant of frame 1 -> (frames processed, whether each ran before the
+#: crash).
+TIES = {
+    "arrival": (5 * WIRE, [(0, True), (1, True), (2, False), (3, False),
+                           (4, False)]),
+    "processing": (2 * WIRE + DELAY, [(0, True), (1, True), (2, False),
+                                      (3, False)]),
+}
+
+
+@pytest.mark.parametrize("tie", sorted(TIES))
+def test_a_crash_at_a_tie_instant_keeps_the_tie_order(tie):
+    """A crash removes the receiver, detaches the NIC and then marks the
+    host dead, in one event scheduled after every frame was sent.  A
+    frame due at that very instant was processed before it; a frame
+    arriving at it has arrived: the first change gives it a landing of
+    its own, and the second must not take it back.  Folded and landed
+    frames agree; the closing frame is lost.  The hop agrees at the
+    arrival tie only: its processing step takes its heap key at arrival,
+    after the crash was scheduled (the module docstring of
+    :mod:`repro.net.ethernet` names this one order difference)."""
+    crash_at, expected = TIES[tie]
+    results = []
+    for folds, loss in ((("u",), None), ((), None), ((), NeverDrops())):
+        sim = Simulator(seed=4)
+        net = Ethernet(sim, DEFAULT_MODEL, loss=loss)
+        nics = [Nic(sim, workstation_address(i)) for i in range(2)]
+        for nic in nics:
+            net.attach(nic)
+        calls = []
+        alive = [True]
+        install(nics[1], lambda p: calls.append((p.payload, alive[0])),
+                DELAY, folds)
+        for n in range(6):
+            nics[0].emit(nics[1].address, "end" if n == 5 else "u", n)
+
+        def crash(nic=nics[1], net=net, alive=alive):
+            nic.remove_handler()
+            net.detach(nic)
+            alive[0] = False
+
+        sim.schedule(crash_at, crash)
+        sim.run()
+        assert not nics[1]._inflight
+        results.append((calls, nics[1].received, nics[1].dropped_no_handler,
+                        sim.event_count))
+    assert results[0] == results[1]
+    assert results[0][0] == expected
+    if tie == "arrival":
+        assert results[1] == results[2]
