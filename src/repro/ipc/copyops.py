@@ -17,7 +17,7 @@ run's end frame.  A lossless segment folds ``copy-data`` frames
 of their own and are processed before the receiving NIC's next landing,
 which for a stream that runs to the end is its ``copy-end``.  A stream
 that stops without one settles its folded pages from the pacing event
-that finds it stopped.
+that finds it stopped, or when its NIC is detached.
 
 The engine is owned by (and operates on the private state of) one
 :class:`~repro.ipc.transport.Transport`; it exists as its own module

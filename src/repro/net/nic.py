@@ -30,11 +30,11 @@ receiver has been removed since.  ``received`` and
 fault-plane and broadcast delivery, at processing for a lossless
 unicast, which the segment lands in one event at its processing instant
 or folds into a later one (:mod:`repro.net.ethernet`).  Such a landing
-is kept in the NIC's in-flight FIFO until it is processed.  Installing or removing the
-receiver, and attaching or detaching the NIC, hands the landings whose
-frame has not yet arrived back to the segment, which delivers each
-through its ordinary arrival step instead, so the decision still falls
-at arrival.  The elided arrival counts as one modelled event either way.
+is kept in the NIC's in-flight FIFO until it is processed.  Installing
+or removing the receiver, and attaching or detaching the NIC, hands the
+landings whose frame has not yet arrived back to the segment, which
+delivers each through its ordinary arrival step instead, so the
+decision still falls at arrival.  The elided arrival counts as one modelled event either way.
 """
 
 from __future__ import annotations
