@@ -174,9 +174,9 @@ class Ethernet:
 
     def detach(self, nic: "Nic") -> None:
         """Disconnect a NIC (host crash/power-off); in-flight frames to it
-        are lost.  Frames it sent are still delivered, but no closing
-        frame of its streams can follow them now, so its folded
-        landings get events of their own."""
+        are lost.  Frames it sent are still delivered, but their streams
+        may never send their closing frame now, so its folded landings
+        get events of their own (rule (c))."""
         if nic._inflight:
             self._revoke(nic)
         self._nics.pop(nic.address.value, None)
