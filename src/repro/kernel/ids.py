@@ -13,11 +13,15 @@ Two kinds of group matter here:
   are reachable location-independently (paper §2, third bullet);
 * **global groups** -- e.g. the group of every program manager in the
   cluster, used for host selection (paper §2.1).
+
+A :class:`Pid` is an immutable tuple subclass, so the pid-keyed tables
+on every message path (servers, clients, pending replies, inbound copy
+streams) hash and compare pids in C.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 
 #: Flag bit in the local index marking a group id rather than a process id.
 GROUP_BIT = 0x8000
@@ -32,46 +36,48 @@ GLOBAL_GROUP_LH = 0xFFFF
 _MAX16 = 0xFFFF
 
 
-@dataclass(frozen=True, order=True)
-class Pid:
-    """A 32-bit V process (or process-group) identifier."""
+class Pid(tuple):
+    """A 32-bit V process (or process-group) identifier.
 
-    logical_host_id: int
-    local_index: int
+    An immutable ``(logical_host_id, local_index)`` tuple, so hashing,
+    equality and ordering run in C: a pid hashes as the plain tuple
+    does (ints hash unsalted, so a pickled pid hashes alike in every
+    parallel sweep worker) and orders field by field.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.logical_host_id <= _MAX16:
-            raise ValueError(f"logical_host_id {self.logical_host_id:#x} outside 16 bits")
-        if not 0 <= self.local_index <= _MAX16:
-            raise ValueError(f"local_index {self.local_index:#x} outside 16 bits")
-        # Hashed once, not per lookup.  Ints hash unsalted, so this is a
-        # pure function of the two fields in every process: a pickled
-        # pid hashes alike in every parallel sweep worker.
-        object.__setattr__(
-            self, "_hash", hash((self.logical_host_id, self.local_index))
-        )
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __new__(cls, logical_host_id: int, local_index: int) -> "Pid":
+        if not 0 <= logical_host_id <= _MAX16:
+            raise ValueError(f"logical_host_id {logical_host_id:#x} outside 16 bits")
+        if not 0 <= local_index <= _MAX16:
+            raise ValueError(f"local_index {local_index:#x} outside 16 bits")
+        return tuple.__new__(cls, (logical_host_id, local_index))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    logical_host_id = property(itemgetter(0), doc="The logical-host id.")
+    local_index = property(itemgetter(1), doc="The local index, group bit included.")
 
     @property
     def is_group(self) -> bool:
         """Whether this identifier names a process group."""
-        return bool(self.local_index & GROUP_BIT)
+        return bool(self[1] & GROUP_BIT)
 
     @property
     def is_global_group(self) -> bool:
         """Whether this is a cluster-global group id."""
-        return self.is_group and self.logical_host_id == GLOBAL_GROUP_LH
+        return bool(self[1] & GROUP_BIT) and self[0] == GLOBAL_GROUP_LH
 
     @property
     def index(self) -> int:
         """The local index with the group bit masked off."""
-        return self.local_index & ~GROUP_BIT
+        return self[1] & ~GROUP_BIT
 
     def as_int(self) -> int:
         """The packed 32-bit representation."""
-        return (self.logical_host_id << 16) | self.local_index
+        return (self[0] << 16) | self[1]
 
     @classmethod
     def from_int(cls, value: int) -> "Pid":
@@ -79,8 +85,9 @@ class Pid:
         return cls((value >> 16) & _MAX16, value & _MAX16)
 
     def __repr__(self) -> str:
-        tag = "gid" if self.is_group else "pid"
-        return f"<{tag} {self.logical_host_id:04x}:{self.local_index:04x}>"
+        lhid, index = self
+        tag = "gid" if index & GROUP_BIT else "pid"
+        return f"<{tag} {lhid:04x}:{index:04x}>"
 
 
 def local_kernel_server_group(logical_host_id: int) -> Pid:
@@ -95,9 +102,15 @@ def local_program_manager_group(logical_host_id: int) -> Pid:
     return Pid(logical_host_id, PROGRAM_MANAGER_INDEX | GROUP_BIT)
 
 
+#: Local indexes of the well-known local groups, group bit included.
+_WELLKNOWN_LOCAL_GROUPS = frozenset(
+    (KERNEL_SERVER_INDEX | GROUP_BIT, PROGRAM_MANAGER_INDEX | GROUP_BIT)
+)
+
+
 def is_wellknown_local_group(pid: Pid) -> bool:
     """Whether ``pid`` addresses a per-host server via a local group."""
-    return pid.is_group and pid.index in (KERNEL_SERVER_INDEX, PROGRAM_MANAGER_INDEX)
+    return pid.local_index in _WELLKNOWN_LOCAL_GROUPS
 
 
 #: The cluster-global group every program manager belongs to; host

@@ -324,9 +324,12 @@ class Kernel:
         return space
 
     def free_space(self, lh: LogicalHost, space: AddressSpace) -> None:
-        """Release an address space's memory."""
+        """Release an address space's memory.  Its cached page views
+        point back at it, so they are dropped now rather than left to
+        wait for the cycle collector."""
         lh.remove_space(space)
         self.memory_used -= space.size_bytes
+        space._view_list = None
 
     @property
     def memory_free(self) -> int:

@@ -13,6 +13,12 @@ generator, executes the yielded instruction, and blocks/unblocks the PCB
 accordingly.  Every non-Compute instruction costs
 :data:`INSTRUCTION_OVERHEAD_US` of CPU so that instruction storms cannot
 livelock simulated time.
+
+A CPU left idle -- nothing running, every ready queue empty -- does not
+queue the dispatch that would find nothing: it reserves the dispatch's
+turn in the event order (:meth:`repro.sim.engine.Simulator.reserve`),
+and a wake-up before that turn fills it with the real dispatch at the
+same heap key (see ``Scheduler._schedule_dispatch``).
 """
 
 from __future__ import annotations
@@ -58,6 +64,9 @@ class Scheduler:
         self._completion_timer = None
         self._compute_started_at = 0
         self._dispatch_pending = False
+        #: The slot reserved for the dispatch of an idle CPU (it may
+        #: have been retired since; see ``_schedule_dispatch``).
+        self._idle_slot = None
         #: Total CPU-busy microseconds, for load reporting.
         self.busy_us = 0
         # Unified-observability instruments (recorded only while
@@ -262,9 +271,23 @@ class Scheduler:
     # ------------------------------------------------------------- dispatch
 
     def _schedule_dispatch(self) -> None:
+        """Queue one ``_dispatch`` at this instant.  On an idle CPU --
+        nothing running, every ready queue empty -- that dispatch would
+        find nothing, so only its turn is reserved; every path that
+        enqueues a process comes back here, and a wake-up before the
+        turn fills the slot with the real dispatch at the same key."""
         if self._dispatch_pending:
             return
+        slot = self._idle_slot
+        if self.running is None and not any(self._queues.values()):
+            if slot is None or not self.sim.reserved(slot):
+                self._idle_slot = self.sim.reserve(self._dispatch)
+            return
         self._dispatch_pending = True
+        if slot is not None:
+            self._idle_slot = None
+            if self.sim.fill(slot, self._dispatch) is not None:
+                return
         self._sched(0, self._dispatch)
 
     def _dispatch(self) -> None:

@@ -31,6 +31,7 @@ from types import SimpleNamespace
 from typing import Any, Dict, Optional
 
 from repro.errors import SimulationError
+from repro.kernel.ids import Pid
 
 #: Bumped whenever the bundle layout changes incompatibly.
 BUNDLE_VERSION = 1
@@ -142,14 +143,19 @@ class FlightRecorder:
 
 
 def _jsonable(value):
+    """``value`` with whatever JSON cannot encode turned into its string.
+    A pid is a tuple, which JSON would write as a list, so it is caught
+    first and written as its repr."""
+    if isinstance(value, Pid):
+        return repr(value)
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     try:
         json.dumps(value)
         return value
     except (TypeError, ValueError):
-        if isinstance(value, dict):
-            return {str(k): _jsonable(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [_jsonable(v) for v in value]
         return str(value)
 
 

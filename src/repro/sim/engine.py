@@ -14,6 +14,20 @@ rebuilds preserve the (time, seq) order exactly, so determinism is
 unaffected).  ``alive_event_count`` reports only live entries, which is
 what budget checks want.
 
+Reserved slots.  An event that would provably do nothing when it fires
+-- an idle CPU's dispatch, see :mod:`repro.kernel.scheduler` -- need not
+be queued.  :meth:`Simulator.reserve` takes the heap key that
+``schedule(0, fn)`` would take (perturber included) and files the slot
+``(time, key, fn)`` on a small side heap instead of a timer on the main
+one.  The run loop retires a slot when its key comes up, as one event:
+the clock, ``_key``, the event count, the invariant checker, the
+profiler (charged 0 s to ``fn``) and the ``max_events`` budget see it as
+they saw the no-op event, but ``fn`` is not called.  If work appears
+before the slot's turn, :meth:`Simulator.fill` turns it into a real
+event at the same key, so the trajectory is the one the queued event
+gave.  A pending slot is always at the current instant: it retires
+before the clock can move past it.
+
 The ``(time, seq)`` tie-breaking contract is also where the differential
 verification harness (:mod:`repro.verify`) plugs in: a *perturber*
 passed to the constructor (``Simulator(seed, perturber=...)``) may
@@ -72,6 +86,11 @@ class Timer:
                 sim._cancelled_alive += 1
 
 
+#: A reserved turn in the event order: ``(time, key, fn)``, see
+#: :meth:`Simulator.reserve`.
+Slot = Tuple[int, Any, Callable]
+
+
 class Simulator:
     """A deterministic discrete-event simulator over integer microseconds.
 
@@ -92,6 +111,8 @@ class Simulator:
     def __init__(self, seed: int = 0, perturber=None):
         self._now = 0
         self._heap: List[Tuple[int, int, Timer]] = []
+        #: Pending reserved slots, a heap ordered like ``_heap``.
+        self._slots: List[Slot] = []
         self._seq = 0
         self._running = False
         self.rand = RandomStreams(seed)
@@ -155,9 +176,10 @@ class Simulator:
     @property
     def alive_event_count(self) -> int:
         """Scheduled events that will actually fire: heap entries minus
-        cancelled timers awaiting removal.  Budget and quiescence checks
-        should use this, not ``len`` of the raw heap."""
-        return len(self._heap) - self._cancelled_alive
+        cancelled timers awaiting removal, plus pending reserved slots.
+        Budget and quiescence checks should use this, not ``len`` of the
+        raw heap."""
+        return len(self._heap) - self._cancelled_alive + len(self._slots)
 
     # ------------------------------------------------------------ scheduling
 
@@ -198,6 +220,42 @@ class Simulator:
     def schedule_at(self, time_us: int, fn: Callable, *args: Any) -> Timer:
         """Run ``fn(*args)`` at absolute simulated time ``time_us``."""
         return self.schedule(time_us - self._now, fn, *args)
+
+    def reserve(self, fn: Callable) -> Slot:
+        """Take the turn ``schedule(0, fn)`` would take, for an event
+        that would do nothing, without queueing it.  The returned slot
+        is retired as one event when its turn comes (``fn`` is not
+        called), unless :meth:`fill` makes it real first."""
+        time = self._now
+        self._seq += 1
+        key = self._seq
+        perturber = self._perturber
+        if perturber is not None:
+            key = perturber.assign(self, time, key)
+        slot = (time, key, fn)
+        heapq.heappush(self._slots, slot)
+        return slot
+
+    def reserved(self, slot: Slot) -> bool:
+        """Whether ``slot``'s turn is still to come (a pending slot
+        always stands at the current instant)."""
+        return slot[0] == self._now and slot in self._slots
+
+    def fill(self, slot: Slot, fn: Callable, *args: Any) -> Optional[Timer]:
+        """Turn ``slot`` into the event ``fn(*args)`` at its own heap key;
+        returns its :class:`Timer`, or None if the slot's turn has
+        passed (it was retired as a no-op)."""
+        slots = self._slots
+        if slot[0] != self._now or slot not in slots:
+            return None
+        last = slots.pop()
+        if last is not slot:
+            slots[slots.index(slot)] = last
+            heapq.heapify(slots)
+        time, key, _ = slot
+        timer = Timer(time, fn, args, self)
+        heapq.heappush(self._heap, (time, key, timer))
+        return timer
 
     # ------------------------------------------------------------- recycling
 
@@ -277,9 +335,35 @@ class Simulator:
         try:
             budget = max_events if max_events is not None else -1
             heap = self._heap
+            slots = self._slots
             pool = self._timer_pool
             heappop = heapq.heappop
-            while heap:
+            while True:
+                if slots:
+                    slot = slots[0]
+                    if not heap or slot < heap[0]:
+                        # A reserved slot's turn: one event, no call.
+                        time = slot[0]
+                        if until_us is not None and time > until_us:
+                            break
+                        heappop(slots)
+                        self._now = time
+                        self._key = slot[1]
+                        self._event_count += 1
+                        profiler = self._profiler
+                        if profiler is not None:
+                            profiler._account(slot[2], 0.0)
+                        invariants = self.invariants
+                        if invariants is not None:
+                            invariants.after_event(self)
+                            heap = self._heap
+                        if budget > 0:
+                            budget -= 1
+                            if budget == 0:
+                                break
+                        continue
+                elif not heap:
+                    break
                 time, key, timer = heap[0]
                 if timer.cancelled:
                     # A heap with mostly-dead entries is swept in one
@@ -340,13 +424,13 @@ class Simulator:
         return self.run(until_us=self._now + duration_us)
 
     def peek(self) -> Optional[int]:
-        """Time of the next live event, or None if the queue is empty."""
+        """Time of the next live event or pending slot, or None if there
+        is none."""
         heap = self._heap
-        while heap:
-            time, _seq, timer = heap[0]
-            if timer.cancelled:
-                self._drop_dead_head()
-                heap = self._heap
-                continue
-            return time
-        return None
+        while heap and heap[0][2].cancelled:
+            self._drop_dead_head()
+            heap = self._heap
+        slots = self._slots
+        if slots and (not heap or slots[0] < heap[0]):
+            return slots[0][0]
+        return heap[0][0] if heap else None

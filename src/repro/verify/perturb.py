@@ -9,7 +9,8 @@ microsecond have no defined relative order in a real V kernel.  A
 (``build_cluster(perturber=...)``, which hands it to
 ``Simulator(seed, perturber=...)``) permutes exactly those ties:
 
-* every ``schedule`` whose instant already has pending entries is a
+* every ``schedule`` (or ``reserve``, which takes the key a zero-delay
+  ``schedule`` would) whose instant already has pending entries is a
   *swap opportunity*, numbered 1, 2, 3, ... in schedule order;
 * a seeded RNG takes each opportunity with probability ``rate``;
 * a taken swap files the new entry *just before* the youngest pending

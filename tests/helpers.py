@@ -31,8 +31,9 @@ class BareCluster:
         seed: int = 0,
         model: HardwareModel = DEFAULT_MODEL,
         loss=None,
+        perturber=None,
     ):
-        self.sim = Simulator(seed=seed)
+        self.sim = Simulator(seed=seed, perturber=perturber)
         self.model = model
         self.net = Ethernet(self.sim, model, loss=loss)
         self.stations: List[Workstation] = [

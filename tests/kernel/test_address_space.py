@@ -1,10 +1,15 @@
 """Unit tests for address spaces, pages and dirty-bit machinery."""
 
+import gc
+
 import pytest
 
 from repro.config import PAGE_SIZE
 from repro.errors import KernelError
-from repro.kernel import AddressSpace
+from repro.kernel import AddressSpace, Delay
+from repro.kernel.address_space import Page
+
+from tests.helpers import BareCluster
 
 
 def test_page_count_rounds_up():
@@ -134,3 +139,35 @@ def test_version_vector_equality_semantics():
     a = AddressSpace(PAGE_SIZE * 3)
     a.touch_pages([1])
     assert a.version_vector() == {0: 0, 1: 1, 2: 0}
+
+
+def _live_page_views():
+    return sum(1 for obj in gc.get_objects() if type(obj) is Page)
+
+
+def test_a_freed_space_releases_its_page_views_at_once():
+    """A space and its cached views point at each other; freeing the
+    space drops the views, so they go with their last reference instead
+    of waiting for the cycle collector."""
+    cluster = BareCluster(n=1)
+    kernel = cluster.stations[0].kernel
+    n_pages = 32
+
+    def idle():
+        yield Delay(1_000)
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_page_views()
+        lh, pcb = cluster.spawn_program(cluster.stations[0], idle(),
+                                        space_bytes=PAGE_SIZE * n_pages)
+        space = pcb.space
+        assert space.pages[0].version == 0  # materializes every view
+        assert _live_page_views() == before + n_pages
+        kernel.destroy_process(pcb)
+        assert space not in lh.spaces
+        del space, lh, pcb
+        assert _live_page_views() == before
+    finally:
+        gc.enable()
