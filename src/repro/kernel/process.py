@@ -64,6 +64,11 @@ class ProcessState(enum.Enum):
     DEAD = "dead"
 
 
+#: Read by ``Pcb.alive`` on every wake-up and dispatch (a module global,
+#: not a descriptor call on the enum class).
+_DEAD = ProcessState.DEAD
+
+
 # --------------------------------------------------------------- instructions
 
 
@@ -264,7 +269,7 @@ class Pcb:
     @property
     def alive(self) -> bool:
         """Whether the process has not exited or been destroyed."""
-        return self.state is not ProcessState.DEAD
+        return self.state is not _DEAD
 
     @property
     def frozen(self) -> bool:

@@ -23,8 +23,10 @@ same heap key (see ``Scheduler._schedule_dispatch``).
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
-from typing import Dict, Optional
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import KernelError
 from repro.kernel.process import (
@@ -49,6 +51,14 @@ from repro.kernel.process import (
 #: CPU cost charged for each non-Compute instruction dispatch.
 INSTRUCTION_OVERHEAD_US = 1
 
+# Process states read on every dispatch; an enum member lookup is a
+# descriptor call, a module global is not.
+_READY = ProcessState.READY
+_RUNNING = ProcessState.RUNNING
+_AWAITING_REPLY = ProcessState.AWAITING_REPLY
+_RECEIVING = ProcessState.RECEIVING
+_DELAYING = ProcessState.DELAYING
+
 
 class Scheduler:
     """Priority scheduler for one workstation's CPU."""
@@ -60,6 +70,8 @@ class Scheduler:
         self.kernel = kernel
         self.model = model
         self._queues: Dict[int, deque] = {}
+        #: ``(priority, queue)`` for every queue, best priority first.
+        self._ranked: List[Tuple[int, deque]] = []
         self.running: Optional[Pcb] = None
         self._completion_timer = None
         self._compute_started_at = 0
@@ -99,21 +111,21 @@ class Scheduler:
         if q is None:
             q = deque()
             self._queues[priority] = q
+            insort(self._ranked, (priority, q), key=itemgetter(0))
         return q
 
     def _pop_highest(self) -> Optional[Pcb]:
-        for priority in sorted(self._queues):
-            q = self._queues[priority]
+        for _, q in self._ranked:
             while q:
                 pcb = q.popleft()
-                if pcb.runnable and pcb.state is ProcessState.READY:
+                if pcb.runnable and pcb.state is _READY:
                     return pcb
         return None
 
     def _highest_ready_priority(self) -> Optional[int]:
-        for priority in sorted(self._queues):
-            for pcb in self._queues[priority]:
-                if pcb.runnable and pcb.state is ProcessState.READY:
+        for priority, q in self._ranked:
+            for pcb in q:
+                if pcb.runnable and pcb.state is _READY:
                     return priority
         return None
 
@@ -134,7 +146,7 @@ class Scheduler:
             if max_priority is not None and priority < max_priority:
                 continue
             count += sum(
-                1 for p in q if p.runnable and p.state is ProcessState.READY
+                1 for p in q if p.runnable and p.state is _READY
             )
         if self.running is not None and (
             max_priority is None or self.running.priority >= max_priority
@@ -154,9 +166,9 @@ class Scheduler:
         pcb.resume_throw = throw
         if pcb.frozen or pcb.suspended:
             pcb.wake_pending = True
-            pcb.state = ProcessState.READY
+            pcb.state = _READY
             return
-        pcb.state = ProcessState.READY
+        pcb.state = _READY
         self._queue(pcb.priority).append(pcb)
         self._maybe_preempt()
         self._schedule_dispatch()
@@ -201,7 +213,7 @@ class Scheduler:
         pcb = self.running
         self._save_compute_progress(pcb)
         self.running = None
-        pcb.state = ProcessState.READY
+        pcb.state = _READY
         # Preempted processes go to the front of their queue so they
         # resume before peers that never started.
         self._queue(pcb.priority).appendleft(pcb)
@@ -233,7 +245,7 @@ class Scheduler:
             pcb = self.running
             self._save_compute_progress(pcb)
             self.running = None
-            pcb.state = ProcessState.READY
+            pcb.state = _READY
         for q in self._queues.values():
             for pcb in list(q):
                 if pcb.logical_host is logical_host:
@@ -246,9 +258,9 @@ class Scheduler:
         for pcb in logical_host.live_processes():
             if pcb.suspended:
                 continue  # held until explicitly resumed
-            if pcb.state is ProcessState.READY or pcb.wake_pending:
+            if pcb.state is _READY or pcb.wake_pending:
                 pcb.wake_pending = False
-                pcb.state = ProcessState.READY
+                pcb.state = _READY
                 self._queue(pcb.priority).append(pcb)
         self._maybe_preempt()
         self._schedule_dispatch()
@@ -298,7 +310,7 @@ class Scheduler:
         if pcb is None:
             return
         self.running = pcb
-        pcb.state = ProcessState.RUNNING
+        pcb.state = _RUNNING
         switch = self.model.context_switch_us
         self.busy_us += switch
         if self.metrics.active:
@@ -310,7 +322,7 @@ class Scheduler:
     def _execute(self, pcb: Pcb) -> None:
         """Run the current process: resume its compute or interpret the
         next instruction."""
-        if self.running is not pcb or pcb.state is not ProcessState.RUNNING:
+        if self.running is not pcb or pcb.state is not _RUNNING:
             return
         if pcb.remaining_us > 0:
             self._begin_compute(pcb)
@@ -336,9 +348,9 @@ class Scheduler:
         """Occupy the CPU for the rest of the PCB's compute, or one time
         slice if equal-priority peers are waiting."""
         slice_us = self.model.time_slice_us
-        peers_waiting = any(
-            p.runnable and p.state is ProcessState.READY
-            for p in self._queue(pcb.priority)
+        peers = self._queues.get(pcb.priority)
+        peers_waiting = bool(peers) and any(
+            p.runnable and p.state is _READY for p in peers
         )
         chunk = min(pcb.remaining_us, slice_us) if peers_waiting else pcb.remaining_us
         self._compute_started_at = self.sim.now
@@ -356,7 +368,7 @@ class Scheduler:
         if pcb.remaining_us > 0:
             # Slice expired with work left: rotate among equals.
             self.running = None
-            pcb.state = ProcessState.READY
+            pcb.state = _READY
             self._queue(pcb.priority).append(pcb)
             self._schedule_dispatch()
         else:
@@ -404,7 +416,7 @@ class Scheduler:
         elif isinstance(instruction, Send):
             pcb.messages_sent += 1
             self._stop_running()
-            pcb.state = ProcessState.AWAITING_REPLY
+            pcb.state = _AWAITING_REPLY
             self.kernel.ipc.client_send(pcb, instruction.dst, instruction.message)
             self._schedule_dispatch()
         elif isinstance(instruction, Receive):
@@ -421,7 +433,7 @@ class Scheduler:
                 self._sched(charge, self._execute, pcb)
             else:
                 self._stop_running()
-                pcb.state = ProcessState.RECEIVING
+                pcb.state = _RECEIVING
                 self._schedule_dispatch()
         elif isinstance(instruction, Reply):
             self.kernel.ipc.reply_from(pcb, instruction.dst, instruction.message)
@@ -439,19 +451,19 @@ class Scheduler:
             self._sched(charge, self._execute, pcb)
         elif isinstance(instruction, CopyToInstr):
             self._stop_running()
-            pcb.state = ProcessState.AWAITING_REPLY
+            pcb.state = _AWAITING_REPLY
             self.kernel.ipc.copy_to(pcb, instruction.dst, instruction.pages)
             self._schedule_dispatch()
         elif isinstance(instruction, CopyFromInstr):
             self._stop_running()
-            pcb.state = ProcessState.AWAITING_REPLY
+            pcb.state = _AWAITING_REPLY
             self.kernel.ipc.copy_from(pcb, instruction.src, instruction.indexes)
             self._schedule_dispatch()
         elif isinstance(instruction, Delay):
             if instruction.us < 0:
                 raise KernelError(f"negative delay {instruction.us}")
             self._stop_running()
-            pcb.state = ProcessState.DELAYING
+            pcb.state = _DELAYING
             pcb.delay_deadline = self.sim.now + instruction.us
             self._sched(instruction.us, self._delay_done, pcb)
             self._schedule_dispatch()
@@ -464,6 +476,6 @@ class Scheduler:
             )
 
     def _delay_done(self, pcb: Pcb) -> None:
-        if not pcb.alive or pcb.state is not ProcessState.DELAYING:
+        if not pcb.alive or pcb.state is not _DELAYING:
             return
         self.make_ready(pcb)
