@@ -430,7 +430,6 @@ class Simulator:
         while heap and heap[0][2].cancelled:
             self._drop_dead_head()
             heap = self._heap
-        slots = self._slots
-        if slots and (not heap or slots[0] < heap[0]):
-            return slots[0][0]
+        if self._slots:
+            return self._now  # a pending slot stands at the current instant
         return heap[0][0] if heap else None
