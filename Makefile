@@ -1,6 +1,6 @@
 # Convenience targets for the V-System reproduction.
 
-.PHONY: install test bench bench-test bench-pair bench-ledger chaos-smoke report-smoke verify-smoke examples demo trace-demo all
+.PHONY: install test bench bench-test bench-pair bench-ledger chaos-smoke report-smoke examples demo trace-demo all
 
 install:
 	pip install -e . || python setup.py develop
@@ -46,19 +46,19 @@ bench-ledger:
 	python3 tools/bench_ledger.py bench-pair/parent bench-pair/change
 
 # Fixed-seed fault-injection campaign: every fault schedule x 10 seeds
-# with the invariant harness watching every event (see docs/FAULTS.md).
-# Exits non-zero if any of the four invariants is ever violated.
+# with the invariant harness watching every event, then the
+# differential pass (the lossless unit and 4 tie-perturbed reruns that
+# must match it; see docs/FAULTS.md and docs/TESTING.md).  Exits
+# non-zero on any violation or mismatch.  The second run plants the
+# --break-rebinding bug, which must fail the run (a harness that has
+# never failed proves nothing): it must exit 1 and leave a postmortem
+# manifest.  A crash also exits 1 but writes no manifest.
 chaos-smoke:
 	python -m repro chaos --seeds 10 --seed 7 --workers 2 --messages 20
-
-# Differential verification smoke: the fixed 12-cell list over the
-# chaos scenario (the baseline plain and perturbed, every fault
-# schedule) must pass clean, and with lazy rebinding broken -- the same
-# --break-rebinding flag chaos takes -- every cell must fail (a harness
-# that has never failed proves nothing).  See docs/TESTING.md.
-verify-smoke:
-	python -m repro verify --seed 7
-	python -m repro verify --seed 7 --break-rebinding --expect-fail
+	rm -rf chaos-postmortem
+	python -m repro chaos --seeds 1 --seed 7 --messages 20 \
+	  --break-rebinding --postmortem chaos-postmortem; \
+	  test $$? -eq 1 && test -f chaos-postmortem/manifest.json
 
 # Regenerate the canonical migration RunReport and diff it against the
 # checked-in BASELINE_report.json within a 1% tolerance: simulated

@@ -11,19 +11,18 @@
   registered scenario over a config grid across worker processes, with
   byte-identical output regardless of worker count.
 * ``chaos``   -- a fault-injection campaign: sweep fault schedules ×
-  seeds with the invariant harness watching every event, and print the
-  verdict table (exit 1 on any violation; ``--postmortem`` replays the
-  first failing run with the flight recorder armed).
+  seeds with the invariant harness watching every event, print the
+  verdict table, then run the differential pass (the lossless unit and
+  4 tie-perturbed reruns that must match it).  Exit codes are shared
+  with ``diff``: 0 clean, 1 any violation or mismatch (``--postmortem``
+  replays the first failing campaign unit with the flight recorder
+  armed), 2 usage error.
 * ``report``  -- the instrumented migration distilled into a versioned
   RunReport JSON: metrics, span profile, phase breakdowns and
   KPIs, with the freeze-time decomposition checked against
   ``MigrationStats.freeze_us``.
 * ``diff``    -- compare two RunReports under a tolerance: per-metric
   deltas plus per-subsystem time attribution (exit 1 beyond tolerance).
-* ``verify``  -- differential verification: run one scenario across a
-  fixed list of 12 cells (baseline, 4 perturbed, 7 fault) and assert
-  each cell's equivalence class against the baseline (exit codes shared with
-  ``diff``: 0 clean, 1 a cell broke its class, 2 usage error).
 * ``info``    -- the calibrated hardware model and package layout.
 """
 
@@ -206,61 +205,6 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return EXIT_OK if diff["ok"] else EXIT_DIFFERENT
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.diff import EXIT_DIFFERENT, EXIT_OK, EXIT_USAGE
-    from repro.verify import matrix, run_matrix
-
-    result = run_matrix(
-        matrix(args.seed),
-        base_seed=args.seed,
-        scenario_config={"messages": args.messages},
-        break_rebinding=args.break_rebinding,
-    )
-    print(result.summary())
-
-    payload = result.to_json()
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"verify: cannot write --out {args.out!r}: {exc}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        print(f"wrote {args.out}")
-    if args.report:
-        from repro.obs.report import new_report, write_report
-
-        report = new_report("verify", seed=args.seed,
-                            config={"cells": len(result.cells),
-                                    "break_rebinding": args.break_rebinding})
-        report["kpis"] = {
-            "cells": len(result.cells),
-            "failures": len(result.failures),
-        }
-        try:
-            write_report(report, args.report)
-        except OSError as exc:
-            print(f"verify: cannot write --report {args.report!r}: {exc}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        print(f"wrote run report {args.report}")
-
-    failed = not result.ok
-    if args.expect_fail:
-        # Mutation smoke: the harness must *catch* the planted bug.
-        if failed:
-            print("expected failure found (mutation caught)")
-            return EXIT_OK
-        print("verify: expected a failure but every cell passed",
-              file=sys.stderr)
-        return EXIT_DIFFERENT
-    return EXIT_DIFFERENT if failed else EXIT_OK
-
-
 def _routing_summary(cluster) -> str:
     """One-screen account of how this run's frames were routed and
     received: binding-cache hits and coalesced rx deliveries."""
@@ -351,14 +295,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos(args: argparse.Namespace) -> int:
+    import json
+
     from repro.errors import SimulationError
     from repro.faults import (
         campaign_ok,
+        differential_pass,
+        pass_table,
         replay_failing_run,
         run_campaign,
         schedule_names,
         verdict_table,
     )
+    from repro.obs.diff import EXIT_DIFFERENT, EXIT_OK, EXIT_USAGE
 
     schedules = args.schedules.split(",") if args.schedules else None
     try:
@@ -373,13 +322,19 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     except SimulationError as exc:
         print(f"chaos: {exc} (schedules: {', '.join(schedule_names())})",
               file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     print(f"chaos campaign: {result.summary()}")
     print(verdict_table(result))
+    differential = differential_pass(
+        master_seed=args.seed, messages=args.messages,
+        break_rebinding=args.break_rebinding,
+    )
+    print(pass_table(differential))
     try:
         if args.out:
+            payload = dict(result.payload(), differential=differential)
             with open(args.out, "w") as fh:
-                fh.write(result.to_json())
+                json.dump(payload, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             print(f"wrote {args.out}")
         if args.report:
@@ -389,16 +344,16 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print(f"wrote run report {args.report}")
     except OSError as exc:
         print(f"chaos: cannot write output: {exc}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     if campaign_ok(result):
-        return 0
+        return EXIT_OK if differential["ok"] else EXIT_DIFFERENT
     # Something fired: replay the first failing unit with the flight
     # recorder armed so the postmortem bundle survives the exit.
     bundle = replay_failing_run(result, args.postmortem)
     if bundle:
         print(f"invariant violation: postmortem bundle at {bundle}/",
               file=sys.stderr)
-    return 1
+    return EXIT_DIFFERENT
 
 
 def cmd_info(args: argparse.Namespace) -> int:
@@ -482,15 +437,18 @@ def main(argv=None) -> int:
     chaos.add_argument("--seeds", type=int, default=10,
                        help="replications (seeds) per schedule")
     chaos.add_argument("--seed", type=int, default=0,
-                       help="campaign master seed")
+                       help="campaign master seed (it also seeds the "
+                            "differential pass's 4 tie perturbers)")
     chaos.add_argument("--workers", type=int, default=1)
     chaos.add_argument("--messages", type=int, default=30,
                        help="client requests per run")
     chaos.add_argument("--break-rebinding", action="store_true",
-                       help="intentionally disable lazy rebinding (the "
-                            "campaign must then FAIL no-residual-dependency)")
+                       help="intentionally disable lazy rebinding (every "
+                            "campaign unit and pass record must then FAIL "
+                            "no-residual-dependency)")
     chaos.add_argument("--out", default=None,
-                       help="write the merged JSON payload here")
+                       help="write the merged JSON payload, with the "
+                            "differential pass's records, here")
     chaos.add_argument("--report", default=None, metavar="PATH",
                        help="also write a RunReport JSON for the campaign")
     chaos.add_argument("--postmortem", default="chaos-postmortem",
@@ -520,26 +478,6 @@ def main(argv=None) -> int:
                       help="top movers to show in the table")
     diff.add_argument("--json", action="store_true",
                       help="emit the full diff as JSON instead of a table")
-    verify = sub.add_parser(
-        "verify", help="differential verification over 12 fixed cells"
-    )
-    verify.add_argument("--seed", type=int, default=0,
-                        help="base seed: moves the 4 perturber seeds and "
-                             "the 7 fault cells (a lossless run does not "
-                             "depend on it, so the baseline cell replays "
-                             "one trajectory at every seed)")
-    verify.add_argument("--messages", type=int, default=10,
-                        help="client requests per cell run")
-    verify.add_argument("--break-rebinding", action="store_true",
-                        help="intentionally disable lazy rebinding in every "
-                             "cell (mutation smoke: the cells must FAIL)")
-    verify.add_argument("--expect-fail", action="store_true",
-                        help="exit 0 iff the matrix FAILS (for mutation "
-                             "smoke in make/CI)")
-    verify.add_argument("--out", default=None,
-                        help="write the full verify result JSON here")
-    verify.add_argument("--report", default=None, metavar="PATH",
-                        help="also write a RunReport JSON envelope")
     sub.add_parser("info", help="calibrated model summary")
     args = parser.parse_args(argv)
     command = args.command or "demo"
@@ -547,7 +485,7 @@ def main(argv=None) -> int:
         args.workstations, args.seed = 4, 42
     handler = {"demo": cmd_demo, "migrate": cmd_migrate, "trace": cmd_trace,
                "sweep": cmd_sweep, "chaos": cmd_chaos, "report": cmd_report,
-               "diff": cmd_diff, "verify": cmd_verify,
+               "diff": cmd_diff,
                "info": cmd_info}[command]
     return handler(args)
 

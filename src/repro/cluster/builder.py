@@ -142,7 +142,7 @@ def build_cluster(
     standard per-host services.  ``faults`` installs a
     :class:`repro.faults.FaultPlane` on the Ethernet (the composable
     superset of ``loss``).  ``perturber`` goes to the
-    :class:`Simulator` (see :mod:`repro.verify.perturb`)."""
+    :class:`Simulator` (see :mod:`repro.faults.perturb`)."""
     if n_workstations < 1 or n_file_servers < 1:
         raise SimulationError("need at least one workstation and one file server")
     sim = Simulator(seed=seed, perturber=perturber)

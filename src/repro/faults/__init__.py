@@ -11,7 +11,10 @@
   event;
 * :mod:`repro.faults.campaign` -- the ``python -m repro chaos``
   campaign: fault schedules × seeds on the :mod:`repro.parallel` sweep
-  engine, with a deterministic verdict table.
+  engine, with a deterministic verdict table, and its differential
+  pass over same-instant tie orders;
+* :mod:`repro.faults.perturb` -- the :class:`TiePerturber` that
+  permutes those ties.
 """
 
 from repro.faults.campaign import (
@@ -19,6 +22,9 @@ from repro.faults.campaign import (
     build_fault_plane,
     campaign_ok,
     campaign_spec,
+    canonical_digest,
+    differential_pass,
+    pass_table,
     replay_failing_run,
     run_campaign,
     schedule_names,
@@ -36,6 +42,7 @@ from repro.faults.models import (
     LossAdapter,
     ReorderFault,
 )
+from repro.faults.perturb import TiePerturber
 from repro.faults.schedule import (
     CrashEvent,
     CrashSchedule,
@@ -60,9 +67,13 @@ __all__ = [
     "OutageEvent",
     "OutageSchedule",
     "ReorderFault",
+    "TiePerturber",
     "build_fault_plane",
     "campaign_ok",
     "campaign_spec",
+    "canonical_digest",
+    "differential_pass",
+    "pass_table",
     "replay_failing_run",
     "run_campaign",
     "schedule_names",

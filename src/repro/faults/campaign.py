@@ -1,8 +1,8 @@
-"""Chaos campaigns: fault schedules × seeds, with invariant verdicts.
+"""Chaos campaigns: fault schedules × seeds, with invariant verdicts,
+plus a differential pass over tie orders.
 
 A campaign replays one scenario -- the migration-under-traffic workload
-every ``repro verify`` cell runs too -- under each named fault schedule,
-once per seed, with the
+-- under each named fault schedule, once per seed, with the
 :class:`~repro.faults.invariants.InvariantChecker` watching every event.
 The per-run verdict (invariant violation counts, injected-fault counts,
 migration outcome) is a plain JSON-able dict, so the whole campaign
@@ -11,12 +11,22 @@ serial ≡ parallel byte-identity guarantee: the same (schedule, seed)
 grid produces the same verdict table no matter how many worker
 processes ran it.
 
+The differential pass (:func:`differential_pass`) runs the same
+scenario lossless, with a tie storm, and then reruns it under
+:data:`PASS_RERUNS` seeded same-instant tie permutations
+(:class:`~repro.faults.perturb.TiePerturber`): the paper's protocol
+must not lean on the event core's tie order, so every rerun must match
+the lossless run's stable outcomes.
+
 ``python -m repro chaos`` is the CLI face; ``make chaos-smoke`` and the
-CI job run a fixed-seed campaign and fail on any violation.
+CI job run a fixed-seed campaign with its pass and fail on any
+violation.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
@@ -29,9 +39,11 @@ from repro.faults.models import (
     FaultPlane,
     ReorderFault,
 )
+from repro.faults.perturb import TiePerturber
 from repro.faults.schedule import CrashEvent, CrashSchedule, break_rebinding
 from repro.parallel.scenarios import register_scenario
 from repro.parallel.spec import SweepSpec
+from repro.sim.random import derive_seed
 
 #: Named fault schedules a campaign sweeps over.  Each is a recipe:
 #: per-delivery model rates plus an optional host crash-and-reboot.
@@ -52,6 +64,12 @@ FAULT_SCHEDULES: Dict[str, Dict[str, Any]] = {
 
 #: The delay of both twin timers of one tie-storm round.
 TIE_DELAY_US = 1000
+
+#: The differential pass: tie-perturbed reruns of its lossless unit,
+#: and the tie-storm rounds every pass record runs (the storm is what
+#: gives a perturbation same-instant ties to swap).
+PASS_RERUNS = 4
+PASS_STORM_ROUNDS = 32
 
 
 def schedule_names() -> List[str]:
@@ -89,8 +107,8 @@ def chaos_scenario(
     program on ws1 while the server's logical host is migrated off its
     workstation, optionally under a named fault schedule, with the
     invariant harness watching every event.  This is the one
-    echo-under-migration workload: the chaos campaign and every
-    ``repro verify`` cell run it.
+    echo-under-migration workload: every campaign unit and every record
+    of the differential pass run it.
 
     Config: ``schedule`` (a :data:`FAULT_SCHEDULES` name, default
     "drop"; None runs a lossless cluster with no fault plane),
@@ -100,7 +118,7 @@ def chaos_scenario(
     no-residual-dependency),
     ``storm_rounds`` (0 -- rounds of
     the same-instant tie storm, see below), ``perturber`` (None -- a
-    :class:`repro.verify.perturb.TiePerturber` the cluster's simulator
+    :class:`repro.faults.perturb.TiePerturber` the cluster's simulator
     is built with), ``postmortem_dir`` (None -- arm a
     flight recorder: tracing + metrics on, and the first invariant
     violation dumps a postmortem bundle there.  Used by the replay
@@ -334,7 +352,13 @@ def campaign_spec(
 ) -> SweepSpec:
     """The sweep spec for a chaos campaign: one config per schedule,
     ``seeds`` replications each (seeded by sweep coordinates, so the
-    verdict table is a pure function of this spec)."""
+    verdict table is a pure function of this spec).  A campaign whose
+    client sends nothing cannot trip an invariant, so ``messages`` must
+    be at least 1; a schedule listed twice is refused too."""
+    if messages < 1:
+        raise SimulationError(
+            f"a campaign needs at least one message per run, got {messages}"
+        )
     names = list(schedules) if schedules else schedule_names()
     for name in names:
         if name not in FAULT_SCHEDULES:
@@ -342,6 +366,8 @@ def campaign_spec(
                 f"unknown fault schedule {name!r}; "
                 f"known: {', '.join(schedule_names())}"
             )
+    if len(set(names)) != len(names):
+        raise SimulationError(f"a fault schedule is listed twice: {names}")
     configs = tuple(
         {
             "schedule": name,
@@ -438,3 +464,91 @@ def replay_failing_run(result, postmortem_dir: str) -> Optional[str]:
             replay = chaos_scenario(config, spec.unit_seed(ci, ri))
             return replay.get("postmortem")
     return None
+
+
+# --------------------------------------------------------- differential pass
+
+def canonical_digest(payload: Any) -> str:
+    """SHA-256 over the canonical JSON encoding of ``payload`` -- the
+    byte-identity test two runs of the same unit must pass."""
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def stable_outcome(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The outcome fields no same-instant tie order may move."""
+    migration = payload["migration"] or {}
+    return {
+        "completed": payload["completed"],
+        "served": payload["served"],
+        "migration_success": bool(migration.get("success")),
+        "invariants_ok": payload["invariants_ok"],
+    }
+
+
+def differential_pass(
+    master_seed: int = 0,
+    messages: int = 30,
+    break_rebinding: bool = False,
+) -> Dict[str, Any]:
+    """The lossless unit at ``master_seed`` (no fault plane, a
+    :data:`PASS_STORM_ROUNDS`-round tie storm), then :data:`PASS_RERUNS`
+    reruns of it, rerun ``i`` under a :class:`TiePerturber` seeded
+    ``derive_seed(master_seed, "verify:perturb:<i>")``.
+
+    Every record must hold every invariant, and every rerun must match
+    the lossless record on the stable outcome fields (completed,
+    served, migration success, invariant verdict); event counts and
+    the payload digest may move.  A lossless run draws nothing from its
+    seed, so ``master_seed`` moves only the perturber seeds.  Runs
+    in-process and serially; a crash propagates, as it does for a
+    campaign unit."""
+    config = {"schedule": None, "messages": messages,
+              "break_rebinding": break_rebinding,
+              "storm_rounds": PASS_STORM_ROUNDS}
+    records: List[Dict[str, Any]] = []
+    for i in range(-1, PASS_RERUNS):
+        perturber = None if i < 0 else TiePerturber(
+            derive_seed(master_seed, f"verify:perturb:{i}"), rate=0.25)
+        payload = chaos_scenario(dict(config, perturber=perturber),
+                                 master_seed)
+        failures = []
+        if not payload["invariants_ok"]:
+            violated = {k: v for k, v in payload["invariants"].items() if v}
+            failures.append(f"invariant violations: {violated}")
+        stable = stable_outcome(payload)
+        if records and stable != records[0]["stable"]:
+            failures.append(f"stable outcome fields differ: {stable} != "
+                            f"lossless {records[0]['stable']}")
+        records.append({
+            "label": "lossless" if perturber is None else f"perturb:{i}",
+            "perturb": perturber.describe() if perturber else None,
+            "payload": payload,
+            "payload_sha256": canonical_digest(payload),
+            "stable": stable,
+            "failures": failures,
+        })
+    return {
+        "master_seed": master_seed,
+        "records": records,
+        "ok": not any(record["failures"] for record in records),
+    }
+
+
+def pass_table(result: Dict[str, Any]) -> str:
+    """The differential pass as text: one line per record (label,
+    swaps taken, payload digest prefix, verdict), each failure reason
+    under its record, then the pass's verdict."""
+    lines = [f"differential pass: the lossless unit and {PASS_RERUNS} "
+             f"tie-perturbed reruns, seed {result['master_seed']}"]
+    for record in result["records"]:
+        swaps = len(record["perturb"]["swaps"]) if record["perturb"] else 0
+        lines.append(
+            f"  {record['label']:<10} swaps {swaps:<4} "
+            f"{record['payload_sha256'][:12]}  "
+            + ("FAIL" if record["failures"] else "ok"))
+        lines.extend(f"    - {reason}" for reason in record["failures"])
+    failed = sum(1 for record in result["records"] if record["failures"])
+    lines.append(f"differential verdict: {'FAIL' if failed else 'PASS'} "
+                 f"({failed} of {len(result['records'])} record(s) failed)")
+    return "\n".join(lines)

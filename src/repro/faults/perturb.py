@@ -22,10 +22,10 @@ microsecond have no defined relative order in a real V kernel.  A
 The perturbation is deliberately local: one swap transposes two
 adjacent same-instant entries and nothing else.  A perturbed run is a
 pure function of (scenario config, scenario seed, perturber seed, rate),
-so replaying a failing cell means rerunning it with the same seed.
+so replaying a failing rerun means rerunning it with the same seed.
 
-Off by default (nothing constructs one outside the verification
-harness).
+Off by default: only the differential pass of ``repro chaos``
+(:func:`repro.faults.campaign.differential_pass`) constructs one.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class TiePerturber:
 
     def describe(self) -> dict:
         """JSON-able account of this perturber's configuration and what
-        it did (embedded in verify-cell results)."""
+        it did (embedded in the differential pass's records)."""
         return {
             "seed": self.seed,
             "rate": self.rate,

@@ -20,7 +20,8 @@ Both schedules drive existing cluster mechanisms:
 :func:`break_rebinding` is the one untimed perturbation: it switches
 lazy rebinding off for the whole run.  It is the planted bug of the
 ``chaos`` scenario's ``break_rebinding`` input, which ``chaos
---break-rebinding`` and ``verify --break-rebinding`` both set.
+--break-rebinding`` sets in every campaign unit and every record of the
+differential pass.
 """
 
 from __future__ import annotations

@@ -28,13 +28,15 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-#: The comparison-CLI exit-code contract, shared by ``repro diff`` and
-#: ``repro verify`` (and asserted by ``tests/test_cli_errors.py``):
-#: 0 = compared clean (within tolerance / every cell held its class),
-#: 1 = compared and found a real difference (beyond tolerance / at
-#: least one cell broke its equivalence class),
-#: 2 = never compared (usage error: bad arguments, unreadable or
-#: unwritable files, unknown schedule/mutation names).
+#: The checking-CLI exit-code contract, shared by ``repro diff`` and
+#: ``repro chaos`` (and asserted by ``tests/test_cli_errors.py``):
+#: 0 = checked clean (within tolerance / every campaign unit and
+#: differential-pass record held),
+#: 1 = checked and found a real difference (beyond tolerance / an
+#: invariant violation, or a perturbed rerun whose stable outcomes
+#: differ from the lossless run's),
+#: 2 = never checked (usage error: bad arguments, unreadable or
+#: unwritable files, unknown or repeated schedule names, no messages).
 #: Scripts can therefore distinguish "regression" from "broken
 #: invocation" -- CI gates on 1, not on 2.
 EXIT_OK = 0

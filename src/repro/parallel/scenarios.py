@@ -215,5 +215,4 @@ def ping_scenario(
 # import must stay at the bottom: repro.faults.campaign imports
 # ``register_scenario`` from this module at its own import time.
 import repro.faults.campaign  # noqa: E402,F401  (registration side effect)
-import repro.verify.scenario  # noqa: E402,F401  (registration side effect)
 import repro.workloads.job_storm  # noqa: E402,F401  (registration side effect)

@@ -29,7 +29,8 @@ gave.  A pending slot is always at the current instant: it retires
 before the clock can move past it.
 
 The ``(time, seq)`` tie-breaking contract is also where the differential
-verification harness (:mod:`repro.verify`) plugs in: a *perturber*
+pass of ``repro chaos`` (:func:`repro.faults.campaign.differential_pass`)
+plugs in: a *perturber*
 passed to the constructor (``Simulator(seed, perturber=...)``) may
 replace the integer seq key with a fractional one, permuting the FIFO
 order of same-instant events -- the orderings the paper's protocol must
@@ -135,13 +136,14 @@ class Simulator:
         #: False and inspect ``kernel.faulted`` instead.
         self.strict = True
         #: A same-instant tie perturber (see
-        #: :class:`repro.verify.perturb.TiePerturber`): every ``schedule``
+        #: :class:`repro.faults.perturb.TiePerturber`): every ``schedule``
         #: routes its heap key through ``perturber.assign``.  It is fixed
         #: at construction, so it sees the cluster builder's first events
         #: too.  None (the default) costs one attribute load + branch per
         #: schedule -- the same zero-cost discipline as the
-        #: profiler/invariant hooks, and the A/B test in tests/verify pins
-        #: the trajectory byte-identical.
+        #: profiler/invariant hooks, and the A/B test in
+        #: tests/faults/test_perturber.py pins the trajectory
+        #: byte-identical.
         self._perturber = perturber
         #: Next free logical-host id in this simulated world
         #: (``Kernel.allocate_lhid``); lhids feed pid-derived random-stream
@@ -209,9 +211,9 @@ class Simulator:
         key = self._seq
         perturber = self._perturber
         if perturber is not None:
-            # Schedule-perturbation hook (repro.verify): the perturber
-            # may hand back a fractional key that files this entry
-            # *before* an earlier same-instant one, permuting FIFO
+            # Schedule-perturbation hook (repro.faults.perturb): the
+            # perturber may hand back a fractional key that files this
+            # entry *before* an earlier same-instant one, permuting FIFO
             # tie-breaking without touching anything cross-instant.
             key = perturber.assign(self, time, key)
         heapq.heappush(self._heap, (time, key, timer))

@@ -3,16 +3,17 @@ rate 0, the same trajectory for the same seed, and an input of the one
 cluster it is handed to."""
 
 from repro.cluster import build_cluster
+from repro.faults import TiePerturber
+from repro.faults.campaign import canonical_digest, chaos_scenario, stable_outcome
 from repro.sim import Simulator
-from repro.verify import TiePerturber, make_cell
-from repro.verify.matrix import cell_config
-from repro.verify.scenario import verify_cell
 
-SMALL = {"messages": 4, "storm_rounds": 12, "migrate_at_ms": 200}
+SMALL = {"schedule": None, "messages": 4, "storm_rounds": 12,
+         "migrate_at_ms": 200}
 
 
-def _cell(perturb=None):
-    return verify_cell(cell_config(make_cell(perturb=perturb), 11, SMALL))
+def _run(perturber=None):
+    payload = chaos_scenario(dict(SMALL, perturber=perturber), 11)
+    return payload, canonical_digest(payload)
 
 
 # ------------------------------------------------------------- default off
@@ -27,34 +28,33 @@ def test_hook_compiled_in_is_byte_identical_when_off():
     perturber installed (a) and with a perturber installed that never
     takes a swap (b), trajectories are byte-identical -- the hook's only
     observable cost is the attribute test."""
-    a = _cell()
-    b = _cell(perturb={"seed": 5, "rate": 0.0})
-    assert a["crash"] is None and b["crash"] is None
-    assert b["perturb"]["swaps"] == []
-    assert b["perturb"]["opportunities"] > 0  # ties existed to decline
-    assert a["payload_sha256"] == b["payload_sha256"]
+    perturber = TiePerturber(seed=5, rate=0.0)
+    _, a = _run()
+    _, b = _run(perturber)
+    assert perturber.swaps == []
+    assert perturber.opportunities > 0  # ties existed to decline
+    assert a == b
 
 
 # ---------------------------------------------------------- perturbation on
 
 def test_fuzzing_changes_the_trajectory_but_not_outcomes():
-    base = _cell()
-    fuzzed = _cell(perturb={"seed": 3, "rate": 0.5})
-    assert fuzzed["crash"] is None
-    assert fuzzed["perturb"]["swaps"], "rate 0.5 never found a tie to swap"
+    perturber = TiePerturber(seed=3, rate=0.5)
+    base, base_digest = _run()
+    fuzzed, fuzzed_digest = _run(perturber)
+    assert perturber.swaps, "rate 0.5 never found a tie to swap"
     # The trajectory moved...
-    assert fuzzed["payload_sha256"] != base["payload_sha256"]
+    assert fuzzed_digest != base_digest
     # ...but the protocol outcome did not (the §3.1-3.2 commutation).
     assert fuzzed["invariants_ok"]
-    assert fuzzed["stable"] == base["stable"]
+    assert stable_outcome(fuzzed) == stable_outcome(base)
 
 
 def test_same_seed_same_trajectory():
-    # This is how a failing perturbed cell replays: rerun its seed.
-    a = _cell(perturb={"seed": 9, "rate": 0.5})
-    b = _cell(perturb={"seed": 9, "rate": 0.5})
-    assert a["payload_sha256"] == b["payload_sha256"]
-    assert a["perturb"] == b["perturb"]
+    # This is how a failing perturbed rerun replays: rerun its seed.
+    pa, pb = TiePerturber(seed=9, rate=0.5), TiePerturber(seed=9, rate=0.5)
+    assert _run(pa)[1] == _run(pb)[1]
+    assert pa.describe() == pb.describe()
 
 
 # ------------------------------------------------------------- engine hooks

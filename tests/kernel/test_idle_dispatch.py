@@ -9,7 +9,7 @@ queued no-op would have left things.
 
 One constructed instant is replayed twice -- with slots and with every
 dispatch a queued event, the scheduler before slots -- plainly, under
-the verify tie perturber and with the invariant checker installed.  The
+the tie perturber and with the invariant checker installed.  The
 run loop reports every event to a stand-in profiler, a retired slot
 included, so the two replays must show the same events at the same
 ``(time, key)``.
@@ -17,10 +17,9 @@ included, so the two replays must show the same events at the same
 
 import pytest
 
-from repro.faults import InvariantChecker
+from repro.faults import InvariantChecker, TiePerturber
 from repro.kernel import Compute
 from repro.kernel.scheduler import Scheduler
-from repro.verify import TiePerturber
 
 from tests.helpers import BareCluster
 

@@ -60,12 +60,11 @@ def test_unknown_command_rejected():
         main(["frobnicate"])
 
 
-@pytest.mark.parametrize("module", ["repro.faults", "repro.verify",
-                                    "repro.parallel"])
+@pytest.mark.parametrize("module", ["repro.faults", "repro.parallel"])
 def test_package_imports_first_in_a_fresh_interpreter(module):
-    """``python -m repro chaos`` imports ``repro.faults`` first and
-    ``verify`` imports ``repro.verify`` first; the faults -> parallel ->
-    verify -> faults import cycle must resolve from either end."""
+    """``python -m repro chaos`` imports ``repro.faults`` first and a
+    sweep worker imports ``repro.parallel`` first; the faults ->
+    parallel -> faults import cycle must resolve from either end."""
     import os
     import subprocess
     import sys

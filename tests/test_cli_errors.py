@@ -1,10 +1,18 @@
-"""Error paths of the ``sweep``, ``chaos`` and ``verify`` subcommands:
-bad input must exit 2 with a diagnostic on stderr (never a traceback),
-and a failing campaign must exit 1."""
+"""Error paths of the ``sweep`` and ``chaos`` subcommands: bad input
+must exit 2 with a diagnostic on stderr (never a traceback), and a
+failing campaign must exit 1.
+
+``repro diff`` and ``repro chaos`` share one exit-code contract, defined
+in one place (:mod:`repro.obs.diff`): 0 checked clean, 1 checked and
+found a difference, 2 never checked (usage error)."""
 
 import json
 
+import pytest
+
 from repro.__main__ import main
+from repro.obs.diff import EXIT_DIFFERENT, EXIT_OK, EXIT_USAGE
+from repro.obs.report import new_report, write_report
 
 
 class TestSweepErrors:
@@ -56,22 +64,76 @@ class TestChaosErrors:
         assert rc == 2
         assert "cannot write" in capsys.readouterr().err
 
-
-class TestVerifyErrors:
     def test_unwritable_report_exits_2(self, tmp_path, capsys):
-        rc = main(["verify", "--messages", "3",
+        rc = main(["chaos", "--schedules", "drop", "--seeds", "1",
+                   "--messages", "3",
                    "--report", str(tmp_path / "no" / "dir" / "x.json")])
         assert rc == 2
         assert "cannot write" in capsys.readouterr().err
 
-    def test_broken_rebinding_campaign_exits_1(self, capsys):
+    @pytest.mark.parametrize("messages", ["0", "-3"])
+    def test_no_messages_exits_2(self, messages, capsys):
+        # A client that sends nothing trips no invariant: a vacuous PASS.
+        assert main(["chaos", "--seeds", "1", "--schedules", "drop",
+                     "--messages", messages]) == 2
+        assert "at least one message" in capsys.readouterr().err
+
+    def test_repeated_schedule_exits_2(self, capsys):
+        assert main(["chaos", "--seeds", "1", "--schedules", "drop,drop",
+                     "--messages", "3"]) == 2
+        assert "listed twice" in capsys.readouterr().err
+
+    def test_unknown_flag_exits_2(self, capsys):
+        # There is no --expect-fail: the exit code is the verdict.
+        with pytest.raises(SystemExit) as exc_info:
+            main(["chaos", "--expect-fail"])
+        assert exc_info.value.code == EXIT_USAGE
+        assert "--expect-fail" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    def test_the_constants_are_the_documented_contract(self):
+        assert (EXIT_OK, EXIT_DIFFERENT, EXIT_USAGE) == (0, 1, 2)
+
+    def test_diff_exit_codes(self, tmp_path):
+        def report(name, events):
+            path = tmp_path / name
+            body = new_report("test", seed=0)
+            body["kpis"] = {"events": events}
+            write_report(body, str(path))
+            return str(path)
+
+        a = report("a.json", 100)
+        assert main(["diff", a, report("same.json", 100)]) == EXIT_OK
+        assert main(["diff", a, report("moved.json", 200)]) == EXIT_DIFFERENT
+        assert main(["diff", a, str(tmp_path / "missing.json")]) == \
+            EXIT_USAGE
+
+    def test_verify_is_no_command(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["verify"])
+        assert exc_info.value.code == EXIT_USAGE
+
+    def test_clean_campaign_exits_0_with_its_pass(self, tmp_path, capsys):
+        out = tmp_path / "chaos.json"
+        rc = main(["chaos", "--schedules", "drop", "--seeds", "1",
+                   "--messages", "3", "--seed", "3", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert "differential verdict: PASS" in capsys.readouterr().out
+        differential = json.loads(out.read_text())["differential"]
+        assert differential["ok"] and len(differential["records"]) == 5
+
+    def test_broken_rebinding_campaign_exits_1(self, tmp_path, capsys):
+        bundle = tmp_path / "postmortem"
         rc = main(["chaos", "--schedules", "drop", "--seeds", "1",
                    "--messages", "20", "--seed", "42",
-                   "--break-rebinding"])
-        assert rc == 1
+                   "--break-rebinding", "--postmortem", str(bundle)])
+        assert rc == EXIT_DIFFERENT
         out = capsys.readouterr().out
         assert "verdict: FAIL" in out
         assert "no-residual-dependency" in out
+        assert "differential verdict: FAIL (5 of 5 record(s) failed)" in out
+        assert (bundle / "manifest.json").is_file()
 
 
 class TestChaosHappyPath:
