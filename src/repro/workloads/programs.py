@@ -87,27 +87,33 @@ def _phase_body_factory(spec: WorkloadSpec):
     return factory
 
 
+def _exec_with_backoff(ctx, spec: ExecSpec, attempts: int = 6):
+    """Start a subprogram, retrying while its host is out of memory.
+
+    Transient memory pressure (several compilations sharing a 2 MB
+    machine) makes ``exec_program`` raise; the control program backs
+    off and retries, like make re-runs.  Returns None once every
+    attempt has failed."""
+    from repro.errors import ExecutionError
+    from repro.kernel.process import Delay
+
+    for _ in range(attempts):
+        try:
+            return (yield from exec_program(ctx, spec))
+        except ExecutionError:
+            yield Delay(2_000_000)
+    return None
+
+
 def _cc68_body(ctx):
     """The compiler control program: run the five phases as subprograms
     in our own logical host, doing its own (lightly dirtying)
     bookkeeping while each phase runs."""
-    from repro.errors import ExecutionError
-    from repro.kernel.process import Delay
-
     rng = ctx.sim.rand.stream(f"wl:cc68:{ctx.self_pid.as_int():08x}")
     for spec in CC68_PHASES:
-        handle = None
-        for attempt in range(6):
-            try:
-                handle = yield from exec_program(ctx, ExecSpec(
-                    spec.name, args=ctx.args,
-                    lhid=ctx.self_pid.logical_host_id,
-                ))
-                break
-            except ExecutionError:
-                # Transient memory pressure (several compilations sharing
-                # a 2 MB machine): back off and retry, like make re-runs.
-                yield Delay(2_000_000)
+        handle = yield from _exec_with_backoff(ctx, ExecSpec(
+            spec.name, args=ctx.args, lhid=ctx.self_pid.logical_host_id,
+        ))
         if handle is None:
             return 1  # persistently out of memory: compile fails
         code = yield from _wait_with_bookkeeping(
@@ -148,8 +154,10 @@ def _make_body(ctx):
         pages = MAKE_SPEC.model.tick_pages(rng, 50_000, MAKE_SPEC.base_page)
         if pages:
             yield TouchPages(pages)
-        handle = yield from exec_program(
+        handle = yield from _exec_with_backoff(
             ctx, ExecSpec("cc68", args=(target,)))
+        if handle is None:
+            return 1  # persistently out of memory: the build fails
         code = yield from _wait_with_bookkeeping(
             ctx, handle, MAKE_SPEC.model, MAKE_SPEC.base_page, rng
         )

@@ -101,6 +101,24 @@ def test_mutation_is_an_input_of_one_run_only():
         _digests(before)
 
 
+def test_the_pass_flags_every_record_with_the_broken_invariant():
+    """Seed 11, 4 messages: each record's failure names the invariant
+    the stale binding trips, and nothing else."""
+    broken = differential_pass(master_seed=11, messages=4,
+                               break_rebinding=True)
+    assert not broken["ok"]
+    assert len(broken["records"]) == 1 + PASS_RERUNS
+    for record in broken["records"]:
+        invariants = record["payload"]["invariants"]
+        assert {k for k, v in invariants.items() if v} == \
+            {"no-residual-dependency"}
+        # The reruns still agree with the lossless record: the one
+        # failure is the invariant, not a stable-field mismatch.
+        [reason] = record["failures"]
+        assert reason.startswith("invariant violations:")
+        assert "no-residual-dependency" in reason
+
+
 def test_the_planted_bug_fails_every_unit_and_every_record():
     """Seed 7, 20 messages: every campaign unit (one per schedule) and
     every pass record trips no-residual-dependency, and the lossless

@@ -64,6 +64,15 @@ class TestChaosErrors:
         assert rc == 2
         assert "cannot write" in capsys.readouterr().err
 
+    def test_unwritable_out_exits_2_even_when_the_campaign_fails(
+            self, tmp_path, capsys):
+        # A result that cannot be kept was never checked: usage wins.
+        rc = main(["chaos", "--schedules", "drop", "--seeds", "1",
+                   "--messages", "3", "--seed", "3", "--break-rebinding",
+                   "--out", str(tmp_path / "no" / "dir" / "x.json")])
+        assert rc == EXIT_USAGE
+        assert "differential verdict: FAIL" in capsys.readouterr().out
+
     def test_unwritable_report_exits_2(self, tmp_path, capsys):
         rc = main(["chaos", "--schedules", "drop", "--seeds", "1",
                    "--messages", "3",
@@ -134,6 +143,16 @@ class TestExitCodes:
         assert "no-residual-dependency" in out
         assert "differential verdict: FAIL (5 of 5 record(s) failed)" in out
         assert (bundle / "manifest.json").is_file()
+
+    def test_planted_mutation_exits_1_on_a_small_campaign(self, capsys):
+        # Three messages at seed 3 are enough for the stale binding to
+        # fail the campaign unit and all five pass records.
+        rc = main(["chaos", "--schedules", "reorder", "--seeds", "1",
+                   "--messages", "3", "--seed", "3", "--break-rebinding"])
+        assert rc == EXIT_DIFFERENT
+        out = capsys.readouterr().out
+        assert "verdict: FAIL" in out
+        assert "differential verdict: FAIL (5 of 5 record(s) failed)" in out
 
 
 class TestChaosHappyPath:
